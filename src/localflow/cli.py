@@ -8,7 +8,6 @@ values use 17 significant digits.
 """
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -39,16 +38,6 @@ class CliInputError(ValueError):
 
 def _fmt(x):
     return "%.17g" % float(x)
-
-
-def _worker_cap():
-    raw = os.environ.get("LOCALFLOW_THREADS")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 def _load_json(path):
@@ -174,30 +163,17 @@ def cmd_decay(args):
     g, _, problem = _load_problem(config)
     pert = _load_perturbation(config, g)
 
-    # single-edge F sweep over every edge; rows ordered by edge index
-    # regardless of worker completion order
-    def row_for(chunk):
-        report = locality.measure_decay(problem, pert,
-                                        [[k] for k in chunk])
-        return [(r.distance, r.measured, r.bound, report.constants_mode,
-                 g.edges[k][0])
-                for k, r in zip(chunk, report.rows)]
-
-    indices = list(range(g.n_edges))
-    workers = _worker_cap()
-    chunks = [indices[i::workers] for i in range(workers) if indices[i::workers]]
-    rows = {}
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        for chunk_rows, chunk in zip(pool.map(row_for, chunks), chunks):
-            for k, row in zip(chunk, chunk_rows):
-                rows[k] = row
-    ordered = [rows[k] for k in indices]
+    # single-edge F sweep over every edge, rows in edge-index order
+    report = locality.measure_decay(problem, pert,
+                                    [[k] for k in range(g.n_edges)])
+    mode = report.constants_mode
     _write_csv(os.path.join(_out_dir(config), "decay.csv"),
                ["distance", "measured", "bound", "constants_mode", "edge"],
-               ordered)
+               [(r.distance, r.measured, r.bound, mode, r.edge_ids[0])
+                for r in report.rows])
     _write_json(os.path.join(_out_dir(config), "decay.json"),
                 {"config": config, "index_map": _index_map(g),
-                 "constants_mode": ordered[0][3] if ordered else None})
+                 "constants_mode": mode})
     return EXIT_OK
 
 

@@ -144,8 +144,12 @@ def killed_green_series(rl, tail=SERIES_TAIL, max_terms=1_000_000):
 def _truncation_point(lam, tail, max_terms):
     if lam <= 0.0:
         return 1
-    T = int(np.ceil(np.log(tail * (1.0 - lam)) / np.log(lam))) + 1
-    return max(1, min(T, max_terms))
+    T = max(1, int(np.ceil(np.log(tail * (1.0 - lam)) / np.log(lam))) + 1)
+    if T > max_terms:
+        raise LaplacianError(
+            "series needs %d terms to reach tail %.1e but max_terms is %d"
+            % (T, tail, max_terms))
+    return T
 
 
 def restricted_vs_full(rl, Lplus):

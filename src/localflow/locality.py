@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import geodesic_distance, induced_vertex_set
+from .graph import geodesic_distance
 from .sensitivity import sensitivity_operator, solve_exact
 from .solver import LocalizedSolver, SolverError
 
@@ -33,56 +33,72 @@ def adjacency_slem(graph):
     return float(max(abs(vals[-2]), abs(vals[0]))) if n > 1 else 0.0
 
 
-def _max_sqrt_inner_degree(graph, U):
-    """max over v in U of sqrt(2 |N(v) ∩ U|)."""
-    best = 0
-    for v in U:
-        best = max(best, sum(1 for w in graph.neighbors[v] if w in U))
-    return math.sqrt(2.0 * best)
+def _graph_triple(graph):
+    """(k_plus, k_minus, mu): largest and smallest degree and the
+    adjacency matrix's second largest eigenvalue in magnitude."""
+    degs = graph.degrees()
+    return int(degs.max()), int(degs.min()), adjacency_slem(graph)
 
 
-def _decay_constants(problem, walk, U, mode):
-    """(c, lam) of the set-to-point bound for vertex set U.
+def _envelope(Q, k_plus, k_minus, mu):
+    """(rho, c, gamma) of the interlacing envelope for curvature ratio Q.
 
-    exact mode reads the weights of the supplied walk; envelope mode uses
-    the curvature interval [1/beta, 1/alpha] and the interlacing bound for
-    lam.
+    rho bounds the second eigenvalue in magnitude of every walk whose
+    weights lie within a factor Q of each other; c and gamma scale the
+    variance and bias bounds.
     """
-    g = problem.graph
-    maxsq = _max_sqrt_inner_degree(g, U)
-    if mode == "exact":
-        min_d = min(walk.d[v] for v in U)
-        max_w = 0.0
-        for k in range(g.n_edges):
-            u, v = int(g.tails[k]), int(g.heads[k])
-            if u in U and v in U:
-                max_w = max(max_w, walk.weights[k])
-        c = maxsq / min_d * max_w
-        lam = walk.spectrum().lam
-    else:
-        bundle = problem.bundle
-        min_deg = min(g.degree(v) for v in U)
-        c = maxsq * bundle.Q / min_deg
-        lam = envelope_lambda(problem)
-    if lam >= 1.0:
-        raise LocalityError(
-            "decay rate bound is %.4f >= 1; use an instance with a larger "
-            "spectral gap" % lam)
-    return c, lam
+    rho = Q * k_plus / k_minus - 1.0 + Q * mu / k_minus
+    c = math.sqrt(2.0 * k_plus) * Q / k_minus
+    gamma = c * (1.0 + c * math.sqrt(max(k_plus - 1, 0)))
+    return rho, c, gamma
 
 
 def envelope_lambda(problem):
     """Interlacing-based upper bound on the walk's second eigenvalue in
     magnitude, uniform over b."""
-    degs = problem.graph.degrees()
-    k_plus, k_minus = int(degs.max()), int(degs.min())
-    mu = adjacency_slem(problem.graph)
-    Q = problem.bundle.Q
-    return Q * k_plus / k_minus - 1.0 + Q * mu / k_minus
+    return _envelope(problem.bundle.Q, *_graph_triple(problem.graph))[0]
 
 
 def _constants_mode(problem):
     return "exact" if problem.bundle.all_quadratic else "envelope"
+
+
+def _decay_rate(problem, walk, mode):
+    """lam of the decay bounds: the walk's second eigenvalue in magnitude
+    in exact mode, its interlacing envelope otherwise."""
+    lam = walk.spectrum().lam if mode == "exact" else envelope_lambda(problem)
+    if lam >= 1.0:
+        raise LocalityError(
+            "decay rate bound is %.4f >= 1; use an instance with a larger "
+            "spectral gap" % lam)
+    return lam
+
+
+def _set_constants(problem, walk, U, mode):
+    """(c, sqrt(2 max inner degree), min degree) of the vertex array U.
+
+    c is the set-to-point constant. Exact mode reads the walk's weighted
+    degrees and the largest weight on an edge inside U; envelope mode
+    reads the graph degrees and the curvature ratio Q in their place.
+    """
+    inner = walk.W[np.ix_(U, U)]
+    maxsq = math.sqrt(2.0 * int(np.count_nonzero(inner, axis=1).max()))
+    if mode == "exact":
+        min_d = walk.d[U].min()
+        return maxsq / min_d * inner.max(), maxsq, min_d
+    min_d = min(problem.graph.degree(v) for v in U)
+    return maxsq * problem.bundle.Q / min_d, maxsq, min_d
+
+
+def _edge_index(g, e):
+    return g.edge_index[e] if isinstance(e, str) else int(e)
+
+
+def _edge_set(g, F):
+    """Edge indices of F (edge ids or indices) and the sorted array of the
+    vertices they touch."""
+    idx = [_edge_index(g, e) for e in F]
+    return idx, np.unique(np.concatenate((g.tails[idx], g.heads[idx])))
 
 
 @dataclass
@@ -107,7 +123,8 @@ def measure_decay(problem, pert, F_sets):
 
     The measured value is the localized l2-norm of the optimal-flow
     derivative for the perturbation; the bound is c * lam^d / (1 - lam)
-    times the perturbation norm on its support.
+    times the perturbation norm on its support. One operator apply, one
+    BFS from the support and one decay rate serve every F.
     """
     mode = _constants_mode(problem)
     op = sensitivity_operator(problem)
@@ -115,26 +132,25 @@ def measure_decay(problem, pert, F_sets):
     Z = sorted(pert.support)
     p_norm = float(np.linalg.norm(pert.p[Z])) if Z else 0.0
     g = problem.graph
+    sets = [_edge_set(g, F) for F in F_sets]
+    if not all(idx for idx, _ in sets):
+        raise LocalityError("empty edge set in decay sweep")
+    lam = _decay_rate(problem, op.walk, mode) if sets else None
+    dist_Z = g.bfs_distances(Z) if Z else np.zeros(g.n_vertices, dtype=int)
     rows = []
-    lam_out = None
-    for F in F_sets:
-        idx = [g.edge_index[e] if isinstance(e, str) else int(e) for e in F]
-        if not idx:
-            raise LocalityError("empty edge set in decay sweep")
-        U = induced_vertex_set(g, idx)
-        dist = geodesic_distance(g, U, Z) if Z else 0
-        c, lam = _decay_constants(problem, op.walk, U, mode)
-        lam_out = lam
+    for idx, U in sets:
+        dist = int(dist_Z[U].min())
+        c = _set_constants(problem, op.walk, U, mode)[0]
         measured = float(np.linalg.norm(deriv[idx]))
         bound = c * lam ** dist / (1.0 - lam) * p_norm
         rows.append(DecayRow(tuple(g.edges[k][0] for k in idx),
                              dist, measured, bound, c))
-    return DecayReport(rows, lam_out, mode, p_norm)
+    return DecayReport(rows, lam, mode, p_norm)
 
 
 def _edge_perturbation(problem, e):
     g = problem.graph
-    k = g.edge_index[e] if isinstance(e, str) else int(e)
+    k = _edge_index(g, e)
     p = np.zeros(g.n_vertices)
     p[g.tails[k]] = 1.0
     p[g.heads[k]] = -1.0
@@ -149,10 +165,10 @@ def set_to_point(problem, e, F):
     k, p = _edge_perturbation(problem, e)
     op = sensitivity_operator(problem)
     deriv = op.apply(p)
-    idx = [g.edge_index[f] if isinstance(f, str) else int(f) for f in F]
-    U = induced_vertex_set(g, idx)
-    dist = geodesic_distance(g, U, {int(g.tails[k]), int(g.heads[k])})
-    c, lam = _decay_constants(problem, op.walk, U, mode)
+    idx, U = _edge_set(g, F)
+    dist = geodesic_distance(g, U, [g.tails[k], g.heads[k]])
+    c = _set_constants(problem, op.walk, U, mode)[0]
+    lam = _decay_rate(problem, op.walk, mode)
     measured = float(np.linalg.norm(deriv[idx]))
     bound = math.sqrt(2.0) * c * lam ** dist / (1.0 - lam)
     return measured, bound
@@ -163,34 +179,25 @@ def point_to_set(problem, f, F):
     single edge f, with the symmetric bound."""
     mode = _constants_mode(problem)
     g = problem.graph
-    kf, _ = _edge_perturbation(problem, f)
-    w_idx, z_idx = int(g.tails[kf]), int(g.heads[kf])
+    kf, p = _edge_perturbation(problem, f)
+    ends = np.array([g.tails[kf], g.heads[kf]])
     op = sensitivity_operator(problem)
     # derivative at edge f under the perturbation of edge e equals
     # W_wz (e_u - e_v)^T L^+ (e_w - e_z), symmetric in the L^+ kernel
-    pot = op.walk.pinv() @ (np.eye(g.n_vertices)[w_idx]
-                            - np.eye(g.n_vertices)[z_idx])
+    pot = op.walk.pinv() @ p
     w_f = op.walk.weights[kf]
-    idx = [g.edge_index[e] if isinstance(e, str) else int(e) for e in F]
-    vals = np.array([w_f * (pot[g.tails[k]] - pot[g.heads[k]]) for k in idx])
-    measured = float(np.linalg.norm(vals))
+    idx, U = _edge_set(g, F)
+    measured = float(np.linalg.norm(
+        w_f * (pot[g.tails[idx]] - pot[g.heads[idx]])))
 
-    U = induced_vertex_set(g, idx)
-    maxsq = _max_sqrt_inner_degree(g, U)
+    _, maxsq, min_U = _set_constants(problem, op.walk, U, mode)
+    min_f = _set_constants(problem, op.walk, ends, mode)[2]
     if mode == "exact":
-        c_prime = (w_f * maxsq
-                   / math.sqrt(min(op.walk.d[w_idx], op.walk.d[z_idx]))
-                   / math.sqrt(min(op.walk.d[v] for v in U)))
-        lam = op.walk.spectrum().lam
+        c_prime = w_f * maxsq / math.sqrt(min_f) / math.sqrt(min_U)
     else:
-        Q = problem.bundle.Q
-        min_deg_f = min(g.degree(w_idx), g.degree(z_idx))
-        min_deg_U = min(g.degree(v) for v in U)
-        c_prime = Q * maxsq / math.sqrt(min_deg_f * min_deg_U)
-        lam = envelope_lambda(problem)
-    if lam >= 1.0:
-        raise LocalityError("decay rate bound is >= 1")
-    dist = geodesic_distance(g, U, {w_idx, z_idx})
+        c_prime = problem.bundle.Q * maxsq / math.sqrt(min_f * min_U)
+    lam = _decay_rate(problem, op.walk, mode)
+    dist = geodesic_distance(g, U, ends)
     bound = math.sqrt(2.0) * c_prime * lam ** dist / (1.0 - lam)
     return measured, bound
 
@@ -203,12 +210,9 @@ def interlacing_bound(graph, sub_walk, w_minus, w_plus):
     wts = sub_walk.weights
     if np.any(wts < w_minus - 1e-12) or np.any(wts > w_plus + 1e-12):
         raise LocalityError("subgraph weight outside [w_minus, w_plus]")
-    degs = graph.degrees()
-    k_plus, k_minus = int(degs.max()), int(degs.min())
-    mu = adjacency_slem(graph)
+    k_plus, k_minus, mu = _graph_triple(graph)
     lam_prime = sub_walk.spectrum().lam
-    bound = (w_plus * k_plus) / (w_minus * k_minus) - 1.0 \
-        + w_plus / (w_minus * k_minus) * mu
+    bound = _envelope(w_plus / w_minus, k_plus, k_minus, mu)[0]
     # the negative-end estimate behind the bound needs the subgraph to
     # keep weighted degrees at least w_minus * k_minus; a subgraph that
     # thins a vertex down (say a near-bipartite tree-like ball) can push
@@ -254,14 +258,10 @@ class ErrorBudget:
 
 
 def budget_for(problem):
-    degs = problem.graph.degrees()
-    k_plus, k_minus = int(degs.max()), int(degs.min())
-    mu = adjacency_slem(problem.graph)
+    k_plus, k_minus, mu = _graph_triple(problem.graph)
     Q = problem.bundle.Q
-    rho = Q * k_plus / k_minus - 1.0 + Q * mu / k_minus
-    c = math.sqrt(2.0 * k_plus) * Q / k_minus
-    gamma = c * (1.0 + c * math.sqrt(max(k_plus - 1, 0)))
-    return ErrorBudget(k_plus, k_minus, mu, Q, rho, c, gamma,
+    return ErrorBudget(k_plus, k_minus, mu, Q,
+                       *_envelope(Q, k_plus, k_minus, mu),
                        _constants_mode(problem))
 
 
@@ -351,11 +351,9 @@ def tune(family, eps):
     if eps <= 0:
         raise LocalityError("accuracy target must be positive")
     Q, k, mu, z = family.Q, family.k, family.mu, family.z
-    rho = Q - 1.0 + Q * mu / k
+    rho, c, gamma = _envelope(Q, k, k, mu)
     if rho >= 1.0:
         raise LocalityError("budget invalid: rho = %.4f >= 1" % rho)
-    c = math.sqrt(2.0) * Q / math.sqrt(k)
-    gamma = c * (1.0 + c * math.sqrt(max(k - 1, 0)))
     nu_bias = family.p_norm * gamma / ((1.0 - rho) ** 2 * rho ** z)
     xi_bias = math.log(1.0 / rho)
     nu_var = family.p_norm * c / (1.0 - rho)

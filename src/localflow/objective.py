@@ -5,6 +5,8 @@ domain. Non-quadratic kinds enforce their validity interval at evaluation
 time instead of clamping, so a stray iterate fails loudly.
 """
 
+import math
+
 import numpy as np
 
 
@@ -54,6 +56,10 @@ class EdgeCost:
             self.interval = None
         else:
             raise CostError("unknown cost kind: %s" % kind)
+        # beta = a + 3*q*R^2 or a + s is not finite when a, q, R or s is not
+        if not (math.isfinite(self.beta)
+                and math.isfinite(getattr(self, "c", 0.0))):
+            raise CostError("%s cost parameters must be finite" % kind)
 
     def check_domain(self, x):
         if self.interval is not None:

@@ -11,6 +11,7 @@ import numpy as np
 
 from .graph import build_incidence
 from .laplacian import (WeightedWalk, green_series_apply, pseudoinverse)
+from .objective import CostError
 
 BALANCE_TOL = 1e-9
 FEAS_TOL = 1e-9
@@ -37,6 +38,8 @@ class FlowProblem:
             raise SensitivityError("cost bundle does not match edge count")
         if self.b.shape != (graph.n_vertices,):
             raise SensitivityError("external flow has wrong dimension")
+        if not np.all(np.isfinite(self.b)):
+            raise SensitivityError("external flow is not finite")
         if abs(self.b.sum()) > BALANCE_TOL * max(1.0, np.abs(self.b).max()):
             raise SensitivityError("external flow not balanced")
         self._unweighted_pinv = None
@@ -68,6 +71,8 @@ class PerturbationSpec:
         self.p = np.asarray(p, dtype=float)
         if self.p.shape != (graph.n_vertices,):
             raise SensitivityError("perturbation has wrong dimension")
+        if not np.all(np.isfinite(self.p)):
+            raise SensitivityError("perturbation is not finite")
         if abs(self.p.sum()) > BALANCE_TOL * max(1.0, np.abs(self.p).max()):
             raise SensitivityError("perturbation not balanced")
         self.support = frozenset(int(v) for v in np.nonzero(self.p)[0])
@@ -118,7 +123,7 @@ def solve_exact(problem, tol=1e-10, max_iter=200):
             cand = x + step * dx
             try:
                 new_res = _kkt_residual(problem, cand)
-            except Exception:
+            except CostError:  # step left a cost's validity interval
                 step *= 0.5
                 continue
             if new_res < res * (1.0 - 0.25 * step) or new_res <= tol:

@@ -276,3 +276,42 @@ def test_csv_17_significant_digits(tmp_path, triangle_files):
     val = rows[0]["measured"]
     # round-trip safety: parsing the printed value reproduces the float
     assert "%.17g" % float(val) == val
+
+
+@pytest.fixture
+def cycle6_files(tmp_path):
+    assert main(["generate", "--kind", "cycle", "--n", "6",
+                 "--out", str(tmp_path)]) == 0
+    costs = write_json(tmp_path / "costs.json",
+                       {"default": {"kind": "quadratic", "a": 1.0}})
+    flow = write_json(tmp_path / "flow.json", {"v0": 1.0, "v3": -1.0})
+    return str(tmp_path / "graph.json"), costs, flow
+
+
+def test_solve_nan_flow_exits_2(cycle6_files, tmp_path, capsys):
+    graph, costs, _ = cycle6_files
+    flow = write_json(tmp_path / "nan_flow.json", {"v0": math.nan, "v1": 1.0})
+    out = str(tmp_path / "out")
+    assert main(["solve", "--graph", graph, "--costs", costs,
+                 "--flow", flow, "--out", out]) == 2
+    assert "not finite" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "solution.json"))
+
+
+def test_solve_nan_cost_parameter_exits_2(cycle6_files, tmp_path, capsys):
+    graph, _, flow = cycle6_files
+    costs = write_json(tmp_path / "nan_costs.json",
+                       {"default": {"kind": "quadratic", "a": math.nan}})
+    assert main(["solve", "--graph", graph, "--costs", costs,
+                 "--flow", flow, "--out", str(tmp_path / "out")]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_decay_nan_perturbation_exits_2(cycle6_files, tmp_path, capsys):
+    graph, costs, flow = cycle6_files
+    pert = write_json(tmp_path / "nan_pert.json",
+                      {"v0": math.nan, "v1": -1.0})
+    assert main(["decay", "--graph", graph, "--costs", costs, "--flow",
+                 flow, "--perturbation", pert,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "not finite" in capsys.readouterr().err

@@ -261,3 +261,10 @@ def test_green_series_apply_rejects_unbalanced():
     walk = unit_walk(triangle())
     with pytest.raises(LaplacianError, match="balanced"):
         green_series_apply(walk, np.array([1.0, 0.0, 0.0]))
+
+
+def test_killed_green_series_refuses_clamped_truncation(rng):
+    g = random_connected_graph(rng, 10, extra_edges=5)
+    rl = unit_walk(g).restricted(0)
+    with pytest.raises(LaplacianError, match="max_terms"):
+        killed_green_series(rl, max_terms=1)

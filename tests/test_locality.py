@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from localflow import (DirectedGraph, LocalityError, PerturbationSpec,
-                       SubgraphSpec, TunerFamily, WeightedWalk, adjacency_slem,
-                       ball_subgraph, bias_variance, budget_for, generate,
-                       interlacing_bound, measure_decay, point_to_set,
-                       set_to_point, solve_exact, tune)
+from localflow import (DirectedGraph, EdgeCost, LocalityError,
+                       ObjectiveBundle, PerturbationSpec, SubgraphSpec,
+                       TunerFamily, WeightedWalk, adjacency_slem,
+                       ball_subgraph, bias_variance, budget_for,
+                       envelope_lambda, generate, geodesic_distance,
+                       induced_vertex_set, interlacing_bound, measure_decay,
+                       point_to_set, sensitivity_operator, set_to_point,
+                       solve_exact, tune)
 from conftest import (logcosh_bundle, quadratic_problem, random_balanced,
                       random_connected_graph, triangle)
 from localflow import FlowProblem
@@ -86,6 +89,76 @@ def test_measure_decay_envelope_mode(rng):
         assert row.measured <= row.bound + 1e-9
 
 
+def reference_decay(problem, pert, F_sets):
+    """measure_decay rows as (edge ids, distance, measured, bound, c), with
+    one BFS per F and a loop over every edge for the exact-mode weight."""
+    g = problem.graph
+    exact = problem.bundle.all_quadratic
+    op = sensitivity_operator(problem)
+    deriv = op.apply(pert.p)
+    Z = sorted(pert.support)
+    p_norm = float(np.linalg.norm(pert.p[Z])) if Z else 0.0
+    lam = op.walk.spectrum().lam if exact else envelope_lambda(problem)
+    rows = []
+    for F in F_sets:
+        idx = [g.edge_index[e] if isinstance(e, str) else int(e) for e in F]
+        U = induced_vertex_set(g, idx)
+        dist = geodesic_distance(g, U, Z) if Z else 0
+        maxsq = math.sqrt(2.0 * max(sum(1 for w in g.neighbors[v] if w in U)
+                                    for v in U))
+        if exact:
+            max_w = 0.0
+            for k in range(g.n_edges):
+                if int(g.tails[k]) in U and int(g.heads[k]) in U:
+                    max_w = max(max_w, op.walk.weights[k])
+            c = maxsq / min(op.walk.d[v] for v in U) * max_w
+        else:
+            c = maxsq * problem.bundle.Q / min(g.degree(v) for v in U)
+        rows.append((tuple(g.edges[k][0] for k in idx), dist,
+                     float(np.linalg.norm(deriv[idx])),
+                     c * lam ** dist / (1.0 - lam) * p_norm, c))
+    return rows, lam
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "log-cosh"])
+def test_measure_decay_matches_reference(kind):
+    g = generate("random-k-regular", n=60, k=3, seed=7)
+    rng = np.random.default_rng(3)
+    a = rng.uniform(1.0, 1.01, g.n_edges)
+    if kind == "quadratic":
+        costs = [EdgeCost(kind, a=x, c=y)
+                 for x, y in zip(a, rng.standard_normal(g.n_edges))]
+    else:  # Q <= 1.02 keeps the envelope rate below 1
+        costs = [EdgeCost(kind, a=x, s=y)
+                 for x, y in zip(a, rng.uniform(0.0, 0.01, g.n_edges))]
+    problem = FlowProblem(g, ObjectiveBundle(costs),
+                          random_balanced(rng, g.n_vertices))
+    p = np.zeros(g.n_vertices)
+    p[[0, 5, 9]] = [1.0, -0.5, -0.5]
+    pert = PerturbationSpec(g, p)
+    F_sets = [[int(k) for k in rng.choice(g.n_edges, size=size,
+                                          replace=False)]
+              for size in (1, 2, 3, 5, 8) for _ in range(6)]
+    F_sets += [[g.edges[k][0] for k in F] for F in F_sets[::3]]
+    report = measure_decay(problem, pert, F_sets)
+    rows, lam = reference_decay(problem, pert, F_sets)
+    assert report.constants_mode == ("exact" if kind == "quadratic"
+                                     else "envelope")
+    assert report.lam == lam
+    assert [(r.edge_ids, r.distance, r.measured, r.bound, r.c)
+            for r in report.rows] == rows
+
+
+def test_measure_decay_checks_sets_before_rate():
+    g = generate("cycle", n=6)  # bipartite: no rate below 1 exists
+    problem = quadratic_problem(g, np.zeros(6))
+    pert = PerturbationSpec(g, np.array([1, -1, 0, 0, 0, 0.0]))
+    report = measure_decay(problem, pert, [])
+    assert report.rows == [] and report.lam is None
+    with pytest.raises(LocalityError, match="empty"):
+        measure_decay(problem, pert, [[0], []])
+
+
 def test_measure_decay_rejects_empty_edge_set():
     g = triangle()
     problem = quadratic_problem(g, np.zeros(3))
@@ -125,7 +198,6 @@ def test_set_to_point_bound_independent_of_set_size(expander200):
     # doubling F with a vertex-disjoint edge at the same distance leaves
     # the bound unchanged: it depends on the distance and the inner
     # degrees, not on |F|
-    from localflow import geodesic_distance, induced_vertex_set
     g = expander200
     problem = quadratic_problem(g, np.zeros(g.n_vertices))
     e = 0
@@ -294,6 +366,25 @@ def test_budget_constants_regular_graph(expander200):
     assert budget.c == pytest.approx(math.sqrt(6.0) / 3.0)
     assert budget.gamma == pytest.approx(
         budget.c * (1.0 + budget.c * math.sqrt(2.0)))
+
+
+@pytest.mark.parametrize("s", [0.0, 0.005])
+def test_envelope_constants_agree_across_entry_points(expander200, s):
+    # one 3-regular family seen through every entry point of the
+    # interlacing envelope: budget, decay rate, tuner and interlacing
+    g = expander200
+    problem = FlowProblem(
+        g, ObjectiveBundle([EdgeCost("log-cosh", a=1.0, s=s)] * g.n_edges),
+        np.zeros(g.n_vertices))
+    Q, mu = problem.bundle.Q, adjacency_slem(g)
+    budget = budget_for(problem)
+    tuned = tune(TunerFamily(Q, 3, mu), 1e-3)
+    walk = WeightedWalk(g, np.ones(g.n_edges))
+    _, bound = interlacing_bound(g, walk, 1.0, Q)
+    assert envelope_lambda(problem) == pytest.approx(budget.rho)
+    assert tuned.rho == pytest.approx(budget.rho)
+    assert bound == pytest.approx(budget.rho)
+    assert tuned.nu_var * (1.0 - tuned.rho) == pytest.approx(budget.c)
 
 
 def test_tune_closed_forms():

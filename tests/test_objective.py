@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,6 +68,13 @@ def test_invalid_parameters():
         EdgeCost("log-cosh", a=1.0, s=-0.1)
     with pytest.raises(CostError):
         EdgeCost("cubic", a=1.0)
+    for kind, params in (("quadratic", {"a": 1.0, "c": math.nan}),
+                         ("quartic", {"a": 1.0, "q": 1.0,
+                                      "radius": math.inf}),
+                         ("log-cosh", {"a": math.nan, "s": 0.1}),
+                         ("log-cosh", {"a": 1.0, "s": math.inf})):
+        with pytest.raises(CostError, match="finite"):
+            EdgeCost(kind, **params)
 
 
 def _random_cost(rng):

@@ -233,3 +233,23 @@ def test_operator_dense_matrix_guard():
     op = sensitivity_operator(problem, x_star=np.zeros(g.n_edges))
     with pytest.raises(SensitivityError, match="dense operator disabled"):
         op.matrix
+
+
+def test_newton_line_search_propagates_non_cost_errors(rng, monkeypatch):
+    # the line search halves the step only when a trial point leaves a
+    # cost's domain; any other failure surfaces unchanged
+    g = random_connected_graph(rng, 10, extra_edges=5)
+    problem = FlowProblem(g, logcosh_bundle(rng, g.n_edges),
+                          random_balanced(rng, g.n_vertices, scale=2.0))
+    gradient = problem.bundle.gradient
+    calls = []
+
+    def failing_gradient(x):
+        calls.append(1)
+        if len(calls) > 2:  # initial residual and first Newton direction
+            raise ZeroDivisionError("not a cost error")
+        return gradient(x)
+
+    monkeypatch.setattr(problem.bundle, "gradient", failing_gradient)
+    with pytest.raises(ZeroDivisionError, match="not a cost error"):
+        solve_exact(problem)
