@@ -13,8 +13,8 @@ from .graph import (DirectedGraph, GraphError, SubgraphSpec, ball_subgraph,
 from .objective import CostError, EdgeCost, ObjectiveBundle
 from .laplacian import (LaplacianError, RestrictedLaplacian, WeightedWalk,
                         green_difference, green_series_apply, killed_green,
-                        killed_green_series, pseudoinverse,
-                        restricted_vs_full)
+                        killed_green_series, laplacian_solve,
+                        pseudoinverse, restricted_vs_full)
 from .sensitivity import (FlowProblem, PerturbationSpec, SensitivityError,
                           SensitivityOperator, boundary_sensitivity_check,
                           directional_derivative, gaussian_identity_check,
@@ -38,7 +38,8 @@ __all__ = [
     "CostError", "EdgeCost", "ObjectiveBundle",
     "LaplacianError", "RestrictedLaplacian", "WeightedWalk",
     "green_difference", "green_series_apply", "killed_green",
-    "killed_green_series", "pseudoinverse", "restricted_vs_full",
+    "killed_green_series", "laplacian_solve", "pseudoinverse",
+    "restricted_vs_full",
     "FlowProblem", "PerturbationSpec", "SensitivityError",
     "SensitivityOperator", "boundary_sensitivity_check",
     "directional_derivative", "gaussian_identity_check",

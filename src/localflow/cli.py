@@ -20,7 +20,7 @@ from .objective import CostError, ObjectiveBundle
 from .sensitivity import (FlowProblem, PerturbationSpec, SensitivityError,
                           sensitivity_operator, solve_exact)
 from .solver import LocalizedSolver, SolverError, warm_start_reoptimize
-from .laplacian import LaplacianError
+from .laplacian import LaplacianError, WeightedWalk
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -125,7 +125,8 @@ def cmd_solve(args):
     payload = {
         "solution": {e[0]: float(v) for e, v in zip(g.edges, x)},
         "residuals": {
-            "feasibility_inf": float(np.abs(problem.A @ x - problem.b).max()),
+            "feasibility_inf":
+                float(np.abs(g.net_outflow(x) - problem.b).max()),
             "stationarity_inf":
                 float(np.abs(problem.project_gradient(grad)).max()),
         },
@@ -143,7 +144,7 @@ def cmd_sensitivity(args):
     pert = _load_perturbation(config, g)
     op = sensitivity_operator(problem)
     deriv = op.apply(pert.p)
-    feas = float(np.abs(problem.A @ deriv - pert.p).max())
+    feas = float(np.abs(g.net_outflow(deriv) - pert.p).max())
     payload = {
         "base_b": {v: float(problem.b[i]) for v, i in g.vertex_index.items()},
         "perturbation": {v: float(pert.p[i])
@@ -197,7 +198,7 @@ def cmd_reopt(args):
     def record(x):
         rows.append((len(rows) + 1,
                      float(np.linalg.norm(x - target)),
-                     float(np.abs(problem.A @ x - b_target).max())))
+                     float(np.abs(g.net_outflow(x) - b_target).max())))
 
     final = warm_start_reoptimize(problem, pert, sub, int(iters),
                                   x_star=x_star, collect=record)
@@ -220,19 +221,13 @@ def cmd_tune(args):
     (eps,) = _require(config, "eps")
     if config.get("graph"):
         g, bundle, _ = _load_problem(config)
-        degs = g.degrees()
-        family = locality.TunerFamily(
-            Q=bundle.Q, k=int(degs.max()),
-            mu=locality.adjacency_slem(g),
-            z=int(config.get("z", 1)),
-            p_norm=float(config.get("p-norm", 1.0)),
-            omega=float(config.get("omega", 3.0)))
+        Q, k, mu = bundle.Q, int(g.degrees().max()), locality.adjacency_slem(g)
     else:
-        family = locality.TunerFamily(
-            Q=float(config["Q"]), k=int(config["k"]), mu=float(config["mu"]),
-            z=int(config.get("z", 1)),
-            p_norm=float(config.get("p-norm", 1.0)),
-            omega=float(config.get("omega", 3.0)))
+        Q, k, mu = float(config["Q"]), int(config["k"]), float(config["mu"])
+    family = locality.TunerFamily(
+        Q=Q, k=k, mu=mu, z=int(config.get("z", 1)),
+        p_norm=float(config.get("p-norm", 1.0)),
+        omega=float(config.get("omega", 3.0)))
     result = locality.tune(family, float(eps))
     payload = {
         "r": result.r, "t": result.t,
@@ -259,10 +254,7 @@ def cmd_interlace(args):
     x = solve_exact(problem)
     walk = problem.walk_at(x)
     solver = LocalizedSolver(problem, sub)
-    from .laplacian import WeightedWalk
-    sub_graph = solver.restricted_problem(x, problem.b).graph
-    sub_weights = walk.weights[solver.e_in]
-    sub_walk = WeightedWalk(sub_graph, sub_weights)
+    sub_walk = WeightedWalk(sub.induced, walk.weights[solver.e_in])
     w_minus, w_plus = float(walk.weights.min()), float(walk.weights.max())
     lam_prime, bound = locality.interlacing_bound(
         g, sub_walk, w_minus, w_plus)

@@ -1,4 +1,4 @@
-"""Directed graphs, incidence matrices, distances, balls and boundaries.
+"""Directed graphs, incidence products, distances, balls and boundaries.
 
 Vertex and edge ids are strings in files; internally everything is mapped
 to dense 0-based indices. The id <-> index mapping is part of the public
@@ -79,6 +79,17 @@ class DirectedGraph:
     def heads(self):
         return self._heads
 
+    def net_outflow(self, x, edges=slice(None)):
+        """A x: flow leaving each vertex; x may hold the flows of `edges`
+        only, the other edges carrying none."""
+        n = self.n_vertices
+        return (np.bincount(self._tails[edges], x, n)
+                - np.bincount(self._heads[edges], x, n))
+
+    def potential_difference(self, nu):
+        """A^T nu: tail minus head potential on each edge."""
+        return nu[self._tails] - nu[self._heads]
+
     def degree(self, v_idx):
         return len(self.neighbors[v_idx])
 
@@ -137,7 +148,8 @@ class DirectedGraph:
 
 
 def build_incidence(g):
-    """Dense vertex-by-edge incidence matrix: +1 at the tail, -1 at the head."""
+    """Dense vertex-by-edge incidence matrix: +1 at the tail, -1 at the head.
+    A small-graph reference for net_outflow and potential_difference."""
     A = np.zeros((g.n_vertices, g.n_edges))
     cols = np.arange(g.n_edges)
     A[g.tails, cols] = 1.0
@@ -185,7 +197,8 @@ class SubgraphSpec:
     """A connected subgraph with its complement sets and inner boundary.
 
     The inner boundary holds the subgraph vertices with at least one
-    neighbor outside the subgraph.
+    neighbor outside the subgraph. `induced` is the subgraph as a
+    DirectedGraph, vertices and edges in increasing index order.
     """
 
     def __init__(self, g, vertex_indices):
@@ -202,26 +215,12 @@ class SubgraphSpec:
         self.boundary = frozenset(
             v for v in self.vertex_set
             if any(w not in self.vertex_set for w in g.neighbors[v]))
-        if not self._sub_connected():
-            raise GraphError("subgraph is not connected")
-
-    def _sub_connected(self):
-        verts = self.vertex_set
-        start = next(iter(verts))
-        sub_nbrs = {v: [] for v in verts}
-        for k in self.edge_set:
-            u, w = int(self.graph.tails[k]), int(self.graph.heads[k])
-            sub_nbrs[u].append(w)
-            sub_nbrs[w].append(u)
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in sub_nbrs[u]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == len(verts)
+        try:
+            self.induced = DirectedGraph(
+                [g.vertices[v] for v in self.sorted_vertices()],
+                [g.edges[k] for k in self.sorted_edges()])
+        except GraphError:
+            raise GraphError("subgraph is not connected") from None
 
     @property
     def is_whole_graph(self):

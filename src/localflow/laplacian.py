@@ -2,13 +2,19 @@
 
 The weight of an edge is the reciprocal of the cost curvature at the
 current flow, so the Laplacian here is exactly the constraint-side matrix
-appearing in the sensitivity operator. Dense linear algebra throughout.
+appearing in the sensitivity operator. Products with L^+ are matrix-free
+conjugate-gradient solves (laplacian_solve); dense matrices serve spectra,
+killed walks, the walk series and the small-graph oracles.
 """
+
+from functools import cached_property
 
 import numpy as np
 
 # eigenvalues below this fraction of the largest are treated as kernel
 KERNEL_RTOL = 1e-12
+# laplacian_solve stops at |rhs - L x|_2 <= CG_RTOL |rhs|_2 (mean-zero rhs)
+CG_RTOL = 1e-14
 # stop Green's-function series when lambda^t / (1 - lambda) drops below this
 SERIES_TAIL = 1e-12
 
@@ -19,7 +25,8 @@ class LaplacianError(ValueError):
 
 class WeightedWalk:
     """Symmetric edge weights with the derived degree vector, Laplacian,
-    transition matrix and stationary distribution."""
+    transition matrix and stationary distribution. The dense n x n
+    matrices W, L and P are built on first access."""
 
     def __init__(self, graph, weights):
         self.graph = graph
@@ -28,31 +35,30 @@ class WeightedWalk:
             raise LaplacianError("need one weight per edge")
         if np.any(self.weights <= 0):
             raise LaplacianError("edge weights must be positive")
-        n = graph.n_vertices
-        W = np.zeros((n, n))
-        W[graph.tails, graph.heads] = self.weights
-        W[graph.heads, graph.tails] = self.weights
-        self.W = W
-        self.d = W.sum(axis=1)
-        self.L = np.diag(self.d) - W
-        self.P = W / self.d[:, None]
+        self.d = _weighted_degrees(graph, self.weights)
         self.pi = self.d / self.d.sum()
-        self._spectrum = None
-        self._pinv = None
+
+    @cached_property
+    def W(self):
+        W, g = np.zeros((self.n, self.n)), self.graph
+        W[g.tails, g.heads] = W[g.heads, g.tails] = self.weights
+        return W
+
+    L = cached_property(lambda self: np.diag(self.d) - self.W)
+    P = cached_property(lambda self: self.W / self.d[:, None])
 
     @property
     def n(self):
         return self.graph.n_vertices
 
     def spectrum(self):
-        if self._spectrum is None:
-            self._spectrum = Spectrum(self)
         return self._spectrum
 
     def pinv(self):
-        if self._pinv is None:
-            self._pinv = pseudoinverse(self.L)
         return self._pinv
+
+    _spectrum = cached_property(lambda self: Spectrum(self))
+    _pinv = cached_property(lambda self: pseudoinverse(self.L))
 
     def is_aperiodic(self, tol=1e-10):
         # connected walk is periodic iff bipartite iff -1 is an eigenvalue
@@ -92,6 +98,43 @@ def pseudoinverse(L):
     cutoff = KERNEL_RTOL * max(vals.max(), 1.0)
     inv = np.where(vals > cutoff, 1.0 / np.where(vals > cutoff, vals, 1.0), 0.0)
     return (vecs * inv) @ vecs.T
+
+
+def _weighted_degrees(graph, w):
+    return np.bincount(np.r_[graph.tails, graph.heads], np.r_[w, w],
+                       graph.n_vertices)
+
+
+def laplacian_solve(graph, weights, rhs):
+    """L_w^+ rhs by Jacobi-preconditioned conjugate gradients on the
+    mean-zero subspace (the mean of rhs is in the kernel and dropped).
+
+    Raises LaplacianError on non-finite input or a nonpositive weight, and
+    when the residual does not reach CG_RTOL within 10 n + 100 iterations.
+    """
+    w, r = np.asarray(weights, dtype=float), np.asarray(rhs, dtype=float)
+    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(w) & (w > 0))):
+        raise LaplacianError("Laplacian solve needs a finite right-hand "
+                             "side and finite positive weights")
+    r = r - r.mean()
+    x, inv_d = np.zeros_like(r), 1.0 / _weighted_degrees(graph, w)
+    z = p = inv_d * r
+    rz, scale = r @ z, np.sqrt(r @ r)
+    for _ in range(10 * graph.n_vertices + 100):
+        res = np.sqrt(r @ r)
+        if res < CG_RTOL * scale or res == 0.0:  # false when r @ r overflows
+            return x - x.mean()
+        if not np.isfinite(res):
+            break
+        Lp = graph.net_outflow(w * graph.potential_difference(p))
+        alpha = rz / (p @ Lp)
+        x += alpha * p
+        r -= alpha * Lp
+        z = inv_d * r
+        rz, rz_old = r @ z, rz
+        p = z + (rz / rz_old) * p
+    raise LaplacianError("conjugate gradients stalled at relative residual "
+                         "%.3e" % (res / scale))
 
 
 class RestrictedLaplacian:
@@ -176,19 +219,12 @@ def green_difference(walk, u, v, w, z, form="pinv", tail=SERIES_TAIL):
         return float(Lp[u, w] - Lp[u, z] - Lp[v, w] + Lp[v, z])
     if form != "series":
         raise LaplacianError("unknown form: %s" % form)
-    if not walk.is_aperiodic():
-        raise LaplacianError("series not absolutely summable; use L+ form")
-    lam = walk.spectrum().lam
-    T = _truncation_point(lam, tail, 1_000_000)
-    rhs = np.zeros(walk.n)
-    rhs[w] = 1.0 / walk.d[w]
-    rhs[z] -= 1.0 / walk.d[z]
-    total = rhs[u] - rhs[v]
-    vec = rhs
-    for _ in range(T):
-        vec = walk.P @ vec
-        total += vec[u] - vec[v]
-    return float(total), T
+    f = np.zeros(walk.n)
+    f[w] += 1.0
+    f[z] -= 1.0
+    pot = green_series_apply(walk, f, tail)
+    return (float(pot[u] - pot[v]),
+            _truncation_point(walk.spectrum().lam, tail, 1_000_000))
 
 
 def green_series_apply(walk, f, tail=SERIES_TAIL):

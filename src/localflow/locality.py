@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import geodesic_distance
+from .laplacian import WeightedWalk, laplacian_solve
 from .sensitivity import sensitivity_operator, solve_exact
 from .solver import LocalizedSolver, SolverError
 
@@ -25,12 +26,8 @@ class LocalityError(RuntimeError):
 def adjacency_slem(graph):
     """Second largest eigenvalue in magnitude of the unweighted
     vertex-vertex adjacency matrix."""
-    n = graph.n_vertices
-    B = np.zeros((n, n))
-    B[graph.tails, graph.heads] = 1.0
-    B[graph.heads, graph.tails] = 1.0
-    vals = np.linalg.eigvalsh(B)
-    return float(max(abs(vals[-2]), abs(vals[0]))) if n > 1 else 0.0
+    vals = np.linalg.eigvalsh(WeightedWalk(graph, np.ones(graph.n_edges)).W)
+    return float(max(abs(vals[-2]), abs(vals[0]))) if len(vals) > 1 else 0.0
 
 
 def _graph_triple(graph):
@@ -184,11 +181,11 @@ def point_to_set(problem, f, F):
     op = sensitivity_operator(problem)
     # derivative at edge f under the perturbation of edge e equals
     # W_wz (e_u - e_v)^T L^+ (e_w - e_z), symmetric in the L^+ kernel
-    pot = op.walk.pinv() @ p
+    pot = laplacian_solve(g, op.walk.weights, p)
     w_f = op.walk.weights[kf]
     idx, U = _edge_set(g, F)
     measured = float(np.linalg.norm(
-        w_f * (pot[g.tails[idx]] - pot[g.heads[idx]])))
+        w_f * g.potential_difference(pot)[idx]))
 
     _, maxsq, min_U = _set_constants(problem, op.walk, U, mode)
     min_f = _set_constants(problem, op.walk, ends, mode)[2]

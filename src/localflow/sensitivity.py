@@ -4,16 +4,21 @@ The derivative of the optimal flow with respect to a balanced constraint
 perturbation p is sigma * A^T L^+ p, where sigma holds the inverse cost
 curvatures at the optimum and L is the induced weighted Laplacian. The
 same operator is exposed generically for full-row-rank constraint
-matrices, where the pseudoinverse becomes a plain inverse.
+matrices, where the pseudoinverse becomes a plain inverse. Products with
+L^+ are conjugate-gradient solves; dense matrices are small-graph helpers.
 """
+
+from functools import cached_property
 
 import numpy as np
 
 from .graph import build_incidence
-from .laplacian import (WeightedWalk, green_series_apply, pseudoinverse)
+from .laplacian import (WeightedWalk, green_series_apply, laplacian_solve,
+                        pseudoinverse)
 from .objective import CostError
 
 BALANCE_TOL = 1e-9
+# relative to max(1, |b|_inf) and max(1, |grad|_inf) respectively
 FEAS_TOL = 1e-9
 STATIONARITY_TOL = 1e-8
 
@@ -25,6 +30,17 @@ class SensitivityError(RuntimeError):
     """Invalid problem data or failed solve."""
 
 
+def _balanced(graph, v, what):
+    v = np.asarray(v, dtype=float)
+    if v.shape != (graph.n_vertices,):
+        raise SensitivityError("%s has wrong dimension" % what)
+    if not np.all(np.isfinite(v)):
+        raise SensitivityError("%s is not finite" % what)
+    if abs(v.sum()) > BALANCE_TOL * _scale(v):
+        raise SensitivityError("%s not balanced" % what)
+    return v
+
+
 class FlowProblem:
     """Min-cost flow instance: graph + separable costs + balanced external
     flow b."""
@@ -32,31 +48,31 @@ class FlowProblem:
     def __init__(self, graph, bundle, b):
         self.graph = graph
         self.bundle = bundle
-        self.A = build_incidence(graph)
-        self.b = np.asarray(b, dtype=float)
         if bundle.n_edges != graph.n_edges:
             raise SensitivityError("cost bundle does not match edge count")
-        if self.b.shape != (graph.n_vertices,):
-            raise SensitivityError("external flow has wrong dimension")
-        if not np.all(np.isfinite(self.b)):
-            raise SensitivityError("external flow is not finite")
-        if abs(self.b.sum()) > BALANCE_TOL * max(1.0, np.abs(self.b).max()):
-            raise SensitivityError("external flow not balanced")
-        self._unweighted_pinv = None
+        self.b = _balanced(graph, b, "external flow")
 
     def with_b(self, b):
         return FlowProblem(self.graph, self.bundle, b)
 
+    @cached_property
+    def A(self):
+        """Dense incidence matrix; a small-graph helper."""
+        return build_incidence(self.graph)
+
     def unweighted_laplacian_pinv(self):
-        """(A A^T)^+ for the projection machinery; cached."""
-        if self._unweighted_pinv is None:
-            self._unweighted_pinv = pseudoinverse(self.A @ self.A.T)
-        return self._unweighted_pinv
+        """(A A^T)^+, the dense reference for project."""
+        return pseudoinverse(self.A @ self.A.T)
+
+    def project(self, v, b):
+        """Orthogonal projection v - A^T (A A^T)^+ (Av - b) onto Au = b."""
+        g = self.graph
+        nu = laplacian_solve(g, np.ones(g.n_edges), g.net_outflow(v) - b)
+        return v - g.potential_difference(nu)
 
     def project_gradient(self, grad):
-        """Component of grad orthogonal to the constraint null space."""
-        A = self.A
-        return grad - A.T @ (self.unweighted_laplacian_pinv() @ (A @ grad))
+        """Component of grad in the constraint null space."""
+        return self.project(grad, 0.0)
 
     def walk_at(self, x):
         sigma = 1.0 / self.bundle.hessian_diag(x)
@@ -68,13 +84,7 @@ class PerturbationSpec:
 
     def __init__(self, graph, p):
         self.graph = graph
-        self.p = np.asarray(p, dtype=float)
-        if self.p.shape != (graph.n_vertices,):
-            raise SensitivityError("perturbation has wrong dimension")
-        if not np.all(np.isfinite(self.p)):
-            raise SensitivityError("perturbation is not finite")
-        if abs(self.p.sum()) > BALANCE_TOL * max(1.0, np.abs(self.p).max()):
-            raise SensitivityError("perturbation not balanced")
+        self.p = _balanced(graph, p, "perturbation")
         self.support = frozenset(int(v) for v in np.nonzero(self.p)[0])
         # balance forces at least two support vertices; p = 0 is allowed
         # as the degenerate no-op perturbation
@@ -94,40 +104,39 @@ def solve_exact(problem, tol=1e-10, max_iter=200):
 
     Quadratic bundles are solved in closed form through the weighted
     Laplacian; general bundles by damped Newton steps restricted to the
-    constraint null space, starting from the least-norm feasible point.
+    constraint null space, starting from the least-norm feasible point,
+    until the projected gradient is at most tol * max(1, |grad|_inf).
     """
-    A, b, bundle = problem.A, problem.b, problem.bundle
+    g, b, bundle = problem.graph, problem.b, problem.bundle
     if bundle.all_quadratic:
         a = np.array([c.a for c in bundle.costs])
         lin = np.array([c.c for c in bundle.costs])
         sigma = 1.0 / a
-        L = (A * sigma[None, :]) @ A.T
-        nu = pseudoinverse(L) @ (b + A @ (sigma * lin))
-        x = sigma * (A.T @ nu - lin)
+        nu = laplacian_solve(g, sigma, b + g.net_outflow(sigma * lin))
+        x = sigma * (g.potential_difference(nu) - lin)
         _check_solution(problem, x)
         return x
 
-    x = A.T @ (problem.unweighted_laplacian_pinv() @ b)
-    res = _kkt_residual(problem, x)
+    x = problem.project(np.zeros(g.n_edges), b)
+    res, scale = _kkt_residual(problem, x)
     for _ in range(max_iter):
-        if res <= tol:
+        if res <= tol * scale:
             break
         grad = bundle.gradient(x)
-        h = bundle.hessian_diag(x)
-        sig = 1.0 / h
-        Lw = (A * sig[None, :]) @ A.T
-        w = pseudoinverse(Lw) @ (A @ (sig * grad))
-        dx = -sig * (grad - A.T @ w)
+        sig = 1.0 / bundle.hessian_diag(x)
+        w = laplacian_solve(g, sig, g.net_outflow(sig * grad))
+        dx = -sig * (grad - g.potential_difference(w))
         step = 1.0
         while step > 2.0 ** -40:
             cand = x + step * dx
             try:
-                new_res = _kkt_residual(problem, cand)
+                new_res, new_scale = _kkt_residual(problem, cand)
             except CostError:  # step left a cost's validity interval
                 step *= 0.5
                 continue
-            if new_res < res * (1.0 - 0.25 * step) or new_res <= tol:
-                x, res = cand, new_res
+            if (new_res < res * (1.0 - 0.25 * step)
+                    or new_res <= tol * new_scale):
+                x, res, scale = cand, new_res, new_scale
                 break
             step *= 0.5
         else:
@@ -140,17 +149,23 @@ def solve_exact(problem, tol=1e-10, max_iter=200):
     return x
 
 
+def _scale(v):
+    return max(1.0, float(np.abs(v).max()))
+
+
 def _kkt_residual(problem, x):
+    """|projected gradient|_inf and its scale max(1, |grad|_inf)."""
     grad = problem.bundle.gradient(x)
-    return float(np.abs(problem.project_gradient(grad)).max())
+    return float(np.abs(problem.project_gradient(grad)).max()), _scale(grad)
 
 
 def _check_solution(problem, x):
-    feas = float(np.abs(problem.A @ x - problem.b).max())
-    if feas > FEAS_TOL:
+    b = problem.b
+    feas = float(np.abs(problem.graph.net_outflow(x) - b).max())
+    if not feas <= FEAS_TOL * _scale(b):
         raise SensitivityError("solution infeasible: |Ax-b| = %.3e" % feas)
-    stat = _kkt_residual(problem, x)
-    if stat > STATIONARITY_TOL:
+    stat, scale = _kkt_residual(problem, x)
+    if not stat <= STATIONARITY_TOL * scale:
         raise SensitivityError(
             "solution not stationary: residual %.3e" % stat)
 
@@ -165,31 +180,26 @@ class SensitivityOperator:
         self.x_star = x_star
         self.walk = problem.walk_at(x_star)
         self.sigma = self.walk.weights
-        self._matrix = None
 
     def apply(self, p):
         """Directional derivative of the optimal flow for perturbation p."""
-        pot = self.walk.pinv() @ np.asarray(p, dtype=float)
         g = self.problem.graph
-        return self.sigma * (pot[g.tails] - pot[g.heads])
+        return self.sigma * g.potential_difference(
+            laplacian_solve(g, self.sigma, p))
 
     def apply_series(self, p):
         """Same product through the truncated walk-series formula;
         aperiodic walks only."""
-        pot = green_series_apply(self.walk, p)
-        g = self.problem.graph
-        return self.sigma * (pot[g.tails] - pot[g.heads])
+        return self.sigma * self.problem.graph.potential_difference(
+            green_series_apply(self.walk, p))
 
-    @property
+    @cached_property
     def matrix(self):
-        if self._matrix is None:
-            n = self.problem.graph.n_vertices
-            if n > DENSE_OPERATOR_MAX_VERTICES:
-                raise SensitivityError(
-                    "dense operator disabled for %d vertices; use apply()" % n)
-            self._matrix = (self.sigma[:, None]
-                            * (self.problem.A.T @ self.walk.pinv()))
-        return self._matrix
+        n = self.problem.graph.n_vertices
+        if n > DENSE_OPERATOR_MAX_VERTICES:
+            raise SensitivityError(
+                "dense operator disabled for %d vertices; use apply()" % n)
+        return self.sigma[:, None] * (self.problem.A.T @ self.walk.pinv())
 
 
 def sensitivity_operator(problem, x_star=None):

@@ -9,10 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .laplacian import pseudoinverse
-from .sensitivity import FlowProblem, SensitivityError, solve_exact
-
-FEAS_TOL = 1e-9
+from .graph import build_incidence
+from .objective import ObjectiveBundle
+from .sensitivity import FEAS_TOL, FlowProblem, _scale, solve_exact
 
 
 class SolverError(RuntimeError):
@@ -33,41 +32,15 @@ class PgdConfig:
             raise SolverError("tolerance must be positive")
 
 
-class Projector:
-    """Orthogonal projection onto {u : Au = b}; the pieces depending only
-    on A are computed once and reused for every b."""
-
-    def __init__(self, A):
-        self.A = A
-        self.AAt_pinv = pseudoinverse(A @ A.T)
-        self.lift = A.T @ self.AAt_pinv      # A^T (A A^T)^+
-
-    def project(self, v, b):
-        return v - self.lift @ (self.A @ v - b)
-
-    def null_component(self, v):
-        return v - self.lift @ (self.A @ v)
-
-
-def _projector(problem):
-    # cached on the graph: the projector depends only on the incidence
-    # matrix, which the immutable graph determines
-    proj = getattr(problem.graph, "_flow_projector", None)
-    if proj is None:
-        proj = Projector(problem.A)
-        problem.graph._flow_projector = proj
-    return proj
-
-
 def pgd_step(problem, x, eta=None):
     """One projected-gradient iteration at a feasible point."""
     if eta is None:
         eta = 1.0 / problem.bundle.beta
-    feas = float(np.abs(problem.A @ x - problem.b).max())
-    if feas > FEAS_TOL:
+    b = problem.b
+    feas = float(np.abs(problem.graph.net_outflow(x) - b).max())
+    if not feas <= FEAS_TOL * _scale(b):
         raise SolverError("infeasible iterate: |Ax-b| = %.3e" % feas)
-    v = x - eta * problem.bundle.gradient(x)
-    return _projector(problem).project(v, problem.b)
+    return problem.project(x - eta * problem.bundle.gradient(x), b)
 
 
 def pgd_run(problem, x0, config=None):
@@ -79,7 +52,7 @@ def pgd_run(problem, x0, config=None):
     trace = []
     for _ in range(config.max_iter):
         grad = problem.bundle.gradient(x)
-        pg = _projector(problem).null_component(grad)
+        pg = problem.project_gradient(grad)
         if config.trace:
             trace.append(float(np.linalg.norm(pg)))
         if np.abs(pg).max() <= config.tol:
@@ -100,36 +73,33 @@ class LocalizedSolver:
             raise SolverError("subgraph does not belong to the problem graph")
         self.problem = problem
         self.sub = sub
-        self.v_in = sub.sorted_vertices()
-        self.e_in = sub.sorted_edges()
-        self.e_out = sub.sorted_edge_complement()
-        self.v_out = sorted(sub.vertex_complement)
-        if not self.e_in:
+        self.v_in = np.array(sub.sorted_vertices(), dtype=np.intp)
+        self.e_in = np.array(sub.sorted_edges(), dtype=np.intp)
+        self.e_out = np.array(sub.sorted_edge_complement(), dtype=np.intp)
+        self.v_out = np.array(sorted(sub.vertex_complement), dtype=np.intp)
+        if not len(self.e_in):
             raise SolverError("subgraph has no edges to update")
-        A = problem.A
-        self.A_sub = A[np.ix_(self.v_in, self.e_in)]
-        self.A_cross = A[np.ix_(self.v_in, self.e_out)]
-        self.A_out = A[np.ix_(self.v_out, self.e_out)]
-        pinv = pseudoinverse(self.A_sub @ self.A_sub.T)
-        self.lift = self.A_sub.T @ pinv
-        self.Pi = np.eye(len(self.e_in)) - self.lift @ self.A_sub
+        A_sub = build_incidence(sub.induced)
+        # the subgraph is connected and 1^T A_sub = 0, so A_sub^T times
+        # (A_sub A_sub^T + 11^T/n)^{-1} is A_sub^T (A_sub A_sub^T)^+
+        self.lift = np.linalg.solve(A_sub @ A_sub.T + 1.0 / len(self.v_in),
+                                    A_sub).T
+        self.Pi = np.eye(len(self.e_in)) - self.lift @ A_sub
+
+    def _frozen_outflow(self, x):
+        return self.problem.graph.net_outflow(x[self.e_out], self.e_out)
 
     def check_boundary(self, x, b_target):
         """Frozen components must satisfy the complement constraints."""
-        if not self.v_out:
-            return
-        res = self.A_out @ x[self.e_out] - b_target[self.v_out]
-        worst = float(np.abs(res).max())
-        if worst > FEAS_TOL:
+        res = self._frozen_outflow(x)[self.v_out] - b_target[self.v_out]
+        worst = float(np.abs(res).max(initial=0.0))
+        if not worst <= FEAS_TOL * _scale(b_target):
             raise SolverError(
                 "boundary flows violate constraints: max residual %.3e"
                 % worst)
 
     def restricted_b(self, x, b_target):
-        b_in = b_target[self.v_in].copy()
-        if self.e_out:
-            b_in -= self.A_cross @ x[self.e_out]
-        return b_in
+        return b_target[self.v_in] - self._frozen_outflow(x)[self.v_in]
 
     def step(self, x, b_target, eta=None):
         """One localized iteration; complement components pass through."""
@@ -155,16 +125,10 @@ class LocalizedSolver:
         """Exact restricted instance whose optimum is the localized
         fixed point: subgraph costs with the boundary inflow folded
         into b."""
-        from .graph import DirectedGraph
-        from .objective import ObjectiveBundle
-        g = self.problem.graph
-        verts = [g.vertices[v] for v in self.v_in]
-        edges = [g.edges[e] for e in self.e_in]
-        sub_graph = DirectedGraph(verts, edges)
         sub_bundle = ObjectiveBundle(
             [self.problem.bundle.costs[e] for e in self.e_in])
-        b_in = self.restricted_b(x, b_target)
-        return FlowProblem(sub_graph, sub_bundle, b_in)
+        return FlowProblem(self.sub.induced, sub_bundle,
+                           self.restricted_b(x, b_target))
 
     def restricted_optimum(self, x, b_target):
         """Limit of the localized iteration, via an exact restricted

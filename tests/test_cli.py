@@ -288,6 +288,17 @@ def cycle6_files(tmp_path):
     return str(tmp_path / "graph.json"), costs, flow
 
 
+def test_solve_large_flow_exits_0(cycle6_files, tmp_path):
+    graph, costs, _ = cycle6_files
+    flow = write_json(tmp_path / "big_flow.json", {"v0": 1e9, "v3": -1e9})
+    out = str(tmp_path / "out")
+    assert main(["solve", "--graph", graph, "--costs", costs,
+                 "--flow", flow, "--out", out]) == 0
+    report = json.load(open(os.path.join(out, "solution.json")))
+    assert report["solution"]["e0"] == pytest.approx(5e8)
+    assert report["residuals"]["feasibility_inf"] <= 1e-9 * 1e9
+
+
 def test_solve_nan_flow_exits_2(cycle6_files, tmp_path, capsys):
     graph, costs, _ = cycle6_files
     flow = write_json(tmp_path / "nan_flow.json", {"v0": math.nan, "v1": 1.0})

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from localflow import (LaplacianError, WeightedWalk, green_difference,
-                       green_series_apply, killed_green, killed_green_series,
-                       pseudoinverse, restricted_vs_full)
+from localflow import (LaplacianError, WeightedWalk, generate,
+                       green_difference, green_series_apply, killed_green,
+                       killed_green_series, laplacian_solve, pseudoinverse,
+                       restricted_vs_full)
 from conftest import path, random_connected_graph, triangle
 
 
@@ -268,3 +271,37 @@ def test_killed_green_series_refuses_clamped_truncation(rng):
     rl = unit_walk(g).restricted(0)
     with pytest.raises(LaplacianError, match="max_terms"):
         killed_green_series(rl, max_terms=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["path", "tree", "expander"]),
+       n=st.integers(2, 40), seed=st.integers(0, 10_000),
+       log10_ratio=st.floats(0.0, 3.0),
+       rhs_kind=st.sampled_from(["balanced", "unbalanced", "zero"]))
+def test_laplacian_solve_matches_pinv(kind, n, seed, log10_ratio, rhs_kind):
+    rng = np.random.default_rng(seed)
+    if kind == "path":
+        g = path(n)
+    elif kind == "tree":
+        g = random_connected_graph(rng, max(n, 3), extra_edges=n // 4)
+    else:
+        g = generate("random-k-regular", n=2 * max(n // 2, 4), k=3,
+                     seed=seed)
+    # weights spread over a factor of up to 10^log10_ratio
+    w = 10.0 ** rng.uniform(0.0, log10_ratio, g.n_edges)
+    rhs = rng.standard_normal(g.n_vertices)
+    if rhs_kind == "balanced":
+        rhs -= rhs.mean()
+    elif rhs_kind == "zero":
+        rhs[:] = 0.0
+    want = pseudoinverse(WeightedWalk(g, w).L) @ rhs
+    got = laplacian_solve(g, w, rhs)
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_laplacian_solve_rejects_non_finite_rhs(bad):
+    g = path(4)
+    rhs = np.array([1.0, bad, 0.0, -1.0])
+    with pytest.raises(LaplacianError, match="finite"):
+        laplacian_solve(g, np.ones(g.n_edges), rhs)

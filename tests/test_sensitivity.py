@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localflow import (DirectedGraph, EdgeCost, FlowProblem, ObjectiveBundle,
                        PerturbationSpec, SensitivityError,
@@ -253,3 +257,79 @@ def test_newton_line_search_propagates_non_cost_errors(rng, monkeypatch):
     monkeypatch.setattr(problem.bundle, "gradient", failing_gradient)
     with pytest.raises(ZeroDivisionError, match="not a cost error"):
         solve_exact(problem)
+
+
+def test_project_gradient_matches_pinv_formula(rng):
+    g = random_connected_graph(rng, 15, extra_edges=8)
+    problem = quadratic_problem(g, random_balanced(rng, g.n_vertices))
+    grad = rng.standard_normal(g.n_edges)
+    A = problem.A
+    want = grad - A.T @ (problem.unweighted_laplacian_pinv() @ (A @ grad))
+    got = problem.project_gradient(grad)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "log-cosh"])
+def test_apply_matches_dense_matrix(rng, kind):
+    g = generate("random-k-regular", n=60, k=3, seed=4)
+    if kind == "quadratic":
+        bundle = ObjectiveBundle(
+            [EdgeCost("quadratic", a=float(rng.uniform(0.5, 2.0)),
+                      c=float(rng.standard_normal()))
+             for _ in range(g.n_edges)])
+    else:
+        bundle = logcosh_bundle(rng, g.n_edges)
+    problem = FlowProblem(g, bundle, random_balanced(rng, g.n_vertices))
+    op = sensitivity_operator(problem)
+    p = random_balanced(rng, g.n_vertices)
+    want = op.matrix @ p
+    assert np.abs(op.apply(p) - want).max() <= 1e-10 * np.abs(want).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), log10_s=st.floats(-6.0, 9.0))
+def test_quadratic_solve_is_linear_in_b(seed, log10_s):
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, 12, extra_edges=6)
+    bundle = ObjectiveBundle([EdgeCost("quadratic",
+                                       a=float(rng.uniform(0.5, 2.0)))
+                              for _ in range(g.n_edges)])
+    b = random_balanced(rng, g.n_vertices)
+    s = 10.0 ** log10_s
+    x = solve_exact(FlowProblem(g, bundle, b))
+    xs = solve_exact(FlowProblem(g, bundle, s * b))
+    assert np.abs(xs - s * x).max() <= 1e-10 * s * np.abs(x).max()
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "log-cosh"])
+def test_solve_exact_at_large_demand(rng, kind):
+    # feasibility and stationarity are judged relative to |b| and |grad|
+    g = generate("random-k-regular", n=400, k=3, seed=7)
+    bundle = (ObjectiveBundle.uniform_quadratic(g.n_edges)
+              if kind == "quadratic" else logcosh_bundle(rng, g.n_edges))
+    b = random_balanced(rng, g.n_vertices)
+    b *= 1e7 / np.abs(b).max()
+    x = solve_exact(FlowProblem(g, bundle, b))
+    assert np.abs(g.net_outflow(x) - b).max() <= 1e-9 * 1e7
+
+
+def test_large_quadratic_solve_and_apply_are_matrix_free(rng):
+    # a dense incidence matrix at this size would take 4.8 GB
+    n = 20_000
+    g = generate("random-k-regular", n=n, k=3, seed=3)
+    problem = FlowProblem(
+        g, ObjectiveBundle([EdgeCost("quadratic",
+                                     a=float(rng.uniform(1.0, 2.0)))
+                            for _ in range(g.n_edges)]),
+        random_balanced(rng, n))
+    p = np.zeros(n)
+    p[g.tails[0]], p[g.heads[0]] = 1.0, -1.0
+    tracemalloc.start()
+    try:
+        x = solve_exact(problem)
+        u = sensitivity_operator(problem, x).apply(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2 ** 20
+    assert np.abs(g.net_outflow(u) - p).max() <= 1e-9
