@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -190,18 +191,26 @@ def cmd_reopt(args):
         raise CliInputError("unknown subgraph center: %s" % center)
     sub = graphmod.ball_subgraph(g, center, int(radius))
 
+    t0 = time.perf_counter()
     x_star = solve_exact(problem)
     target = solve_exact(problem.with_b(problem.b + pert.p))
+    t1 = time.perf_counter()
     b_target = problem.b + pert.p
     rows = []
+    record_s = [0.0]  # the error rows are full-graph work; kept out of local_s
 
     def record(x):
+        start = time.perf_counter()
         rows.append((len(rows) + 1,
                      float(np.linalg.norm(x - target)),
                      float(np.abs(g.net_outflow(x) - b_target).max())))
+        record_s[0] += time.perf_counter() - start
 
     final = warm_start_reoptimize(problem, pert, sub, int(iters),
                                   x_star=x_star, collect=record)
+    stats = {"ball_vertices": len(sub.v_in), "ball_edges": len(sub.e_in),
+             "iterations": len(rows), "global_s": t1 - t0,
+             "local_s": time.perf_counter() - t1 - record_s[0]}
     if not rows:  # zero perturbation short-circuit
         record(final)
     _write_csv(os.path.join(_out_dir(config), "reopt.csv"),
@@ -210,7 +219,8 @@ def cmd_reopt(args):
                 {"final_error_l2": rows[-1][1],
                  "subgraph_vertices": sorted(g.vertices[v]
                                              for v in sub.vertex_set),
-                 "config": config, "index_map": _index_map(g)})
+                 "stats": stats, "config": config,
+                 "index_map": _index_map(g)})
     return EXIT_OK
 
 
@@ -272,15 +282,9 @@ def cmd_generate(args):
     config = _resolve_config(
         args, ["kind", "n", "k", "rows", "cols", "seed", "out"])
     (kind,) = _require(config, "kind")
-    params = {}
-    if kind in ("complete", "cycle", "random-k-regular"):
-        params["n"] = int(_require(config, "n")[0])
-    if kind == "random-k-regular":
-        params["k"] = int(_require(config, "k")[0])
-        params["seed"] = int(_require(config, "seed")[0])
-    if kind == "grid-2d":
-        params["rows"] = int(_require(config, "rows")[0])
-        params["cols"] = int(_require(config, "cols")[0])
+    keys = {"complete": ["n"], "cycle": ["n"], "grid-2d": ["rows", "cols"],
+            "random-k-regular": ["n", "k", "seed"]}.get(kind, [])
+    params = {key: int(v) for key, v in zip(keys, _require(config, *keys))}
     g = graphmod.generate(kind, **params)
     out = _out_dir(config)
     g.save(os.path.join(out, "graph.json"))

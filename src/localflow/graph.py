@@ -60,7 +60,7 @@ class DirectedGraph:
             nbrs[v].add(int(u))
         self.neighbors = [sorted(s) for s in nbrs]
 
-        if self.n_vertices > 0 and not self._is_connected():
+        if len(_ball(self, 0, self.n_vertices)) < self.n_vertices:
             raise GraphError("graph is not connected")
 
     @property
@@ -95,17 +95,6 @@ class DirectedGraph:
 
     def degrees(self):
         return np.array([len(s) for s in self.neighbors], dtype=np.intp)
-
-    def _is_connected(self):
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for w in self.neighbors[u]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == self.n_vertices
 
     def bfs_distances(self, sources):
         """Unweighted shortest-path distance from a set of vertex indices.
@@ -185,66 +174,74 @@ def _as_vertex_indices(g, vs):
 
 def induced_vertex_set(g, F):
     """Vertex indices touched by the edge set F (edge ids or indices)."""
-    out = set()
-    for e in F:
-        k = g.edge_index[e] if isinstance(e, str) else int(e)
-        out.add(int(g.tails[k]))
-        out.add(int(g.heads[k]))
-    return out
+    idx = [g.edge_index[e] if isinstance(e, str) else int(e) for e in F]
+    return set(g.tails[idx].tolist()) | set(g.heads[idx].tolist())
 
 
 class SubgraphSpec:
-    """A connected subgraph with its complement sets and inner boundary.
-
-    The inner boundary holds the subgraph vertices with at least one
-    neighbor outside the subgraph. `induced` is the subgraph as a
-    DirectedGraph, vertices and edges in increasing index order.
+    """A connected subgraph: v_in/e_in are its vertex and edge indices and
+    v_out/e_out the rest, each sorted. The inner boundary holds the
+    subgraph vertices with a neighbor outside it. `induced` is the
+    subgraph as a DirectedGraph, vertices and edges in index order.
     """
 
     def __init__(self, g, vertex_indices):
         self.graph = g
-        self.vertex_set = frozenset(int(v) for v in vertex_indices)
-        if not self.vertex_set:
+        inside = np.zeros(g.n_vertices, dtype=bool)
+        inside[np.asarray(list(vertex_indices), dtype=np.intp)] = True
+        self.v_in = np.flatnonzero(inside)
+        if not len(self.v_in):
             raise GraphError("empty subgraph vertex set")
-        self.edge_set = frozenset(
-            k for k in range(g.n_edges)
-            if g.tails[k] in self.vertex_set and g.heads[k] in self.vertex_set)
-        self.vertex_complement = frozenset(
-            range(g.n_vertices)) - self.vertex_set
-        self.edge_complement = frozenset(range(g.n_edges)) - self.edge_set
-        self.boundary = frozenset(
-            v for v in self.vertex_set
-            if any(w not in self.vertex_set for w in g.neighbors[v]))
+        edge_inside = inside[g.tails] & inside[g.heads]
+        self.e_in = np.flatnonzero(edge_inside)
+        self.v_out = np.flatnonzero(~inside)
+        self.e_out = np.flatnonzero(~edge_inside)
+        self.vertex_set = frozenset(self.v_in.tolist())
+        self.edge_set = frozenset(self.e_in.tolist())
+        # the inner ends of the edges that leave the subgraph
+        cut = inside[g.tails] != inside[g.heads]
+        ends = np.concatenate([g.tails[cut], g.heads[cut]])
+        self.boundary = frozenset(ends[inside[ends]].tolist())
         try:
             self.induced = DirectedGraph(
-                [g.vertices[v] for v in self.sorted_vertices()],
-                [g.edges[k] for k in self.sorted_edges()])
+                [g.vertices[v] for v in self.v_in.tolist()],
+                [g.edges[k] for k in self.e_in.tolist()])
         except GraphError:
             raise GraphError("subgraph is not connected") from None
 
     @property
     def is_whole_graph(self):
-        return len(self.vertex_set) == self.graph.n_vertices
+        return len(self.v_in) == self.graph.n_vertices
 
     def sorted_vertices(self):
-        return sorted(self.vertex_set)
+        return self.v_in.tolist()
 
     def sorted_edges(self):
-        return sorted(self.edge_set)
+        return self.e_in.tolist()
 
     def sorted_edge_complement(self):
-        return sorted(self.edge_complement)
+        return self.e_out.tolist()
 
 
 def ball_subgraph(g, center, r):
-    """Subgraph induced by the ball of radius r around a center vertex."""
+    """Subgraph induced by the ball of radius r around a center vertex,
+    searched to depth r only."""
     if isinstance(center, str):
         center = g.vertex_index[center]
     if r < 0:
         raise GraphError("radius must be nonnegative")
-    dist = g.bfs_distances([int(center)])
-    verts = np.nonzero((dist >= 0) & (dist <= r))[0]
-    return SubgraphSpec(g, verts)
+    return SubgraphSpec(g, _ball(g, int(center), r))
+
+
+def _ball(g, center, r):
+    """Vertex indices within r hops of center, searched level by level."""
+    ball = frontier = {center}
+    for _ in range(r):
+        frontier = {w for u in frontier for w in g.neighbors[u]} - ball
+        if not frontier:
+            break
+        ball |= frontier
+    return ball
 
 
 def radius_max(g, center):

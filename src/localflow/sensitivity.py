@@ -109,9 +109,8 @@ def solve_exact(problem, tol=1e-10, max_iter=200):
     """
     g, b, bundle = problem.graph, problem.b, problem.bundle
     if bundle.all_quadratic:
-        a = np.array([c.a for c in bundle.costs])
-        lin = np.array([c.c for c in bundle.costs])
-        sigma = 1.0 / a
+        lin = bundle.c
+        sigma = 1.0 / bundle.a
         nu = laplacian_solve(g, sigma, b + g.net_outflow(sigma * lin))
         x = sigma * (g.potential_difference(nu) - lin)
         _check_solution(problem, x)
@@ -230,13 +229,10 @@ def directional_derivative(problem, pert, eps=0.0):
 
 def _gauss_legendre_nodes(n_steps):
     nodes, weights = np.polynomial.legendre.leggauss(4)
-    all_nodes, all_weights = [], []
     h = 1.0 / n_steps
-    for k in range(n_steps):
-        mid = (k + 0.5) * h
-        all_nodes.extend(mid + 0.5 * h * nodes)
-        all_weights.extend(0.5 * h * weights)
-    return np.array(all_nodes), np.array(all_weights)
+    mids = (np.arange(n_steps) + 0.5) * h
+    return ((mids[:, None] + 0.5 * h * nodes).ravel(),
+            np.tile(0.5 * h * weights, n_steps))
 
 
 def integrate_sensitivity(problem, b_from, b_to, n_steps=8):

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import build_incidence
-from .objective import ObjectiveBundle
 from .sensitivity import FEAS_TOL, FlowProblem, _scale, solve_exact
 
 
@@ -64,8 +63,9 @@ def pgd_run(problem, x0, config=None):
 class LocalizedSolver:
     """Frozen-boundary projected gradient descent on a subgraph.
 
-    Projection matrices for the restricted incidence matrix are computed
-    once per (problem, subgraph) pair and reused across iterations.
+    The subgraph's costs and its lift A_sub^T (A_sub A_sub^T)^+ are built
+    once per (problem, subgraph) pair. A run iterates on the subgraph's
+    flows alone, after one check of the frozen flows.
     """
 
     def __init__(self, problem, sub):
@@ -73,78 +73,64 @@ class LocalizedSolver:
             raise SolverError("subgraph does not belong to the problem graph")
         self.problem = problem
         self.sub = sub
-        self.v_in = np.array(sub.sorted_vertices(), dtype=np.intp)
-        self.e_in = np.array(sub.sorted_edges(), dtype=np.intp)
-        self.e_out = np.array(sub.sorted_edge_complement(), dtype=np.intp)
-        self.v_out = np.array(sorted(sub.vertex_complement), dtype=np.intp)
+        self.e_in = sub.e_in
         if not len(self.e_in):
             raise SolverError("subgraph has no edges to update")
+        self.bundle = problem.bundle[self.e_in]
         A_sub = build_incidence(sub.induced)
         # the subgraph is connected and 1^T A_sub = 0, so A_sub^T times
         # (A_sub A_sub^T + 11^T/n)^{-1} is A_sub^T (A_sub A_sub^T)^+
-        self.lift = np.linalg.solve(A_sub @ A_sub.T + 1.0 / len(self.v_in),
+        self.lift = np.linalg.solve(A_sub @ A_sub.T + 1.0 / len(sub.v_in),
                                     A_sub).T
-        self.Pi = np.eye(len(self.e_in)) - self.lift @ A_sub
-
-    def _frozen_outflow(self, x):
-        return self.problem.graph.net_outflow(x[self.e_out], self.e_out)
-
-    def check_boundary(self, x, b_target):
-        """Frozen components must satisfy the complement constraints."""
-        res = self._frozen_outflow(x)[self.v_out] - b_target[self.v_out]
-        worst = float(np.abs(res).max(initial=0.0))
-        if not worst <= FEAS_TOL * _scale(b_target):
-            raise SolverError(
-                "boundary flows violate constraints: max residual %.3e"
-                % worst)
 
     def restricted_b(self, x, b_target):
-        return b_target[self.v_in] - self._frozen_outflow(x)[self.v_in]
+        """b_target on the subgraph minus the frozen flows' outflow there,
+        after checking that the frozen flows meet b_target outside it."""
+        v_in, v_out, e_out = self.sub.v_in, self.sub.v_out, self.sub.e_out
+        frozen = self.problem.graph.net_outflow(x[e_out], e_out)
+        worst = float(np.abs(frozen[v_out] - b_target[v_out]).max(initial=0))
+        if not worst <= FEAS_TOL * _scale(b_target):
+            raise SolverError("boundary flows violate constraints: max "
+                              "residual %.3e" % worst)
+        return b_target[v_in] - frozen[v_in]
 
     def step(self, x, b_target, eta=None):
         """One localized iteration; complement components pass through."""
-        if eta is None:
-            eta = 1.0 / self.problem.bundle.beta
-        self.check_boundary(x, b_target)
-        grads = self.problem.bundle.gradient(x)[self.e_in]
-        xi = x[self.e_in]
-        b_in = self.restricted_b(x, b_target)
-        new_in = self.Pi @ (xi - eta * grads) + self.lift @ b_in
-        out = x.copy()
-        out[self.e_in] = new_in
-        return out
+        return self.run(x, b_target, 1, eta)
 
     def run(self, x, b_target, t, eta=None, collect=None):
+        """t localized iterations from x, returned as a new full vector;
+        collect, if given, receives one after every iteration."""
+        if eta is None:
+            eta = 1.0 / self.problem.bundle.beta
+        x = np.asarray(x, dtype=float)
+        shift = self.lift @ self.restricted_b(x, b_target)
+        self.problem.bundle.check_domain(x)
+        outflow = self.sub.induced.net_outflow
+        xi = x[self.e_in]
         for _ in range(int(t)):
-            x = self.step(x, b_target, eta)
+            v = xi - eta * self.bundle.gradient(xi)
+            xi = v - self.lift @ outflow(v) + shift
             if collect is not None:
-                collect(x)
-        return x
+                collect(self._scatter(x, xi))
+        return self._scatter(x, xi)
 
-    def restricted_problem(self, x, b_target):
-        """Exact restricted instance whose optimum is the localized
-        fixed point: subgraph costs with the boundary inflow folded
-        into b."""
-        sub_bundle = ObjectiveBundle(
-            [self.problem.bundle.costs[e] for e in self.e_in])
-        return FlowProblem(self.sub.induced, sub_bundle,
-                           self.restricted_b(x, b_target))
+    def _scatter(self, x, xi):
+        out = x.copy()
+        out[self.e_in] = xi
+        return out
 
     def restricted_optimum(self, x, b_target):
-        """Limit of the localized iteration, via an exact restricted
-        solve; complement components stay frozen."""
-        sub_prob = self.restricted_problem(x, b_target)
-        x_sub = solve_exact(sub_prob)
-        out = x.copy()
-        out[self.e_in] = x_sub
-        return out
+        """Limit of the localized iteration: the exact optimum of the
+        subgraph's costs with the boundary inflow folded into b, and the
+        complement components frozen."""
+        return self._scatter(x, solve_exact(FlowProblem(
+            self.sub.induced, self.bundle, self.restricted_b(x, b_target))))
 
 
 def localized_pgd_step(problem, sub, x, b_target=None, eta=None):
-    if b_target is None:
-        b_target = problem.b
-    return LocalizedSolver(problem, sub).step(np.asarray(x, dtype=float),
-                                              b_target, eta)
+    return LocalizedSolver(problem, sub).step(
+        x, problem.b if b_target is None else b_target, eta)
 
 
 def warm_start_reoptimize(problem, pert, sub, t, x_star=None, eta=None,
@@ -161,6 +147,4 @@ def warm_start_reoptimize(problem, pert, sub, t, x_star=None, eta=None,
         if np.any(pert.p):
             raise
         return np.asarray(x_star, dtype=float).copy()
-    b_target = problem.b + pert.p
-    return local.run(np.asarray(x_star, dtype=float).copy(), b_target, t,
-                     eta, collect)
+    return local.run(x_star, problem.b + pert.p, t, eta, collect)

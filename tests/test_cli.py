@@ -181,6 +181,26 @@ def test_reopt_converges_on_whole_graph(triangle_files, tmp_path):
         assert float(r["feasibility_residual"]) <= 1e-9
 
 
+def test_reopt_reports_ball_stats(tmp_path):
+    gen = str(tmp_path / "gen")
+    assert main(["generate", "--kind", "cycle", "--n", "12",
+                 "--out", gen]) == 0
+    graph = os.path.join(gen, "graph.json")
+    costs = write_json(tmp_path / "costs.json",
+                       {"default": {"kind": "log-cosh", "a": 1.0, "s": 0.5}})
+    flow = write_json(tmp_path / "flow.json", {"v0": 1.0, "v6": -1.0})
+    pert = write_json(tmp_path / "pert.json", {"v0": 0.5, "v1": -0.5})
+    out = str(tmp_path / "reopt")
+    assert main(["reopt", "--graph", graph, "--costs", costs, "--flow", flow,
+                 "--perturbation", pert, "--subgraph-center", "v0",
+                 "--radius", "2", "--iters", "6", "--out", out]) == 0
+    stats = json.load(open(os.path.join(out, "reopt.json")))["stats"]
+    assert {k: stats[k] for k in ("ball_vertices", "ball_edges",
+                                  "iterations")} == {
+        "ball_vertices": 5, "ball_edges": 4, "iterations": 6}
+    assert stats["local_s"] >= 0.0 and stats["global_s"] > 0.0
+
+
 def test_tune_matches_closed_form(tmp_path):
     out = str(tmp_path / "tune")
     config = write_json(tmp_path / "family.json",

@@ -166,3 +166,45 @@ def test_incidence_left_null_space_property(seed, n):
     g = random_connected_graph(np.random.default_rng(seed), n, extra_edges=5)
     A = build_incidence(g)
     assert np.abs(np.ones(g.n_vertices) @ A).max() == 0.0
+
+
+def _reference_ball(g, center, r):
+    """The ball from a whole-graph BFS, as (vertices, edges, boundary)."""
+    dist = g.bfs_distances([center])
+    verts = {int(v) for v in np.nonzero(dist <= r)[0]}
+    edges = {k for k in range(g.n_edges)
+             if g.tails[k] in verts and g.heads[k] in verts}
+    boundary = {v for v in verts
+                if any(w not in verts for w in g.neighbors[v])}
+    return verts, edges, boundary
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["random-k-regular", "grid-2d", "cycle"]),
+       st.integers(0, 10**6))
+def test_local_ball_matches_whole_graph_bfs(kind, seed):
+    """The depth-bounded ball equals the ball cut from a whole-graph BFS,
+    for every radius up to the center's eccentricity."""
+    rng = np.random.default_rng(seed)
+    if kind == "random-k-regular":
+        g = generate(kind, n=2 * int(rng.integers(5, 40)),
+                     k=int(rng.integers(3, 5)), seed=seed)
+    elif kind == "grid-2d":
+        g = generate(kind, rows=int(rng.integers(1, 8)),
+                     cols=int(rng.integers(2, 8)))
+    else:
+        g = generate(kind, n=int(rng.integers(3, 40)))
+    center = int(rng.integers(g.n_vertices))
+    for r in range(radius_max(g, center) + 1):
+        sub = ball_subgraph(g, center, r)
+        verts, edges, boundary = _reference_ball(g, center, r)
+        assert sub.vertex_set == verts
+        assert sub.edge_set == edges
+        assert sub.boundary == boundary
+        assert sub.sorted_vertices() == sorted(verts)
+        assert sub.sorted_edges() == sorted(edges)
+        assert sub.sorted_edge_complement() == sorted(
+            set(range(g.n_edges)) - edges)
+        assert sub.v_out.tolist() == sorted(
+            set(range(g.n_vertices)) - verts)
+        assert sub.is_whole_graph == (len(verts) == g.n_vertices)

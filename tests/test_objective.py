@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -134,3 +135,78 @@ def test_bundle_from_spec_default_and_override():
     assert bundle.costs[1].kind == "log-cosh"
     with pytest.raises(CostError, match="no cost for edge"):
         ObjectiveBundle.from_spec({"per_edge": {}}, ["e0"])
+
+
+@pytest.mark.parametrize("x", [1e3, -1e3])
+def test_log_cosh_finite_at_large_flow(x):
+    cost = EdgeCost("log-cosh", a=2.0, s=0.5)
+    bundle = ObjectiveBundle([cost, EdgeCost("quadratic", a=1.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = (cost.value(x), cost.deriv(x), cost.second_deriv(x),
+                  bundle.eval([x, 0.0]), bundle.gradient([x, 0.0])[0],
+                  bundle.hessian_diag([x, 0.0])[0])
+    # log cosh x -> |x| - log 2, tanh x -> sign x, sech^2 x -> 0
+    value = x * x + 0.5 * (abs(x) - math.log(2.0))
+    expected = (value, 2.0 * x + 0.5 * math.copysign(1.0, x), 2.0,
+                value, 2.0 * x + 0.5 * math.copysign(1.0, x), 2.0)
+    for got, want in zip(values, expected):
+        assert math.isfinite(got)
+        assert got == pytest.approx(want, rel=1e-15)
+
+
+_cost_params = st.tuples(st.sampled_from(["quadratic", "quartic", "log-cosh"]),
+                         st.floats(0.1, 5.0), st.floats(-2.0, 2.0),
+                         st.floats(0.0, 2.0))
+
+
+def _cost(kind, a, c, coef):
+    if kind == "quadratic":
+        return EdgeCost(kind, a=a, c=c)
+    if kind == "quartic":
+        return EdgeCost(kind, a=a, q=coef, radius=50.0)
+    return EdgeCost(kind, a=a, s=coef)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_cost_params, st.floats(-50.0, 50.0)),
+                min_size=1, max_size=30),
+       st.randoms(use_true_random=False))
+def test_bundle_matches_edge_costs(edges, random):
+    """The array-backed bundle and its sub-bundles agree with the scalar
+    per-edge methods on mixed quadratic, quartic and log-cosh costs."""
+    costs = [_cost(*params) for params, _ in edges]
+    x = np.array([xe for _, xe in edges])
+    m = len(costs)
+    idx = sorted(random.sample(range(m), random.randint(1, m)))
+    full = ObjectiveBundle(costs)
+    for bundle, sel in ((full, list(range(m))), (full[idx], idx)):
+        xs = x[sel]
+        for order, method in enumerate(("value", "deriv", "second_deriv")):
+            want = np.array([getattr(costs[e], method)(xe)
+                             for e, xe in zip(sel, xs)])
+            got = (bundle.eval(xs), bundle.gradient(xs),
+                   bundle.hessian_diag(xs))[order]
+            if order == 0:  # a sum: relative to the sum of magnitudes
+                assert abs(got - math.fsum(want)) <= 1e-15 * math.fsum(
+                    abs(want))
+            else:
+                assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+        assert bundle.alpha == min(costs[e].alpha for e in sel)
+        assert bundle.beta == max(costs[e].beta for e in sel)
+        assert bundle.Q == bundle.beta / bundle.alpha
+        assert bundle.all_quadratic == all(costs[e].kind == "quadratic"
+                                           for e in sel)
+        assert [c.kind for c in bundle.costs] == [costs[e].kind for e in sel]
+
+
+def test_sub_bundle_checks_its_own_domain():
+    bundle = ObjectiveBundle([EdgeCost("quartic", a=1.0, q=1.0, radius=1.0),
+                              EdgeCost("quadratic", a=1.0),
+                              EdgeCost("quartic", a=1.0, q=1.0, radius=2.0)])
+    sub = bundle[[1, 2]]
+    assert sub.gradient(np.array([9.0, 1.5])).tolist() == [9.0, 1.5 + 1.5**3]
+    with pytest.raises(CostError, match="edge 1 outside"):
+        sub.gradient(np.array([0.0, 2.5]))
+    with pytest.raises(CostError, match="empty"):
+        bundle[[]]

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from localflow import (FlowProblem, LocalizedSolver, ObjectiveBundle,
-                       PerturbationSpec, PgdConfig, SolverError, SubgraphSpec,
-                       ball_subgraph, localized_pgd_step, pgd_run, pgd_step,
-                       pseudoinverse, solve_exact, warm_start_reoptimize)
+from localflow import (CostError, EdgeCost, FlowProblem, LocalizedSolver,
+                       ObjectiveBundle, PerturbationSpec, PgdConfig,
+                       SolverError, SubgraphSpec, ball_subgraph,
+                       build_incidence, generate, localized_pgd_step, pgd_run,
+                       pgd_step, pseudoinverse, solve_exact,
+                       warm_start_reoptimize)
 from conftest import (logcosh_bundle, path, quadratic_problem,
                       random_balanced, random_connected_graph, triangle)
 
@@ -203,3 +207,98 @@ def test_warm_start_feasibility_every_iterate(rng):
     A_rows = problem.A[verts]
     for x in seen:
         assert np.abs(A_rows @ x - b_target[verts]).max() < 1e-9
+
+
+def _reference_iterates(problem, sub, x, b_target, t, eta):
+    """t localized steps on the full vector, with the dense projector of
+    the subgraph's incidence matrix."""
+    e_in, v_in = sub.sorted_edges(), sub.sorted_vertices()
+    e_out = sub.sorted_edge_complement()
+    A_sub = build_incidence(sub.induced)
+    lift = A_sub.T @ pseudoinverse(A_sub @ A_sub.T)
+    Pi = np.eye(len(e_in)) - lift @ A_sub
+    b_in = b_target[v_in] - (problem.A[:, e_out] @ x[e_out])[v_in]
+    iterates = []
+    for _ in range(t):
+        grads = problem.bundle.gradient(x)[e_in]
+        x = x.copy()
+        x[e_in] = Pi @ (x[e_in] - eta * grads) + lift @ b_in
+        iterates.append(x)
+    return iterates
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6), st.booleans(), st.integers(0, 3))
+def test_localized_run_matches_full_vector_reference(seed, quadratic, radius):
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, int(rng.integers(4, 30)),
+                               extra_edges=int(rng.integers(0, 20)))
+    bundle = (ObjectiveBundle.uniform_quadratic(g.n_edges, a=1.5, c=0.3)
+              if quadratic else logcosh_bundle(rng, g.n_edges))
+    problem = FlowProblem(g, bundle, random_balanced(rng, g.n_vertices))
+    sub = ball_subgraph(g, int(rng.integers(g.n_vertices)), radius)
+    if not sub.sorted_edges():
+        return
+    x = solve_exact(problem)
+    x0 = x.copy()
+    verts = sub.sorted_vertices()
+    b_target = problem.b.copy()
+    b_target[verts[0]] += 1.0
+    b_target[verts[-1]] -= 1.0
+    eta = 0.9 / bundle.beta
+    ref = _reference_iterates(problem, sub, x, b_target, 7, eta)
+    seen = []
+    local = LocalizedSolver(problem, sub)
+    collected = local.run(x, b_target, 7, eta, collect=seen.append)
+    plain = local.run(x, b_target, 7, eta)
+    scale = max(np.abs(r).max() for r in ref)
+    assert len(seen) == 7
+    for got, want in zip(seen, ref):
+        assert np.abs(got - want).max() <= 1e-12 * scale
+    assert np.array_equal(collected, plain)
+    assert np.array_equal(plain, seen[-1])
+    assert np.array_equal(x, x0)  # the run does not write into x
+
+
+def test_localized_run_checks_frozen_flows_once(rng):
+    """Per step the run touches only the ball: the full graph's outflow is
+    computed once, and the full bundle is only domain-checked once."""
+    g = generate("random-k-regular", n=400, k=3, seed=5)
+    problem = FlowProblem(g, logcosh_bundle(rng, g.n_edges),
+                          random_balanced(rng, g.n_vertices))
+    x = solve_exact(problem)
+    local = LocalizedSolver(problem, ball_subgraph(g, 0, 2))
+    outflows, gradient_sizes = [], []
+    full_outflow, ball_gradient = g.net_outflow, local.bundle.gradient
+
+    def counted_outflow(*args):
+        outflows.append(len(args[0]))
+        return full_outflow(*args)
+
+    def counted_gradient(v):
+        gradient_sizes.append(len(v))
+        return ball_gradient(v)
+
+    g.net_outflow, local.bundle.gradient = counted_outflow, counted_gradient
+    problem.bundle.gradient = problem.bundle.hessian_diag = None
+    local.run(x, problem.b, 30)
+    assert outflows == [g.n_edges - len(local.e_in)]
+    assert gradient_sizes == [len(local.e_in)] * 30
+
+
+def test_localized_run_rejects_out_of_domain_frozen_flow():
+    g = generate("cycle", n=12)
+    costs = [EdgeCost("quartic", a=1.0, q=0.1, radius=3.0)
+             for _ in range(g.n_edges)]
+    problem = FlowProblem(g, ObjectiveBundle(costs), np.zeros(12))
+    sub = ball_subgraph(g, 0, 2)
+    x = solve_exact(problem)
+    frozen = sub.sorted_edge_complement()[3]  # both ends outside the ball
+    x[frozen] = 5.0
+    # a target that the frozen flows meet, so only the domain check objects
+    b_target = g.net_outflow(x)
+    local = LocalizedSolver(problem, sub)
+    with pytest.raises(CostError, match="edge %d outside" % frozen):
+        local.run(x, b_target, 3)
+    with pytest.raises(SolverError, match="boundary"):
+        local.run(x, problem.b, 3)
