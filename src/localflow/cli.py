@@ -20,7 +20,7 @@ from . import locality
 from .objective import CostError, ObjectiveBundle
 from .sensitivity import (FlowProblem, PerturbationSpec, SensitivityError,
                           sensitivity_operator, solve_exact)
-from .solver import LocalizedSolver, SolverError, warm_start_reoptimize
+from .solver import SolverError, warm_start_reoptimize
 from .laplacian import LaplacianError, WeightedWalk
 
 EXIT_OK = 0
@@ -119,9 +119,10 @@ def _write_csv(path, header, rows):
 
 
 def cmd_solve(args):
-    config = _resolve_config(args, ["graph", "costs", "flow", "out"])
+    config = _resolve_config(
+        args, ["graph", "costs", "flow", "tolerance", "out"])
     g, _, problem = _load_problem(config)
-    x = solve_exact(problem, tol=args.tolerance or 1e-10)
+    x = solve_exact(problem, tol=float(config.get("tolerance") or 1e-10))
     grad = problem.bundle.gradient(x)
     payload = {
         "solution": {e[0]: float(v) for e, v in zip(g.edges, x)},
@@ -187,8 +188,6 @@ def cmd_reopt(args):
     pert = _load_perturbation(config, g)
     center, radius, iters = _require(
         config, "subgraph-center", "radius", "iters")
-    if center not in g.vertex_index:
-        raise CliInputError("unknown subgraph center: %s" % center)
     sub = graphmod.ball_subgraph(g, center, int(radius))
 
     t0 = time.perf_counter()
@@ -231,7 +230,7 @@ def cmd_tune(args):
     (eps,) = _require(config, "eps")
     if config.get("graph"):
         g, bundle, _ = _load_problem(config)
-        Q, k, mu = bundle.Q, int(g.degrees().max()), locality.adjacency_slem(g)
+        (k, _, mu), Q = locality._graph_triple(g), bundle.Q
     else:
         Q, k, mu = float(config["Q"]), int(config["k"]), float(config["mu"])
     family = locality.TunerFamily(
@@ -261,18 +260,17 @@ def cmd_interlace(args):
     g, _, problem = _load_problem(config)
     center, radius = _require(config, "subgraph-center", "radius")
     sub = graphmod.ball_subgraph(g, center, int(radius))
-    x = solve_exact(problem)
-    walk = problem.walk_at(x)
-    solver = LocalizedSolver(problem, sub)
-    sub_walk = WeightedWalk(sub.induced, walk.weights[solver.e_in])
+    if not len(sub.e_in):
+        raise SolverError("subgraph has no edges to update")
+    walk = problem.walk_at(solve_exact(problem))
+    sub_walk = WeightedWalk(sub.induced, walk.weights[sub.e_in])
     w_minus, w_plus = float(walk.weights.min()), float(walk.weights.max())
     lam_prime, bound = locality.interlacing_bound(
         g, sub_walk, w_minus, w_plus)
     _write_json(os.path.join(_out_dir(config), "interlace.json"), {
         "lambda_prime": lam_prime, "bound": bound,
         "w_minus": w_minus, "w_plus": w_plus,
-        "constants_mode": "exact" if problem.bundle.all_quadratic
-                          else "envelope",
+        "constants_mode": locality._constants_mode(problem),
         "config": config, "index_map": _index_map(g),
     })
     return EXIT_OK

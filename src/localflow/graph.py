@@ -16,51 +16,39 @@ class GraphError(ValueError):
 
 
 class DirectedGraph:
-    """Simple connected directed graph.
+    """Simple connected directed graph, immutable after construction.
 
-    No self-loops, no repeated edges between the same (unordered) vertex
-    pair, and the undirected skeleton must be connected. Immutable after
-    construction.
+    The checks run one class at a time: duplicate vertex ids, duplicate
+    edge ids, unknown endpoints, self-loops, repeated vertex pairs (either
+    orientation), connectivity of the undirected skeleton. A GraphError
+    reports the first fault of the first failing class. Queries take
+    vertex or edge ids or indices, and raise GraphError for an unknown id
+    and for a negative or out-of-range index.
     """
 
     def __init__(self, vertices, edges):
         self.vertices = list(vertices)
         self.edges = [(str(eid), str(t), str(h)) for eid, t, h in edges]
-        if len(set(self.vertices)) != len(self.vertices):
-            raise GraphError("duplicate vertex ids")
         self.vertex_index = {v: i for i, v in enumerate(self.vertices)}
-
-        seen_eids = set()
-        seen_pairs = set()
-        self._tails = np.empty(len(self.edges), dtype=np.intp)
-        self._heads = np.empty(len(self.edges), dtype=np.intp)
-        for k, (eid, tail, head) in enumerate(self.edges):
-            if eid in seen_eids:
-                raise GraphError("duplicate edge id: %s" % eid)
-            seen_eids.add(eid)
-            if tail not in self.vertex_index:
-                raise GraphError("unknown endpoint id: %s" % tail)
-            if head not in self.vertex_index:
-                raise GraphError("unknown endpoint id: %s" % head)
-            if tail == head:
-                raise GraphError("self-loop on vertex: %s" % tail)
-            pair = frozenset((tail, head))
-            if pair in seen_pairs:
-                raise GraphError(
-                    "multiple edges between vertices: %s, %s" % (tail, head))
-            seen_pairs.add(pair)
-            self._tails[k] = self.vertex_index[tail]
-            self._heads[k] = self.vertex_index[head]
+        if len(self.vertex_index) != len(self.vertices):
+            raise GraphError("duplicate vertex ids")
         self.edge_index = {e[0]: k for k, e in enumerate(self.edges)}
-
-        # undirected adjacency: neighbor vertex indices per vertex
-        nbrs = [set() for _ in self.vertices]
-        for u, v in zip(self._tails, self._heads):
-            nbrs[u].add(int(v))
-            nbrs[v].add(int(u))
-        self.neighbors = [sorted(s) for s in nbrs]
-
-        if len(_ball(self, 0, self.n_vertices)) < self.n_vertices:
+        if len(self.edge_index) != len(self.edges):
+            k = _first_repeat([e[0] for e in self.edges])
+            raise GraphError("duplicate edge id: %s" % self.edges[k][0])
+        try:
+            ends = np.array([self.vertex_index[v] for _, t, h in self.edges
+                             for v in (t, h)], dtype=np.intp)
+        except KeyError as exc:
+            raise GraphError("unknown endpoint id: %s" % exc.args[0]) from None
+        self.tails, self.heads = ends.reshape(-1, 2).T.copy()
+        n = self.n_vertices
+        # neighbor lists: the sorted keys u * n + w, split by u
+        adjacency = (_simple_adjacency(self.tails, self.heads, n,
+                                       self.vertices.__getitem__) % n).tolist()
+        stops = np.cumsum(self.degrees()).tolist()
+        self.neighbors = [adjacency[a:b] for a, b in zip([0] + stops, stops)]
+        if len(_ball(self, 0, n)) < n:
             raise GraphError("graph is not connected")
 
     @property
@@ -71,30 +59,23 @@ class DirectedGraph:
     def n_edges(self):
         return len(self.edges)
 
-    @property
-    def tails(self):
-        return self._tails
-
-    @property
-    def heads(self):
-        return self._heads
-
     def net_outflow(self, x, edges=slice(None)):
         """A x: flow leaving each vertex; x may hold the flows of `edges`
         only, the other edges carrying none."""
         n = self.n_vertices
-        return (np.bincount(self._tails[edges], x, n)
-                - np.bincount(self._heads[edges], x, n))
+        return (np.bincount(self.tails[edges], x, n)
+                - np.bincount(self.heads[edges], x, n))
 
     def potential_difference(self, nu):
         """A^T nu: tail minus head potential on each edge."""
-        return nu[self._tails] - nu[self._heads]
+        return nu[self.tails] - nu[self.heads]
 
     def degree(self, v_idx):
         return len(self.neighbors[v_idx])
 
     def degrees(self):
-        return np.array([len(s) for s in self.neighbors], dtype=np.intp)
+        return np.bincount(np.concatenate((self.tails, self.heads)),
+                           minlength=self.n_vertices)
 
     def bfs_distances(self, sources):
         """Unweighted shortest-path distance from a set of vertex indices.
@@ -146,36 +127,74 @@ def build_incidence(g):
     return A
 
 
+def _first_repeat(keys):
+    """Index of the first entry equal to an earlier one (there is one)."""
+    _, first = np.unique(keys, return_index=True)
+    later = np.ones(len(keys), dtype=bool)
+    later[first] = False
+    return int(np.argmax(later))
+
+
+def _simple_adjacency(tails, heads, n, name=str):
+    """The sorted keys u * n + w of both orientations of every edge, after
+    the simple-graph rule: GraphError at the first self-loop, else at the
+    first edge repeating an earlier vertex pair in either orientation.
+    `name` turns a vertex index into the id the message shows."""
+    keys = np.sort(np.concatenate((tails * n + heads, heads * n + tails)))
+    if (keys[1:] == keys[:-1]).any():  # a self-loop repeats its key too
+        loops = np.flatnonzero(tails == heads)
+        if len(loops):
+            raise GraphError("self-loop on vertex: %s" % name(tails[loops[0]]))
+        k = _first_repeat(np.minimum(tails, heads) * n
+                          + np.maximum(tails, heads))
+        raise GraphError("multiple edges between vertices: %s, %s"
+                         % (name(tails[k]), name(heads[k])))
+    return keys
+
+
+def _indices(index, ids, kind):
+    """Index array of ids, each an id (a key of index) or an integer index
+    in range(len(index)); GraphError for anything else."""
+    try:
+        idx = [index[a] if isinstance(a, str) else a for a in ids]
+    except KeyError as exc:
+        raise GraphError("unknown %s id: %s" % (kind, exc.args[0])) from None
+    bad = [k for k in idx if not 0 <= k < len(index)]
+    if bad:
+        raise GraphError("%s index out of range: %d" % (kind, bad[0]))
+    return np.array(idx, dtype=np.intp)
+
+
+def _vertex_indices(g, vs):
+    return _indices(g.vertex_index, vs, "vertex")
+
+
+def _edge_indices(g, es):
+    return _indices(g.edge_index, es, "edge")
+
+
 def geodesic_distance(g, U, Z):
     """Minimum unweighted shortest-path length between vertex sets U and Z.
 
     Both sets are given as vertex ids or indices; returns 0 when they
     intersect.
     """
-    U_idx = _as_vertex_indices(g, U)
-    Z_idx = _as_vertex_indices(g, Z)
-    if not U_idx or not Z_idx:
+    U_idx, Z_idx = _vertex_indices(g, U), _vertex_indices(g, Z)
+    if not len(U_idx) or not len(Z_idx):
         raise GraphError("geodesic_distance requires nonempty vertex sets")
-    dist = g.bfs_distances(U_idx)
-    return int(min(dist[z] for z in Z_idx))
+    return int(g.bfs_distances(U_idx)[Z_idx].min())
 
 
-def _as_vertex_indices(g, vs):
-    out = []
-    for v in vs:
-        if isinstance(v, str):
-            if v not in g.vertex_index:
-                raise GraphError("unknown vertex id: %s" % v)
-            out.append(g.vertex_index[v])
-        else:
-            out.append(int(v))
-    return out
+def _edge_set(g, F):
+    """Edge indices of F (edge ids or indices) and the sorted array of the
+    vertices they touch."""
+    idx = _edge_indices(g, F)
+    return idx, np.unique(np.concatenate((g.tails[idx], g.heads[idx])))
 
 
 def induced_vertex_set(g, F):
     """Vertex indices touched by the edge set F (edge ids or indices)."""
-    idx = [g.edge_index[e] if isinstance(e, str) else int(e) for e in F]
-    return set(g.tails[idx].tolist()) | set(g.heads[idx].tolist())
+    return set(_edge_set(g, F)[1].tolist())
 
 
 class SubgraphSpec:
@@ -188,7 +207,7 @@ class SubgraphSpec:
     def __init__(self, g, vertex_indices):
         self.graph = g
         inside = np.zeros(g.n_vertices, dtype=bool)
-        inside[np.asarray(list(vertex_indices), dtype=np.intp)] = True
+        inside[_vertex_indices(g, vertex_indices)] = True
         self.v_in = np.flatnonzero(inside)
         if not len(self.v_in):
             raise GraphError("empty subgraph vertex set")
@@ -226,11 +245,10 @@ class SubgraphSpec:
 def ball_subgraph(g, center, r):
     """Subgraph induced by the ball of radius r around a center vertex,
     searched to depth r only."""
-    if isinstance(center, str):
-        center = g.vertex_index[center]
+    center = int(_vertex_indices(g, [center])[0])
     if r < 0:
         raise GraphError("radius must be nonnegative")
-    return SubgraphSpec(g, _ball(g, int(center), r))
+    return SubgraphSpec(g, _ball(g, center, r))
 
 
 def _ball(g, center, r):
@@ -246,9 +264,7 @@ def _ball(g, center, r):
 
 def radius_max(g, center):
     """Eccentricity of the center: smallest r with ball = whole graph."""
-    if isinstance(center, str):
-        center = g.vertex_index[center]
-    return int(g.bfs_distances([int(center)]).max())
+    return int(g.bfs_distances(_vertex_indices(g, [center])).max())
 
 
 def generate(kind, **params):
@@ -313,16 +329,13 @@ def _random_regular(n, k, seed, max_tries=2000):
     for _ in range(max_tries):
         stubs = np.repeat(np.arange(n), k)
         rng.shuffle(stubs)
-        pairs = stubs.reshape(-1, 2)
-        if np.any(pairs[:, 0] == pairs[:, 1]):
-            continue
-        keys = {frozenset(map(int, p)) for p in pairs}
-        if len(keys) != len(pairs):
-            continue
-        edges = [("e%d" % i, "v%d" % int(u), "v%d" % int(v))
-                 for i, (u, v) in enumerate(pairs)]
+        tails, heads = stubs.reshape(-1, 2).T
         try:
-            return DirectedGraph(_vnames(n), edges)
+            _simple_adjacency(tails, heads, n)
+            return DirectedGraph(_vnames(n), [
+                ("e%d" % i, "v%d" % u, "v%d" % v)
+                for i, (u, v) in enumerate(zip(tails.tolist(),
+                                               heads.tolist()))])
         except GraphError:
             continue
     raise GraphError("failed to sample a connected simple %d-regular graph" % k)

@@ -11,6 +11,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .graph import _vertex_indices
+
 # eigenvalues below this fraction of the largest are treated as kernel
 KERNEL_RTOL = 1e-12
 # laplacian_solve stops at |rhs - L x|_2 <= CG_RTOL |rhs|_2 (mean-zero rhs)
@@ -147,9 +149,7 @@ class RestrictedLaplacian:
 
     def __init__(self, walk, kill):
         self.walk = walk
-        if isinstance(kill, str):
-            kill = walk.graph.vertex_index[kill]
-        self.kill = int(kill)
+        self.kill = int(_vertex_indices(walk.graph, [kill])[0])
         keep = [v for v in range(walk.n) if v != self.kill]
         self.kept = keep
         self.Lbar = walk.L[np.ix_(keep, keep)]
@@ -211,9 +211,7 @@ def green_difference(walk, u, v, w, z, form="pinv", tail=SERIES_TAIL):
 
     The series form returns (value, truncation point).
     """
-    g = walk.graph
-    u, v, w, z = (g.vertex_index[a] if isinstance(a, str) else int(a)
-                  for a in (u, v, w, z))
+    u, v, w, z = _vertex_indices(walk.graph, (u, v, w, z))
     if form == "pinv":
         Lp = walk.pinv()
         return float(Lp[u, w] - Lp[u, z] - Lp[v, w] + Lp[v, z])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import geodesic_distance
+from .graph import _edge_indices, _edge_set, geodesic_distance
 from .laplacian import WeightedWalk, laplacian_solve
 from .sensitivity import sensitivity_operator, solve_exact
 from .solver import LocalizedSolver, SolverError
@@ -87,17 +87,6 @@ def _set_constants(problem, walk, U, mode):
     return maxsq * problem.bundle.Q / min_d, maxsq, min_d
 
 
-def _edge_index(g, e):
-    return g.edge_index[e] if isinstance(e, str) else int(e)
-
-
-def _edge_set(g, F):
-    """Edge indices of F (edge ids or indices) and the sorted array of the
-    vertices they touch."""
-    idx = [_edge_index(g, e) for e in F]
-    return idx, np.unique(np.concatenate((g.tails[idx], g.heads[idx])))
-
-
 @dataclass
 class DecayRow:
     edge_ids: tuple
@@ -123,15 +112,15 @@ def measure_decay(problem, pert, F_sets):
     times the perturbation norm on its support. One operator apply, one
     BFS from the support and one decay rate serve every F.
     """
+    g = problem.graph
+    sets = [_edge_set(g, F) for F in F_sets]
+    if not all(len(idx) for idx, _ in sets):
+        raise LocalityError("empty edge set in decay sweep")
     mode = _constants_mode(problem)
     op = sensitivity_operator(problem)
     deriv = op.apply(pert.p)
     Z = sorted(pert.support)
     p_norm = float(np.linalg.norm(pert.p[Z])) if Z else 0.0
-    g = problem.graph
-    sets = [_edge_set(g, F) for F in F_sets]
-    if not all(idx for idx, _ in sets):
-        raise LocalityError("empty edge set in decay sweep")
     lam = _decay_rate(problem, op.walk, mode) if sets else None
     dist_Z = g.bfs_distances(Z) if Z else np.zeros(g.n_vertices, dtype=int)
     rows = []
@@ -147,7 +136,7 @@ def measure_decay(problem, pert, F_sets):
 
 def _edge_perturbation(problem, e):
     g = problem.graph
-    k = _edge_index(g, e)
+    k = _edge_indices(g, [e])[0]
     p = np.zeros(g.n_vertices)
     p[g.tails[k]] = 1.0
     p[g.heads[k]] = -1.0

@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import build_incidence
+from .graph import _vertex_indices, build_incidence
 from .laplacian import (WeightedWalk, green_series_apply, laplacian_solve,
                         pseudoinverse)
 from .objective import CostError
@@ -94,8 +94,7 @@ class PerturbationSpec:
     @classmethod
     def from_mapping(cls, graph, mapping):
         p = np.zeros(graph.n_vertices)
-        for vid, val in mapping.items():
-            p[graph.vertex_index[vid]] = float(val)
+        p[_vertex_indices(graph, mapping)] = list(map(float, mapping.values()))
         return cls(graph, p)
 
 

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from localflow import cli
 from localflow.cli import main
 
 
@@ -105,6 +106,27 @@ def test_config_file_with_flag_override(triangle_files, tmp_path):
     assert os.path.exists(os.path.join(out, "solution.json"))
     assert not os.path.exists(str(tmp_path / "wrong"))
 
+
+
+def test_solve_reads_tolerance_from_config(triangle_files, tmp_path,
+                                           monkeypatch):
+    graph, costs, flow, _ = triangle_files
+    seen, real = [], cli.solve_exact
+
+    def solve_exact(problem, tol):
+        seen.append(tol)
+        return real(problem, tol=tol)
+
+    config = write_json(tmp_path / "cfg.json", {
+        "graph": graph, "costs": costs, "flow": flow, "tolerance": 1e-7})
+    out = str(tmp_path / "out")
+    monkeypatch.setattr(cli, "solve_exact", solve_exact)
+    assert main(["solve", "--config", config, "--out", out]) == 0
+    assert main(["solve", "--config", config, "--tolerance", "1e-9",
+                 "--out", out]) == 0
+    assert seen == [1e-7, 1e-9]
+    report = json.load(open(os.path.join(out, "solution.json")))
+    assert report["config"]["tolerance"] == 1e-9
 
 def test_decay_csv_columns_and_bounds(tmp_path):
     gen_out = str(tmp_path / "gen")
@@ -262,6 +284,20 @@ def test_interlace_degree_deficient_ball_exits_3(tmp_path, capsys):
     assert code == 3
     assert "interlacing bound" in capsys.readouterr().err
 
+
+
+def test_interlace_radius_zero_has_no_edges_exits_3(tmp_path, capsys):
+    gen_out = str(tmp_path / "gen")
+    assert main(["generate", "--kind", "cycle", "--n", "6",
+                 "--out", gen_out]) == 0
+    costs = write_json(tmp_path / "costs.json",
+                       {"default": {"kind": "quadratic", "a": 1.0}})
+    flow = write_json(tmp_path / "flow.json", {})
+    code = main(["interlace", "--graph", os.path.join(gen_out, "graph.json"),
+                 "--costs", costs, "--flow", flow, "--subgraph-center", "v0",
+                 "--radius", "0", "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "subgraph has no edges" in capsys.readouterr().err
 
 def test_generate_deterministic(tmp_path):
     payloads = []

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localflow import (DirectedGraph, GraphError, SubgraphSpec, ball_subgraph,
+from localflow import (DirectedGraph, GraphError, PerturbationSpec,
+                       SubgraphSpec, WeightedWalk, ball_subgraph,
                        build_incidence, generate, geodesic_distance,
-                       induced_vertex_set, radius_max)
-from conftest import path, random_connected_graph, triangle
+                       green_difference, induced_vertex_set, measure_decay,
+                       point_to_set, radius_max, set_to_point)
+from conftest import path, quadratic_problem, random_connected_graph, triangle
 
 
 def test_incidence_two_vertices():
@@ -168,6 +171,18 @@ def test_incidence_left_null_space_property(seed, n):
     assert np.abs(np.ones(g.n_vertices) @ A).max() == 0.0
 
 
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 40))
+def test_neighbors_and_degrees_match_edge_list(seed, n):
+    g = random_connected_graph(np.random.default_rng(seed), n, extra_edges=n)
+    nbrs = [set() for _ in range(n)]
+    for _, t, h in g.edges:
+        nbrs[g.vertex_index[t]].add(g.vertex_index[h])
+        nbrs[g.vertex_index[h]].add(g.vertex_index[t])
+    assert g.neighbors == [sorted(s) for s in nbrs]
+    assert g.degrees().tolist() == [len(s) for s in nbrs]
+
+
 def _reference_ball(g, center, r):
     """The ball from a whole-graph BFS, as (vertices, edges, boundary)."""
     dist = g.bfs_distances([center])
@@ -208,3 +223,129 @@ def test_local_ball_matches_whole_graph_bfs(kind, seed):
         assert sub.v_out.tolist() == sorted(
             set(range(g.n_vertices)) - verts)
         assert sub.is_whole_graph == (len(verts) == g.n_vertices)
+
+
+# sha256 of json.dumps(g.edges) for generate("random-k-regular", n, k=3,
+# seed): the benchmark's graphs and the README quick start
+SAMPLER_SHA256 = {
+    (200, 1): "230cefc8e67897e7c35f1b4bce7fcc551ff2f58f1bba3378e9aa94439457a276",
+    (800, 1): "6732eb26d589bdfd3a20a220c251b1ebb7b74b32c5b4ad249a318249b38e82d7",
+    (2000, 1): "f40d6d7c2e7c07c7904a4d70f3afb74a487c2525fb06fda5b0775db502cd6290",
+    (200, 11): "f758aaece77ecd973aac366ec925026968fc612fac4b06f976ed33fbc290e242",
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(SAMPLER_SHA256))
+def test_sampler_draws_are_pinned(n, seed):
+    g = generate("random-k-regular", n=n, k=3, seed=seed)
+    digest = hashlib.sha256(json.dumps(g.edges).encode()).hexdigest()
+    assert digest == SAMPLER_SHA256[n, seed]
+
+
+def _resolver_callers(g):
+    """Each public caller of the id/index resolvers, as (takes edges,
+    call with one bad vertex or edge)."""
+    problem = quadratic_problem(g, np.zeros(g.n_vertices))
+    p = np.zeros(g.n_vertices)
+    p[g.tails[0]], p[g.heads[0]] = 1.0, -1.0
+    pert = PerturbationSpec(g, p)
+    walk = WeightedWalk(g, np.ones(g.n_edges))
+    return {
+        "ball_subgraph": (False, lambda v: ball_subgraph(g, v, 1)),
+        "radius_max": (False, lambda v: radius_max(g, v)),
+        "SubgraphSpec": (False, lambda v: SubgraphSpec(g, [0, v])),
+        "geodesic_distance": (False, lambda v: geodesic_distance(g, [0], [v])),
+        "induced_vertex_set": (True, lambda e: induced_vertex_set(g, [0, e])),
+        "measure_decay": (True, lambda e: measure_decay(problem, pert,
+                                                        [[0], [e]])),
+        "set_to_point": (True, lambda e: set_to_point(problem, e, [0])),
+        "point_to_set": (True, lambda e: point_to_set(problem, 0, [e])),
+        "WeightedWalk.restricted": (False, lambda v: walk.restricted(v)),
+        "green_difference": (False, lambda v: green_difference(walk, 0, v,
+                                                               1, 2)),
+        "PerturbationSpec.from_mapping": (
+            False, lambda v: PerturbationSpec.from_mapping(g, {v: 1.0,
+                                                               0: -1.0})),
+    }
+
+
+@pytest.mark.parametrize("bad", ["unknown id", "index past the end", "-1"])
+@pytest.mark.parametrize("caller", sorted(_resolver_callers(path(3))))
+def test_bad_ids_and_indices_raise(caller, bad):
+    g = generate("random-k-regular", n=20, k=3, seed=1)
+    takes_edges, call = _resolver_callers(g)[caller]
+    size = g.n_edges if takes_edges else g.n_vertices
+    value = {"unknown id": "nope", "index past the end": size, "-1": -1}[bad]
+    with pytest.raises(GraphError, match="unknown .* id: nope|out of range"):
+        call(value)
+
+
+def _expected_fault(vertices, edges):
+    """The message of the first fault of the first failing class, in the
+    documented order, or None for a valid graph."""
+    if len(set(vertices)) < len(vertices):
+        return "duplicate vertex ids"
+    seen = set()
+    for eid, _, _ in edges:
+        if eid in seen:
+            return "duplicate edge id: %s" % eid
+        seen.add(eid)
+    for v in (v for _, t, h in edges for v in (t, h)):
+        if v not in vertices:
+            return "unknown endpoint id: %s" % v
+    for _, t, h in edges:
+        if t == h:
+            return "self-loop on vertex: %s" % t
+    pairs = set()
+    for _, t, h in edges:
+        if frozenset((t, h)) in pairs:
+            return "multiple edges between vertices: %s, %s" % (t, h)
+        pairs.add(frozenset((t, h)))
+    reached, stack = {vertices[0]}, [vertices[0]]
+    while stack:
+        u = stack.pop()
+        for _, t, h in edges:
+            for a, b in ((t, h), (h, t)):
+                if a == u and b not in reached:
+                    reached.add(b)
+                    stack.append(b)
+    return None if len(reached) == len(vertices) else "graph is not connected"
+
+
+def _inject(rng, vertices, edges, fault, tag):
+    """Put one fault into the vertex and edge lists, in place."""
+    def insert(edge):
+        edges.insert(int(rng.integers(len(edges) + 1)), edge)
+    j = int(rng.integers(len(edges)))
+    eid, t, h = edges[j]
+    if fault == "duplicate id":
+        edges[j] = (edges[(j + 1) % len(edges)][0], t, h)
+    elif fault == "unknown endpoint":
+        edges[j] = (eid, "ghost%d" % tag, h) if rng.integers(2) else \
+            (eid, t, "ghost%d" % tag)
+    elif fault == "self-loop":
+        insert(("loop%d" % tag, t, t))
+    elif fault == "reversed pair":
+        insert(("rev%d" % tag, h, t))
+    else:  # a split component: an isolated new vertex
+        vertices.insert(int(rng.integers(len(vertices) + 1)), "iso%d" % tag)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(3, 12),
+       extra=st.integers(0, 6),
+       faults=st.lists(st.sampled_from(["duplicate id", "unknown endpoint",
+                                        "self-loop", "reversed pair",
+                                        "split component"]),
+                       min_size=1, max_size=2))
+def test_fault_reporting_follows_check_order(seed, n, extra, faults):
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n, extra_edges=extra)
+    vertices, edges = list(g.vertices), list(g.edges)
+    for tag, fault in enumerate(faults):
+        _inject(rng, vertices, edges, fault, tag)
+    expected = _expected_fault(vertices, edges)
+    assert expected is not None
+    with pytest.raises(GraphError) as info:
+        DirectedGraph(vertices, edges)
+    assert str(info.value) == expected

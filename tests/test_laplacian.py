@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -297,6 +299,35 @@ def test_laplacian_solve_matches_pinv(kind, n, seed, log10_ratio, rhs_kind):
     want = pseudoinverse(WeightedWalk(g, w).L) @ rhs
     got = laplacian_solve(g, w, rhs)
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def _exact_path_solve(w, rhs):
+    """L_w^+ rhs on the path 1 - 2 - ... in rational arithmetic: the edge
+    flows are the prefix sums of the projected rhs, each potential step is
+    flow / weight, and the potential is shifted to mean zero."""
+    r = [Fraction(v) for v in rhs]
+    mean = sum(r) / len(r)
+    flow, x = Fraction(0), [Fraction(0)]
+    for rv, wv in zip(r, w):
+        flow += rv - mean
+        x.append(x[-1] - flow / Fraction(wv))
+    shift = sum(x) / len(x)
+    return np.array([float(v - shift) for v in x])
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_laplacian_solve_matches_exact_path_solve(seed):
+    """A 28-vertex path with one weight 1e-3 against the exact rational
+    solution; the dense pseudoinverse is off by about 1e-11 here."""
+    rng = np.random.default_rng(seed)
+    g = path(28)
+    w = np.ones(g.n_edges)
+    w[rng.integers(g.n_edges)] = 1e-3
+    rhs = rng.standard_normal(g.n_vertices)
+    want = _exact_path_solve(w, rhs)
+    got = laplacian_solve(g, w, rhs)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
