@@ -20,9 +20,8 @@ from .sensitivity import (FlowProblem, PerturbationSpec, SensitivityError,
                           directional_derivative, gaussian_identity_check,
                           generic_sensitivity_matrix, integrate_sensitivity,
                           sensitivity_operator, solve_exact)
-from .solver import (LocalizedSolver, PgdConfig, SolverError,
-                     localized_pgd_step, pgd_run, pgd_step,
-                     warm_start_reoptimize)
+from .solver import (LocalizedSolver, PgdConfig, SolverError, pgd_run,
+                     pgd_step, warm_start_reoptimize)
 from .locality import (BiasVarianceResult, DecayReport, DecayRow,
                        ErrorBudget, LocalityError, TuneResult, TunerFamily,
                        adjacency_slem, bias_variance, budget_for,
@@ -45,8 +44,8 @@ __all__ = [
     "directional_derivative", "gaussian_identity_check",
     "generic_sensitivity_matrix", "integrate_sensitivity",
     "sensitivity_operator", "solve_exact",
-    "LocalizedSolver", "PgdConfig", "SolverError", "localized_pgd_step",
-    "pgd_run", "pgd_step", "warm_start_reoptimize",
+    "LocalizedSolver", "PgdConfig", "SolverError", "pgd_run", "pgd_step",
+    "warm_start_reoptimize",
     "BiasVarianceResult", "DecayReport", "DecayRow", "ErrorBudget",
     "LocalityError", "TuneResult", "TunerFamily", "adjacency_slem",
     "bias_variance", "budget_for", "envelope_lambda", "interlacing_bound",

@@ -8,6 +8,7 @@ values use 17 significant digits.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -65,31 +66,41 @@ def _require(config, *keys):
     return [config[k] for k in keys]
 
 
+@contextlib.contextmanager
+def _reading(path):
+    """Input errors while turning the JSON of path into a graph, costs,
+    flow or perturbation: a SensitivityError is bad data, and a TypeError
+    or AttributeError a file of the wrong shape, named in the message."""
+    try:
+        yield
+    except SensitivityError as exc:
+        raise CliInputError(str(exc)) from None
+    except (TypeError, AttributeError) as exc:
+        raise CliInputError("malformed file %s: %s" % (path, exc)) from None
+
+
 def _load_problem(config):
     graph_path, costs_path, flow_path = _require(
         config, "graph", "costs", "flow")
-    g = graphmod.DirectedGraph.load(graph_path)
-    bundle = ObjectiveBundle.from_spec(_load_json(costs_path),
-                                       [e[0] for e in g.edges])
-    flow_map = _load_json(flow_path)
+    with _reading(graph_path):
+        g = graphmod.DirectedGraph.load(graph_path)
+    with _reading(costs_path):
+        bundle = ObjectiveBundle.from_spec(_load_json(costs_path),
+                                           [e[0] for e in g.edges])
     b = np.zeros(g.n_vertices)
-    for vid, val in flow_map.items():
-        if vid not in g.vertex_index:
-            raise CliInputError("unknown vertex id in flow file: %s" % vid)
-        b[g.vertex_index[vid]] = float(val)
-    try:
+    with _reading(flow_path):
+        for vid, val in _load_json(flow_path).items():
+            if vid not in g.vertex_index:
+                raise CliInputError("unknown vertex id in flow file: %s" % vid)
+            b[g.vertex_index[vid]] = float(val)
         problem = FlowProblem(g, bundle, b)
-    except SensitivityError as exc:  # bad input data, not a solver failure
-        raise CliInputError(str(exc))
     return g, bundle, problem
 
 
 def _load_perturbation(config, g):
     (path,) = _require(config, "perturbation")
-    try:
+    with _reading(path):
         return PerturbationSpec.from_mapping(g, _load_json(path))
-    except SensitivityError as exc:
-        raise CliInputError(str(exc))
 
 
 def _index_map(g):
@@ -338,15 +349,13 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except CliInputError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
-    except INPUT_ERRORS as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
+    # LaplacianError and LinAlgError are ValueErrors too, so runtime first
     except RUNTIME_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_RUNTIME
+    except INPUT_ERRORS as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

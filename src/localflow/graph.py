@@ -199,8 +199,8 @@ def induced_vertex_set(g, F):
 
 class SubgraphSpec:
     """A connected subgraph: v_in/e_in are its vertex and edge indices and
-    v_out/e_out the rest, each sorted. The inner boundary holds the
-    subgraph vertices with a neighbor outside it. `induced` is the
+    cut the edges with one end in it, each sorted. The inner boundary holds
+    the subgraph vertices with a neighbor outside it. `induced` is the
     subgraph as a DirectedGraph, vertices and edges in index order.
     """
 
@@ -211,15 +211,12 @@ class SubgraphSpec:
         self.v_in = np.flatnonzero(inside)
         if not len(self.v_in):
             raise GraphError("empty subgraph vertex set")
-        edge_inside = inside[g.tails] & inside[g.heads]
-        self.e_in = np.flatnonzero(edge_inside)
-        self.v_out = np.flatnonzero(~inside)
-        self.e_out = np.flatnonzero(~edge_inside)
+        self.e_in = np.flatnonzero(inside[g.tails] & inside[g.heads])
+        self.cut = np.flatnonzero(inside[g.tails] != inside[g.heads])
         self.vertex_set = frozenset(self.v_in.tolist())
         self.edge_set = frozenset(self.e_in.tolist())
         # the inner ends of the edges that leave the subgraph
-        cut = inside[g.tails] != inside[g.heads]
-        ends = np.concatenate([g.tails[cut], g.heads[cut]])
+        ends = np.concatenate([g.tails[self.cut], g.heads[self.cut]])
         self.boundary = frozenset(ends[inside[ends]].tolist())
         try:
             self.induced = DirectedGraph(
@@ -231,15 +228,6 @@ class SubgraphSpec:
     @property
     def is_whole_graph(self):
         return len(self.v_in) == self.graph.n_vertices
-
-    def sorted_vertices(self):
-        return self.v_in.tolist()
-
-    def sorted_edges(self):
-        return self.e_in.tolist()
-
-    def sorted_edge_complement(self):
-        return self.e_out.tolist()
 
 
 def ball_subgraph(g, center, r):

@@ -88,10 +88,6 @@ class Spectrum:
         else:
             self.lam = 0.0
 
-    @property
-    def gap(self):
-        return 1.0 - self.lam
-
 
 def pseudoinverse(L):
     """Moore-Penrose pseudoinverse via eigendecomposition with a

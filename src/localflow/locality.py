@@ -15,7 +15,7 @@ import numpy as np
 
 from .graph import _edge_indices, _edge_set, geodesic_distance
 from .laplacian import WeightedWalk, laplacian_solve
-from .sensitivity import sensitivity_operator, solve_exact
+from .sensitivity import PerturbationSpec, sensitivity_operator, solve_exact
 from .solver import LocalizedSolver, SolverError
 
 
@@ -144,20 +144,11 @@ def _edge_perturbation(problem, e):
 
 
 def set_to_point(problem, e, F):
-    """Effect of a single edge perturbation on an edge set F: measured
-    norm and the cardinality-free bound sqrt(2) c lam^d / (1 - lam)."""
-    mode = _constants_mode(problem)
-    g = problem.graph
-    k, p = _edge_perturbation(problem, e)
-    op = sensitivity_operator(problem)
-    deriv = op.apply(p)
-    idx, U = _edge_set(g, F)
-    dist = geodesic_distance(g, U, [g.tails[k], g.heads[k]])
-    c = _set_constants(problem, op.walk, U, mode)[0]
-    lam = _decay_rate(problem, op.walk, mode)
-    measured = float(np.linalg.norm(deriv[idx]))
-    bound = math.sqrt(2.0) * c * lam ** dist / (1.0 - lam)
-    return measured, bound
+    """measure_decay's row for F under the perturbation of edge e: the
+    measured norm and the cardinality-free bound sqrt(2) c lam^d/(1-lam)."""
+    pert = PerturbationSpec(problem.graph, _edge_perturbation(problem, e)[1])
+    row = measure_decay(problem, pert, [F]).rows[0]
+    return row.measured, row.bound
 
 
 def point_to_set(problem, f, F):
@@ -337,6 +328,10 @@ def tune(family, eps):
     if eps <= 0:
         raise LocalityError("accuracy target must be positive")
     Q, k, mu, z = family.Q, family.k, family.mu, family.z
+    for field, ok in (("k >= 1", k >= 1), ("mu >= 0", mu >= 0),
+                      ("p_norm > 0", family.p_norm > 0)):
+        if not ok:
+            raise LocalityError("tuner family needs %s" % field)
     rho, c, gamma = _envelope(Q, k, k, mu)
     if rho >= 1.0:
         raise LocalityError("budget invalid: rho = %.4f >= 1" % rho)

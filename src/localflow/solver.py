@@ -85,14 +85,16 @@ class LocalizedSolver:
 
     def restricted_b(self, x, b_target):
         """b_target on the subgraph minus the frozen flows' outflow there,
-        after checking that the frozen flows meet b_target outside it."""
-        v_in, v_out, e_out = self.sub.v_in, self.sub.v_out, self.sub.e_out
-        frozen = self.problem.graph.net_outflow(x[e_out], e_out)
-        worst = float(np.abs(frozen[v_out] - b_target[v_out]).max(initial=0))
+        after checking that the frozen flows meet b_target outside it;
+        only the cut edges carry frozen flow into the subgraph."""
+        g, v_in, cut = self.problem.graph, self.sub.v_in, self.sub.cut
+        residual = g.net_outflow(x) - b_target
+        residual[v_in] = 0.0
+        worst = float(np.abs(residual).max())
         if not worst <= FEAS_TOL * _scale(b_target):
             raise SolverError("boundary flows violate constraints: max "
                               "residual %.3e" % worst)
-        return b_target[v_in] - frozen[v_in]
+        return b_target[v_in] - g.net_outflow(x[cut], cut)[v_in]
 
     def step(self, x, b_target, eta=None):
         """One localized iteration; complement components pass through."""
@@ -126,11 +128,6 @@ class LocalizedSolver:
         complement components frozen."""
         return self._scatter(x, solve_exact(FlowProblem(
             self.sub.induced, self.bundle, self.restricted_b(x, b_target))))
-
-
-def localized_pgd_step(problem, sub, x, b_target=None, eta=None):
-    return LocalizedSolver(problem, sub).step(
-        x, problem.b if b_target is None else b_target, eta)
 
 
 def warm_start_reoptimize(problem, pert, sub, t, x_star=None, eta=None,

@@ -250,6 +250,20 @@ def test_tune_invalid_family_exits_3(tmp_path, capsys):
     assert "budget invalid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family, field", [
+    ({"Q": 1.0, "k": 0, "mu": 2.82}, "k >= 1"),
+    ({"Q": 1.0, "k": 3, "mu": -0.5}, "mu >= 0"),
+    ({"Q": 1.0, "k": 3, "mu": 2.8, "p-norm": 0.0}, "p_norm > 0"),
+    ({"Q": 1.0, "k": 3, "mu": 2.8, "p-norm": -1.0}, "p_norm > 0"),
+])
+def test_tune_unpriceable_family_exits_3(tmp_path, capsys, family, field):
+    config = write_json(tmp_path / "family.json", family)
+    code = main(["tune", "--config", config, "--eps", "1e-3",
+                 "--out", str(tmp_path)])
+    assert code == 3
+    assert field in capsys.readouterr().err
+
+
 def test_interlace_report(tmp_path):
     gen_out = str(tmp_path / "gen")
     assert main(["generate", "--kind", "random-k-regular", "--n", "30",
@@ -382,3 +396,49 @@ def test_decay_nan_perturbation_exits_2(cycle6_files, tmp_path, capsys):
                  flow, "--perturbation", pert,
                  "--out", str(tmp_path / "out")]) == 2
     assert "not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error, code", [
+    (cli.graphmod.GraphError("bad"), 2),
+    (cli.CostError("bad"), 2),
+    (cli.CliInputError("bad"), 2),
+    (KeyError("bad"), 2),
+    (cli.SensitivityError("bad"), 3),
+    (cli.SolverError("bad"), 3),
+    (cli.LaplacianError("bad"), 3),
+    (cli.locality.LocalityError("bad"), 3),
+    (np.linalg.LinAlgError("bad"), 3),
+])
+def test_exit_code_by_error_class(monkeypatch, capsys, error, code):
+    def fail(args):
+        raise error
+
+    monkeypatch.setitem(cli.COMMANDS, "solve", fail)
+    assert main(["solve"]) == code
+    assert "bad" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("role, payload", [
+    ("graph", {"vertices": 5, "edges": []}),
+    ("graph", {"vertices": [["v0"], "v1"], "edges": []}),
+    ("graph", {"vertices": ["v0", "v1"], "edges": [["e0", "v0", "v1"]]}),
+    ("graph", [["v0", "v1"]]),
+    ("costs", [{"kind": "quadratic", "a": 1.0}]),
+    ("costs", {"default": 3}),
+    ("costs", {"default": {"kind": "quadratic", "a": [1]}}),
+    ("flow", [1.0, -1.0]),
+    ("flow", {"v0": [1.0], "v3": -1.0}),
+    ("perturbation", {"v0": [1.0], "v3": -1.0}),
+])
+def test_malformed_file_exits_2(cycle6_files, tmp_path, capsys, role,
+                                payload):
+    graph, costs, flow = cycle6_files
+    files = {"graph": graph, "costs": costs, "flow": flow,
+             "perturbation": write_json(tmp_path / "pert.json",
+                                        {"v0": 1.0, "v3": -1.0})}
+    files[role] = write_json(tmp_path / "bad.json", payload)
+    argv = ["sensitivity", "--out", str(tmp_path / "out")]
+    for name, path in files.items():
+        argv += ["--" + name, path]
+    assert main(argv) == 2
+    assert "malformed file %s" % files[role] in capsys.readouterr().err

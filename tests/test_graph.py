@@ -216,12 +216,11 @@ def test_local_ball_matches_whole_graph_bfs(kind, seed):
         assert sub.vertex_set == verts
         assert sub.edge_set == edges
         assert sub.boundary == boundary
-        assert sub.sorted_vertices() == sorted(verts)
-        assert sub.sorted_edges() == sorted(edges)
-        assert sub.sorted_edge_complement() == sorted(
-            set(range(g.n_edges)) - edges)
-        assert sub.v_out.tolist() == sorted(
-            set(range(g.n_vertices)) - verts)
+        assert sub.v_in.tolist() == sorted(verts)
+        assert sub.e_in.tolist() == sorted(edges)
+        assert sub.cut.tolist() == [
+            k for k in range(g.n_edges)
+            if (g.tails[k] in verts) != (g.heads[k] in verts)]
         assert sub.is_whole_graph == (len(verts) == g.n_vertices)
 
 

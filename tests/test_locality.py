@@ -278,10 +278,10 @@ def test_interlacing_seeded_subgraph_sweep():
     while checked < 100:
         center = "v%d" % int(rng.integers(0, 100))
         sub = ball_subgraph(g, center, int(rng.integers(1, 4)))
-        e_in = sub.sorted_edges()
+        e_in = sub.e_in
         if len(e_in) < 2:
             continue
-        verts = [g.vertices[v] for v in sub.sorted_vertices()]
+        verts = [g.vertices[v] for v in sub.v_in]
         edges = [g.edges[k] for k in e_in]
         try:
             sub_graph = DirectedGraph(verts, edges)
@@ -327,7 +327,7 @@ def test_bias_variance_identity_and_support(expander200):
     # exact vector identity
     assert np.abs(out.error - (out.bias + out.variance)).max() < 1e-12
     # variance is supported on the subgraph's edges only
-    outside = sub.sorted_edge_complement()
+    outside = np.setdiff1d(np.arange(g.n_edges), sub.e_in)
     assert np.abs(out.variance[outside]).max() == 0.0
     assert out.budget.valid
     assert np.linalg.norm(out.bias) <= out.bias_bound + 1e-9

@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 from localflow import (CostError, EdgeCost, FlowProblem, LocalizedSolver,
                        ObjectiveBundle, PerturbationSpec, PgdConfig,
                        SolverError, SubgraphSpec, ball_subgraph,
-                       build_incidence, generate, localized_pgd_step, pgd_run,
-                       pgd_step, pseudoinverse, solve_exact,
-                       warm_start_reoptimize)
+                       build_incidence, generate, pgd_run, pgd_step,
+                       pseudoinverse, solve_exact, warm_start_reoptimize)
 from conftest import (logcosh_bundle, path, quadratic_problem,
                       random_balanced, random_connected_graph, triangle)
 
@@ -82,7 +81,7 @@ def test_localized_whole_graph_matches_pgd(rng):
     sub = SubgraphSpec(g, range(g.n_vertices))
     x = feasible_point(problem, rng)
     full = pgd_step(problem, x)
-    local = localized_pgd_step(problem, sub, x)
+    local = LocalizedSolver(problem, sub).step(x, problem.b)
     assert np.allclose(full, local, atol=1e-9)
 
 
@@ -90,11 +89,11 @@ def test_localized_freezes_complement(rng):
     g = random_connected_graph(rng, 14, extra_edges=8)
     problem = quadratic_problem(g, random_balanced(rng, g.n_vertices))
     sub = ball_subgraph(g, "v0", 2)
-    if sub.is_whole_graph or not sub.sorted_edges():
+    if sub.is_whole_graph or not len(sub.e_in):
         pytest.skip("degenerate ball for this seed")
     x = solve_exact(problem)
-    stepped = localized_pgd_step(problem, sub, x)
-    outside = sub.sorted_edge_complement()
+    stepped = LocalizedSolver(problem, sub).step(x, problem.b)
+    outside = np.setdiff1d(np.arange(g.n_edges), sub.e_in)
     assert np.array_equal(stepped[outside], x[outside])
 
 
@@ -102,13 +101,13 @@ def test_localized_boundary_violation_detected(rng):
     g = random_connected_graph(rng, 14, extra_edges=8)
     problem = quadratic_problem(g, random_balanced(rng, g.n_vertices))
     sub = ball_subgraph(g, "v0", 1)
-    if sub.is_whole_graph or not sub.sorted_edges():
+    if sub.is_whole_graph or not len(sub.e_in):
         pytest.skip("degenerate ball for this seed")
     x = solve_exact(problem)
     bad = x.copy()
-    bad[sub.sorted_edge_complement()[0]] += 1.0
+    bad[np.setdiff1d(np.arange(g.n_edges), sub.e_in)[0]] += 1.0
     with pytest.raises(SolverError, match="boundary"):
-        localized_pgd_step(problem, sub, bad)
+        LocalizedSolver(problem, sub).step(bad, problem.b)
 
 
 def test_localized_limit_is_restricted_solve(rng):
@@ -116,12 +115,12 @@ def test_localized_limit_is_restricted_solve(rng):
     problem = FlowProblem(g, logcosh_bundle(rng, g.n_edges),
                           random_balanced(rng, g.n_vertices))
     sub = ball_subgraph(g, "v0", 2)
-    if sub.is_whole_graph or not sub.sorted_edges():
+    if sub.is_whole_graph or not len(sub.e_in):
         pytest.skip("degenerate ball for this seed")
     x_star = solve_exact(problem)
     p = np.zeros(g.n_vertices)
-    inside = [v for v in sub.sorted_vertices() if v != sub.sorted_vertices()[0]]
-    p[sub.sorted_vertices()[0]] = 1.0
+    inside = [v for v in sub.v_in if v != sub.v_in[0]]
+    p[sub.v_in[0]] = 1.0
     p[inside[0]] = -1.0
     b_target = problem.b + p
     local = LocalizedSolver(problem, sub)
@@ -136,7 +135,7 @@ def test_localized_error_contraction_monotone(rng):
     g = random_connected_graph(rng, 12, extra_edges=8)
     problem = quadratic_problem(g, random_balanced(rng, g.n_vertices), a=2.0)
     sub = ball_subgraph(g, "v1", 2)
-    if sub.is_whole_graph or not sub.sorted_edges():
+    if sub.is_whole_graph or not len(sub.e_in):
         pytest.skip("degenerate ball for this seed")
     x_star = solve_exact(problem)
     local = LocalizedSolver(problem, sub)
@@ -195,9 +194,9 @@ def test_warm_start_feasibility_every_iterate(rng):
     g = random_connected_graph(rng, 14, extra_edges=10)
     problem = quadratic_problem(g, random_balanced(rng, g.n_vertices))
     sub = ball_subgraph(g, "v0", 2)
-    if sub.is_whole_graph or not sub.sorted_edges():
+    if sub.is_whole_graph or not len(sub.e_in):
         pytest.skip("degenerate ball for this seed")
-    verts = sub.sorted_vertices()
+    verts = sub.v_in
     p = np.zeros(g.n_vertices)
     p[verts[0]], p[verts[1]] = 1.0, -1.0
     pert = PerturbationSpec(g, p)
@@ -212,8 +211,8 @@ def test_warm_start_feasibility_every_iterate(rng):
 def _reference_iterates(problem, sub, x, b_target, t, eta):
     """t localized steps on the full vector, with the dense projector of
     the subgraph's incidence matrix."""
-    e_in, v_in = sub.sorted_edges(), sub.sorted_vertices()
-    e_out = sub.sorted_edge_complement()
+    e_in, v_in = sub.e_in, sub.v_in
+    e_out = np.setdiff1d(np.arange(problem.graph.n_edges), e_in)
     A_sub = build_incidence(sub.induced)
     lift = A_sub.T @ pseudoinverse(A_sub @ A_sub.T)
     Pi = np.eye(len(e_in)) - lift @ A_sub
@@ -237,11 +236,11 @@ def test_localized_run_matches_full_vector_reference(seed, quadratic, radius):
               if quadratic else logcosh_bundle(rng, g.n_edges))
     problem = FlowProblem(g, bundle, random_balanced(rng, g.n_vertices))
     sub = ball_subgraph(g, int(rng.integers(g.n_vertices)), radius)
-    if not sub.sorted_edges():
+    if not len(sub.e_in):
         return
     x = solve_exact(problem)
     x0 = x.copy()
-    verts = sub.sorted_vertices()
+    verts = sub.v_in
     b_target = problem.b.copy()
     b_target[verts[0]] += 1.0
     b_target[verts[-1]] -= 1.0
@@ -249,6 +248,11 @@ def test_localized_run_matches_full_vector_reference(seed, quadratic, radius):
     ref = _reference_iterates(problem, sub, x, b_target, 7, eta)
     seen = []
     local = LocalizedSolver(problem, sub)
+    # the cut edges give the frozen outflow of all complement edges bit
+    # for bit (the dense A product above sums in another order)
+    e_out = np.setdiff1d(np.arange(g.n_edges), sub.e_in)
+    b_in = b_target[verts] - g.net_outflow(x[e_out], e_out)[verts]
+    assert np.array_equal(local.restricted_b(x, b_target), b_in)
     collected = local.run(x, b_target, 7, eta, collect=seen.append)
     plain = local.run(x, b_target, 7, eta)
     scale = max(np.abs(r).max() for r in ref)
@@ -261,8 +265,9 @@ def test_localized_run_matches_full_vector_reference(seed, quadratic, radius):
 
 
 def test_localized_run_checks_frozen_flows_once(rng):
-    """Per step the run touches only the ball: the full graph's outflow is
-    computed once, and the full bundle is only domain-checked once."""
+    """Per step the run touches only the ball: the full graph's outflow
+    and the cut edges' outflow are computed once each, and the full bundle
+    is only domain-checked once."""
     g = generate("random-k-regular", n=400, k=3, seed=5)
     problem = FlowProblem(g, logcosh_bundle(rng, g.n_edges),
                           random_balanced(rng, g.n_vertices))
@@ -282,7 +287,7 @@ def test_localized_run_checks_frozen_flows_once(rng):
     g.net_outflow, local.bundle.gradient = counted_outflow, counted_gradient
     problem.bundle.gradient = problem.bundle.hessian_diag = None
     local.run(x, problem.b, 30)
-    assert outflows == [g.n_edges - len(local.e_in)]
+    assert outflows == [g.n_edges, len(local.sub.cut)]
     assert gradient_sizes == [len(local.e_in)] * 30
 
 
@@ -293,7 +298,8 @@ def test_localized_run_rejects_out_of_domain_frozen_flow():
     problem = FlowProblem(g, ObjectiveBundle(costs), np.zeros(12))
     sub = ball_subgraph(g, 0, 2)
     x = solve_exact(problem)
-    frozen = sub.sorted_edge_complement()[3]  # both ends outside the ball
+    # both ends outside the ball
+    frozen = int(np.setdiff1d(np.arange(g.n_edges), sub.e_in)[3])
     x[frozen] = 5.0
     # a target that the frozen flows meet, so only the domain check objects
     b_target = g.net_outflow(x)
