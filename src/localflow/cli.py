@@ -1,10 +1,16 @@
 """Command-line driver.
 
-Subcommands: solve, sensitivity, decay, reopt, tune, interlace, generate.
-A JSON config file may supply any option; command-line flags win. Exit
-codes: 0 success, 2 input/validation error, 3 runtime or numerical error.
-Reports embed the resolved config and the vertex/edge index mapping; CSV
-values use 17 significant digits.
+Every subcommand takes --config and --out, plus the flags OPTIONS gives:
+solve --graph --costs --flow --tolerance; sensitivity and decay --graph
+--costs --flow --perturbation; reopt those and --subgraph-center --radius
+--iters; interlace --graph --costs --flow --subgraph-center --radius;
+tune --eps --z --omega --p-norm and either the family --Q --k --mu or
+--graph --costs --flow; generate --kind and that kind's --n, --k, --rows,
+--cols, --seed. A JSON config file may supply these and any other keys
+(all echoed in the report); flags win. A flag that the subcommand does
+not take is a usage error. Exit codes: 0 success, 2 input or usage error,
+3 runtime or numerical error. Reports embed the resolved config and the
+vertex/edge index mapping; CSV values use 17 significant digits.
 """
 
 import argparse
@@ -47,13 +53,12 @@ def _load_json(path):
         return json.load(fh)
 
 
-def _resolve_config(args, keys):
-    """Config-file values overridden by explicit flags."""
-    config = {}
-    if args.config:
-        config.update(_load_json(args.config))
-    for key in keys:
-        val = getattr(args, key.replace("-", "_"), None)
+def _resolve_config(args):
+    """Config-file values overridden by the flags the subcommand takes."""
+    with _reading(args.config):
+        config = dict(_load_json(args.config)) if args.config else {}
+    for key in [*OPTIONS[args.command], "out"]:
+        val = getattr(args, key.replace("-", "_"))
         if val is not None:
             config[key] = val
     return config
@@ -68,9 +73,9 @@ def _require(config, *keys):
 
 @contextlib.contextmanager
 def _reading(path):
-    """Input errors while turning the JSON of path into a graph, costs,
-    flow or perturbation: a SensitivityError is bad data, and a TypeError
-    or AttributeError a file of the wrong shape, named in the message."""
+    """Input errors while turning the JSON of path into a config, graph,
+    costs, flow or perturbation: a SensitivityError is bad data, and a
+    TypeError or AttributeError a malformed file, named in the message."""
     try:
         yield
     except SensitivityError as exc:
@@ -129,9 +134,7 @@ def _write_csv(path, header, rows):
                 for cell in row) + "\n")
 
 
-def cmd_solve(args):
-    config = _resolve_config(
-        args, ["graph", "costs", "flow", "tolerance", "out"])
+def cmd_solve(config):
     g, _, problem = _load_problem(config)
     x = solve_exact(problem, tol=float(config.get("tolerance") or 1e-10))
     grad = problem.bundle.gradient(x)
@@ -150,9 +153,7 @@ def cmd_solve(args):
     return EXIT_OK
 
 
-def cmd_sensitivity(args):
-    config = _resolve_config(
-        args, ["graph", "costs", "flow", "perturbation", "out"])
+def cmd_sensitivity(config):
     g, _, problem = _load_problem(config)
     pert = _load_perturbation(config, g)
     op = sensitivity_operator(problem)
@@ -171,9 +172,7 @@ def cmd_sensitivity(args):
     return EXIT_OK
 
 
-def cmd_decay(args):
-    config = _resolve_config(
-        args, ["graph", "costs", "flow", "perturbation", "out"])
+def cmd_decay(config):
     g, _, problem = _load_problem(config)
     pert = _load_perturbation(config, g)
 
@@ -191,10 +190,7 @@ def cmd_decay(args):
     return EXIT_OK
 
 
-def cmd_reopt(args):
-    config = _resolve_config(
-        args, ["graph", "costs", "flow", "perturbation",
-               "subgraph-center", "radius", "iters", "out"])
+def cmd_reopt(config):
     g, _, problem = _load_problem(config)
     pert = _load_perturbation(config, g)
     center, radius, iters = _require(
@@ -234,16 +230,16 @@ def cmd_reopt(args):
     return EXIT_OK
 
 
-def cmd_tune(args):
-    config = _resolve_config(
-        args, ["graph", "costs", "flow", "eps", "out", "z", "omega",
-               "p-norm"])
+def cmd_tune(config):
     (eps,) = _require(config, "eps")
     if config.get("graph"):
+        if any(config.get(key) is not None for key in ("Q", "k", "mu")):
+            raise CliInputError("--Q, --k and --mu do not apply with --graph")
         g, bundle, _ = _load_problem(config)
         (k, _, mu), Q = locality._graph_triple(g), bundle.Q
     else:
-        Q, k, mu = float(config["Q"]), int(config["k"]), float(config["mu"])
+        Q, k, mu = _require(config, "Q", "k", "mu")
+        Q, k, mu = float(Q), int(k), float(mu)
     family = locality.TunerFamily(
         Q=Q, k=k, mu=mu, z=int(config.get("z", 1)),
         p_norm=float(config.get("p-norm", 1.0)),
@@ -265,9 +261,7 @@ def cmd_tune(args):
     return EXIT_OK
 
 
-def cmd_interlace(args):
-    config = _resolve_config(
-        args, ["graph", "costs", "flow", "subgraph-center", "radius", "out"])
+def cmd_interlace(config):
     g, _, problem = _load_problem(config)
     center, radius = _require(config, "subgraph-center", "radius")
     sub = graphmod.ball_subgraph(g, center, int(radius))
@@ -287,12 +281,9 @@ def cmd_interlace(args):
     return EXIT_OK
 
 
-def cmd_generate(args):
-    config = _resolve_config(
-        args, ["kind", "n", "k", "rows", "cols", "seed", "out"])
+def cmd_generate(config):
     (kind,) = _require(config, "kind")
-    keys = {"complete": ["n"], "cycle": ["n"], "grid-2d": ["rows", "cols"],
-            "random-k-regular": ["n", "k", "seed"]}.get(kind, [])
+    _, keys = graphmod.GENERATORS.get(kind, (None, ()))
     params = {key: int(v) for key, v in zip(keys, _require(config, *keys))}
     g = graphmod.generate(kind, **params)
     out = _out_dir(config)
@@ -302,6 +293,22 @@ def cmd_generate(args):
                  "n_vertices": g.n_vertices, "n_edges": g.n_edges})
     return EXIT_OK
 
+
+_PROBLEM = {"graph": str, "costs": str, "flow": str}
+# the flags each subcommand takes besides --config and --out; the only
+# record of which options a subcommand reads
+OPTIONS = {
+    "solve": {**_PROBLEM, "tolerance": float},
+    "sensitivity": {**_PROBLEM, "perturbation": str},
+    "decay": {**_PROBLEM, "perturbation": str},
+    "reopt": {**_PROBLEM, "perturbation": str, "subgraph-center": str,
+              "radius": int, "iters": int},
+    "tune": {**_PROBLEM, "eps": float, "Q": float, "k": int, "mu": float,
+             "z": int, "omega": float, "p-norm": float},
+    "interlace": {**_PROBLEM, "subgraph-center": str, "radius": int},
+    "generate": {"kind": str, "n": int, "k": int, "rows": int, "cols": int,
+                 "seed": int},
+}
 
 COMMANDS = {
     "solve": cmd_solve,
@@ -320,35 +327,19 @@ def build_parser():
         description="Min-cost flow sensitivity, locality and warm-start "
                     "reoptimization experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, options in OPTIONS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file; flags override")
-        p.add_argument("--graph")
-        p.add_argument("--costs")
-        p.add_argument("--flow")
-        p.add_argument("--perturbation")
-        p.add_argument("--subgraph-center", dest="subgraph_center")
-        p.add_argument("--radius", type=int)
-        p.add_argument("--iters", type=int)
-        p.add_argument("--seed", type=int)
         p.add_argument("--out")
-        p.add_argument("--tolerance", type=float)
-        p.add_argument("--eps", type=float)
-        p.add_argument("--z", type=int)
-        p.add_argument("--omega", type=float)
-        p.add_argument("--p-norm", dest="p_norm", type=float)
-        p.add_argument("--kind")
-        p.add_argument("--n", type=int)
-        p.add_argument("--k", type=int)
-        p.add_argument("--rows", type=int)
-        p.add_argument("--cols", type=int)
+        for key, cast in options.items():
+            p.add_argument("--" + key, type=cast)
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        return COMMANDS[args.command](_resolve_config(args))
     # LaplacianError and LinAlgError are ValueErrors too, so runtime first
     except RUNTIME_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)

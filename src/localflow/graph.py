@@ -258,15 +258,10 @@ def radius_max(g, center):
 def generate(kind, **params):
     """Build a named graph family member. Edges get an arbitrary fixed
     orientation; random-k-regular resamples until simple and connected."""
-    if kind == "complete":
-        return _complete(params["n"])
-    if kind == "cycle":
-        return _cycle(params["n"])
-    if kind == "grid-2d":
-        return _grid(params["rows"], params["cols"])
-    if kind == "random-k-regular":
-        return _random_regular(params["n"], params["k"], params["seed"])
-    raise GraphError("unknown graph kind: %s" % kind)
+    if kind not in GENERATORS:
+        raise GraphError("unknown graph kind: %s" % kind)
+    build, names = GENERATORS[kind]
+    return build(*(params[name] for name in names))
 
 
 def _vnames(n):
@@ -327,3 +322,11 @@ def _random_regular(n, k, seed, max_tries=2000):
         except GraphError:
             continue
     raise GraphError("failed to sample a connected simple %d-regular graph" % k)
+
+
+GENERATORS = {
+    "complete": (_complete, ("n",)),
+    "cycle": (_cycle, ("n",)),
+    "grid-2d": (_grid, ("rows", "cols")),
+    "random-k-regular": (_random_regular, ("n", "k", "seed")),
+}

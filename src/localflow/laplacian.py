@@ -62,9 +62,10 @@ class WeightedWalk:
     _spectrum = cached_property(lambda self: Spectrum(self))
     _pinv = cached_property(lambda self: pseudoinverse(self.L))
 
-    def is_aperiodic(self, tol=1e-10):
-        # connected walk is periodic iff bipartite iff -1 is an eigenvalue
-        return self.spectrum().eigenvalues[-1] > -1.0 + tol
+    def is_aperiodic(self):
+        # connected: periodic iff bipartite iff no edge joins equal depths
+        g, d = self.graph, self.graph.bfs_distances([0])
+        return bool(np.any(d[g.tails] == d[g.heads]))
 
     def restricted(self, kill):
         return RestrictedLaplacian(self, kill)
@@ -114,14 +115,17 @@ def laplacian_solve(graph, weights, rhs):
     if not (np.all(np.isfinite(r)) and np.all(np.isfinite(w) & (w > 0))):
         raise LaplacianError("Laplacian solve needs a finite right-hand "
                              "side and finite positive weights")
+    # an exact power-of-two scaling keeps r @ r from over- and underflow
+    e = np.frexp(np.abs(r).max())[1]
+    r = np.ldexp(r, -e)
     r = r - r.mean()
     x, inv_d = np.zeros_like(r), 1.0 / _weighted_degrees(graph, w)
     z = p = inv_d * r
     rz, scale = r @ z, np.sqrt(r @ r)
     for _ in range(10 * graph.n_vertices + 100):
         res = np.sqrt(r @ r)
-        if res < CG_RTOL * scale or res == 0.0:  # false when r @ r overflows
-            return x - x.mean()
+        if res < CG_RTOL * scale or res == 0.0:
+            return np.ldexp(x - x.mean(), e)
         if not np.isfinite(res):
             break
         Lp = graph.net_outflow(w * graph.potential_difference(p))

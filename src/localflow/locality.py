@@ -333,6 +333,8 @@ def tune(family, eps):
         if not ok:
             raise LocalityError("tuner family needs %s" % field)
     rho, c, gamma = _envelope(Q, k, k, mu)
+    if rho <= 0.0:
+        raise LocalityError("tuner family needs rho > 0: Q (1 + mu/k) > 1")
     if rho >= 1.0:
         raise LocalityError("budget invalid: rho = %.4f >= 1" % rho)
     nu_bias = family.p_norm * gamma / ((1.0 - rho) ** 2 * rho ** z)

@@ -255,6 +255,8 @@ def test_tune_invalid_family_exits_3(tmp_path, capsys):
     ({"Q": 1.0, "k": 3, "mu": -0.5}, "mu >= 0"),
     ({"Q": 1.0, "k": 3, "mu": 2.8, "p-norm": 0.0}, "p_norm > 0"),
     ({"Q": 1.0, "k": 3, "mu": 2.8, "p-norm": -1.0}, "p_norm > 0"),
+    ({"Q": 1.0, "k": 3, "mu": 0.0}, "rho > 0"),
+    ({"Q": 0.5, "k": 3, "mu": 2.8}, "rho > 0"),
 ])
 def test_tune_unpriceable_family_exits_3(tmp_path, capsys, family, field):
     config = write_json(tmp_path / "family.json", family)
@@ -262,6 +264,43 @@ def test_tune_unpriceable_family_exits_3(tmp_path, capsys, family, field):
                  "--out", str(tmp_path)])
     assert code == 3
     assert field in capsys.readouterr().err
+
+
+def test_tune_flag_overrides_family_file(tmp_path):
+    config = write_json(tmp_path / "family.json",
+                        {"Q": 1.0, "k": 3, "mu": 2.8})
+    out = str(tmp_path / "tune")
+    assert main(["tune", "--config", config, "--k", "4", "--eps", "1e-3",
+                 "--out", out]) == 0
+    report = json.load(open(os.path.join(out, "tune.json")))
+    assert report["constants"]["k"] == 4
+
+
+def test_tune_family_from_flags_matches_config_file(tmp_path):
+    config = write_json(tmp_path / "family.json",
+                        {"Q": 1.0, "k": 3, "mu": 2.8})
+    reports = []
+    for name, argv in (("file", ["--config", config]),
+                       ("flags", ["--Q", "1", "--k", "3", "--mu", "2.8"])):
+        out = str(tmp_path / name)
+        assert main(["tune", *argv, "--eps", "1e-3", "--out", out]) == 0
+        report = json.load(open(os.path.join(out, "tune.json")))
+        del report["config"]["out"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
+def test_tune_without_family_exits_2(tmp_path, capsys):
+    assert main(["tune", "--eps", "1e-3", "--out", str(tmp_path)]) == 2
+    assert "--Q" in capsys.readouterr().err
+
+
+def test_tune_family_option_with_graph_exits_2(two_path_files, tmp_path,
+                                               capsys):
+    graph, costs, flow = two_path_files
+    assert main(["tune", "--graph", graph, "--costs", costs, "--flow", flow,
+                 "--k", "3", "--eps", "1e-3", "--out", str(tmp_path)]) == 2
+    assert "--k" in capsys.readouterr().err
 
 
 def test_interlace_report(tmp_path):
@@ -442,3 +481,36 @@ def test_malformed_file_exits_2(cycle6_files, tmp_path, capsys, role,
         argv += ["--" + name, path]
     assert main(argv) == 2
     assert "malformed file %s" % files[role] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--radius", "3"],
+    ["sensitivity", "--iters", "3"],
+    ["decay", "--tolerance", "1e-9"],
+    ["reopt", "--eps", "1e-3"],
+    ["tune", "--seed", "1"],
+    ["interlace", "--perturbation", "pert.json"],
+    ["generate", "--graph", "graph.json"],
+])
+def test_flag_the_subcommand_does_not_read_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + argv[1] in capsys.readouterr().err
+
+
+def test_parser_holds_each_subcommand_options():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, cli.argparse._SubParsersAction)]
+    for name, options in cli.OPTIONS.items():
+        flags = {opt for action in sub.choices[name]._actions
+                 for opt in action.option_strings} - {"-h", "--help"}
+        assert flags == {"--" + key for key in [*options, "config", "out"]}
+    assert set(cli.OPTIONS) == set(cli.COMMANDS)
+
+
+def test_config_file_not_an_object_exits_2(tmp_path, capsys):
+    config = write_json(tmp_path / "cfg.json", [1, 2])
+    assert main(["solve", "--config", config]) == 2
+    assert "malformed file %s" % config in capsys.readouterr().err

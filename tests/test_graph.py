@@ -141,6 +141,12 @@ def test_generate_grid():
     assert g.n_edges == 3 * 3 + 2 * 4
 
 
+def test_generate_reads_named_parameters():
+    assert generate("grid-2d", rows=2, cols=3).vertices[-1] == "v1_2"
+    with pytest.raises(GraphError, match="unknown graph kind: star"):
+        generate("star", n=5)
+
+
 def test_generate_regular_deterministic():
     g1 = generate("random-k-regular", n=100, k=3, seed=7)
     g2 = generate("random-k-regular", n=100, k=3, seed=7)

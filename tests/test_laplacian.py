@@ -84,6 +84,8 @@ def test_spectrum_descending_leading_one(rng):
 def test_bipartite_walk_is_periodic():
     assert not unit_walk(path(4)).is_aperiodic()
     assert unit_walk(triangle()).is_aperiodic()
+    # an odd cycle is aperiodic however light one of its edges
+    assert WeightedWalk(triangle(), [1.0, 1.0, 1e-11]).is_aperiodic()
 
 
 def test_killed_inverse_path_three():

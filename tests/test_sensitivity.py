@@ -287,7 +287,7 @@ def test_apply_matches_dense_matrix(rng, kind):
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 10_000), log10_s=st.floats(-6.0, 9.0))
+@given(seed=st.integers(0, 10_000), log10_s=st.floats(-300.0, 300.0))
 def test_quadratic_solve_is_linear_in_b(seed, log10_s):
     rng = np.random.default_rng(seed)
     g = random_connected_graph(rng, 12, extra_edges=6)
