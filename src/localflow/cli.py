@@ -16,6 +16,7 @@ vertex/edge index mapping; CSV values use 17 significant digits.
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 import time
@@ -136,7 +137,12 @@ def _write_csv(path, header, rows):
 
 def cmd_solve(config):
     g, _, problem = _load_problem(config)
-    x = solve_exact(problem, tol=float(config.get("tolerance") or 1e-10))
+    tol = config.get("tolerance")
+    tol = 1e-10 if tol is None else float(tol)
+    if not 0.0 < tol < math.inf:
+        raise CliInputError("--tolerance must be positive and finite, got %r"
+                            % tol)
+    x = solve_exact(problem, tol=tol)
     grad = problem.bundle.gradient(x)
     payload = {
         "solution": {e[0]: float(v) for e, v in zip(g.edges, x)},
@@ -195,6 +201,8 @@ def cmd_reopt(config):
     pert = _load_perturbation(config, g)
     center, radius, iters = _require(
         config, "subgraph-center", "radius", "iters")
+    if int(iters) < 1:
+        raise CliInputError("--iters must be at least 1, got %d" % int(iters))
     sub = graphmod.ball_subgraph(g, center, int(radius))
 
     t0 = time.perf_counter()
@@ -215,6 +223,7 @@ def cmd_reopt(config):
     final = warm_start_reoptimize(problem, pert, sub, int(iters),
                                   x_star=x_star, collect=record)
     stats = {"ball_vertices": len(sub.v_in), "ball_edges": len(sub.e_in),
+             "cycle_rank": sub.cycle_rank,
              "iterations": len(rows), "global_s": t1 - t0,
              "local_s": time.perf_counter() - t1 - record_s[0]}
     if not rows:  # zero perturbation short-circuit

@@ -42,14 +42,34 @@ class DirectedGraph:
         except KeyError as exc:
             raise GraphError("unknown endpoint id: %s" % exc.args[0]) from None
         self.tails, self.heads = ends.reshape(-1, 2).T.copy()
-        n = self.n_vertices
-        # neighbor lists: the sorted keys u * n + w, split by u
-        adjacency = (_simple_adjacency(self.tails, self.heads, n,
-                                       self.vertices.__getitem__) % n).tolist()
+        self._set_neighbors(_simple_adjacency(self.tails, self.heads,
+                                              self.n_vertices,
+                                              self.vertices.__getitem__))
+        if not self._is_connected():
+            raise GraphError("graph is not connected")
+
+    @classmethod
+    def _of_arrays(cls, vertices, edges, tails, heads):
+        """A graph from the parts of a checked one, such as a subgraph with
+        its edges' ends relabelled: no id lookups and no checks."""
+        g = cls.__new__(cls)
+        g.vertices, g.edges, g.tails, g.heads = vertices, edges, tails, heads
+        g.vertex_index = {v: i for i, v in enumerate(vertices)}
+        g.edge_index = {e[0]: k for k, e in enumerate(edges)}
+        n = len(vertices)
+        g._set_neighbors(np.sort(np.concatenate((tails * n + heads,
+                                                 heads * n + tails))))
+        return g
+
+    def _set_neighbors(self, keys):
+        """Neighbor lists from the sorted keys u * n + w of both
+        orientations of every edge, split by u."""
+        adjacency = (keys % self.n_vertices).tolist()
         stops = np.cumsum(self.degrees()).tolist()
         self.neighbors = [adjacency[a:b] for a, b in zip([0] + stops, stops)]
-        if len(_ball(self, 0, n)) < n:
-            raise GraphError("graph is not connected")
+
+    def _is_connected(self):
+        return len(_ball(self, 0, self.n_vertices)) == self.n_vertices
 
     @property
     def n_vertices(self):
@@ -201,10 +221,13 @@ class SubgraphSpec:
     """A connected subgraph: v_in/e_in are its vertex and edge indices and
     cut the edges with one end in it, each sorted. The inner boundary holds
     the subgraph vertices with a neighbor outside it. `induced` is the
-    subgraph as a DirectedGraph, vertices and edges in index order.
+    subgraph as a DirectedGraph, vertices and edges in index order, built
+    from g's index arrays. A vertex set that is not connected raises
+    GraphError; `connected=True` skips that check for a set that is
+    connected by construction, such as a BFS ball.
     """
 
-    def __init__(self, g, vertex_indices):
+    def __init__(self, g, vertex_indices, connected=False):
         self.graph = g
         inside = np.zeros(g.n_vertices, dtype=bool)
         inside[_vertex_indices(g, vertex_indices)] = True
@@ -218,16 +241,23 @@ class SubgraphSpec:
         # the inner ends of the edges that leave the subgraph
         ends = np.concatenate([g.tails[self.cut], g.heads[self.cut]])
         self.boundary = frozenset(ends[inside[ends]].tolist())
-        try:
-            self.induced = DirectedGraph(
-                [g.vertices[v] for v in self.v_in.tolist()],
-                [g.edges[k] for k in self.e_in.tolist()])
-        except GraphError:
-            raise GraphError("subgraph is not connected") from None
+        self.induced = DirectedGraph._of_arrays(
+            [g.vertices[v] for v in self.v_in.tolist()],
+            [g.edges[k] for k in self.e_in.tolist()],
+            np.searchsorted(self.v_in, g.tails[self.e_in]),
+            np.searchsorted(self.v_in, g.heads[self.e_in]))
+        if not connected and not self.induced._is_connected():
+            raise GraphError("subgraph is not connected")
 
     @property
     def is_whole_graph(self):
         return len(self.v_in) == self.graph.n_vertices
+
+    @property
+    def cycle_rank(self):
+        """Dimension |E| - |V| + 1 of the subgraph's cycle space; 0 for a
+        tree, whose flows are fixed by their net outflows."""
+        return len(self.e_in) - len(self.v_in) + 1
 
 
 def ball_subgraph(g, center, r):
@@ -236,7 +266,7 @@ def ball_subgraph(g, center, r):
     center = int(_vertex_indices(g, [center])[0])
     if r < 0:
         raise GraphError("radius must be nonnegative")
-    return SubgraphSpec(g, _ball(g, center, r))
+    return SubgraphSpec(g, _ball(g, center, r), connected=True)
 
 
 def _ball(g, center, r):

@@ -323,11 +323,23 @@ def tune(family, eps):
 
     r and t come from the closed-form ceilings of the exponential bias and
     variance envelopes; both are floored at 1. The predicted cost uses the
-    k^r bound on the ball size with a configurable exponent.
+    k^r bound on the ball size with a configurable exponent. A non-finite
+    Q or eps, an omega that is not finite and positive, or a negative z
+    is bad input (ValueError); a family the bounds cannot price raises
+    LocalityError.
     """
+    Q, k, mu, z = family.Q, family.k, family.mu, family.z
+    for name, value, need, ok in (
+            ("Q", Q, "finite", math.isfinite(Q)),
+            ("eps", eps, "finite", math.isfinite(eps)),
+            ("omega", family.omega, "finite and positive",
+             0.0 < family.omega < math.inf),
+            ("z", z, "nonnegative", z >= 0)):
+        if not ok:
+            raise ValueError("tuner %s must be %s, got %r" % (name, need,
+                                                               value))
     if eps <= 0:
         raise LocalityError("accuracy target must be positive")
-    Q, k, mu, z = family.Q, family.k, family.mu, family.z
     for field, ok in (("k >= 1", k >= 1), ("mu >= 0", mu >= 0),
                       ("p_norm > 0", family.p_norm > 0)):
         if not ok:

@@ -6,10 +6,10 @@ conservation constraints outside the subgraph.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .graph import build_incidence
 from .sensitivity import FEAS_TOL, FlowProblem, _scale, solve_exact
 
 
@@ -63,9 +63,15 @@ def pgd_run(problem, x0, config=None):
 class LocalizedSolver:
     """Frozen-boundary projected gradient descent on a subgraph.
 
-    The subgraph's costs and its lift A_sub^T (A_sub A_sub^T)^+ are built
-    once per (problem, subgraph) pair. A run iterates on the subgraph's
-    flows alone, after one check of the frozen flows.
+    The subgraph's feasible flows are one particular flow plus its cycle
+    space. Once per (problem, subgraph) pair, a BFS spanning tree of the
+    subgraph gives the routing of a balanced demand along tree paths, and
+    the fundamental cycles of the non-tree edges, orthonormalised by a
+    Householder QR, give the basis Q (|E| x c, c = |E| - |V| + 1). A run
+    routes the restricted b along the tree once, to x0, and each step
+    projects v to x0 + Q Q^T (v - x0). On a tree (c = 0) every step
+    returns the one feasible flow. A run iterates on the subgraph's flows
+    alone, after one check of the frozen flows.
     """
 
     def __init__(self, problem, sub):
@@ -77,11 +83,18 @@ class LocalizedSolver:
         if not len(self.e_in):
             raise SolverError("subgraph has no edges to update")
         self.bundle = problem.bundle[self.e_in]
-        A_sub = build_incidence(sub.induced)
-        # the subgraph is connected and 1^T A_sub = 0, so A_sub^T times
-        # (A_sub A_sub^T + 11^T/n)^{-1} is A_sub^T (A_sub A_sub^T)^+
-        self.lift = np.linalg.solve(A_sub @ A_sub.T + 1.0 / len(sub.v_in),
-                                    A_sub).T
+        paths = _tree_paths(sub.induced)
+        # the tree routing as a sparse matrix: column v holds v's path
+        codes = np.fromiter(chain.from_iterable(paths), np.intp)
+        self._rows, self._signs = codes >> 1, 1.0 - 2.0 * (codes & 1)
+        self._cols = np.repeat(np.arange(len(paths)), list(map(len, paths)))
+        cycles = _fundamental_cycles(sub.induced, paths)
+        # edges on no cycle (bridges) keep zero rows; the QR skips them,
+        # and a tree, whose basis is empty, needs none
+        on_cycle = np.flatnonzero(cycles.any(axis=1))
+        self.cycle_basis = np.zeros_like(cycles)
+        if len(on_cycle):
+            self.cycle_basis[on_cycle] = np.linalg.qr(cycles[on_cycle])[0]
 
     def restricted_b(self, x, b_target):
         """b_target on the subgraph minus the frozen flows' outflow there,
@@ -106,13 +119,15 @@ class LocalizedSolver:
         if eta is None:
             eta = 1.0 / self.problem.bundle.beta
         x = np.asarray(x, dtype=float)
-        shift = self.lift @ self.restricted_b(x, b_target)
+        d = self.restricted_b(x, b_target)
+        x0 = np.bincount(self._rows, self._signs * d[self._cols],
+                         len(self.e_in))  # d routed along the tree
         self.problem.bundle.check_domain(x)
-        outflow = self.sub.induced.net_outflow
+        Q = self.cycle_basis
         xi = x[self.e_in]
         for _ in range(int(t)):
             v = xi - eta * self.bundle.gradient(xi)
-            xi = v - self.lift @ outflow(v) + shift
+            xi = x0 + Q @ (Q.T @ (v - x0))
             if collect is not None:
                 collect(self._scatter(x, xi))
         return self._scatter(x, xi)
@@ -128,6 +143,49 @@ class LocalizedSolver:
         complement components frozen."""
         return self._scatter(x, solve_exact(FlowProblem(
             self.sub.induced, self.bundle, self.restricted_b(x, b_target))))
+
+
+def _tree_paths(g):
+    """Each vertex's path to vertex 0 in a BFS spanning tree of the
+    connected graph g, as a list of edge codes: 2k where edge k points
+    toward vertex 0 and 2k + 1 where it points away. Routing each vertex's
+    demand along its path, with those signs, meets A x = d for every
+    demand d that sums to zero."""
+    n, m = g.n_vertices, g.n_edges
+    # the code of the edge from w to its parent u, keyed by w * n + u
+    code = dict(zip((g.tails * n + g.heads).tolist(), range(0, 2 * m, 2)))
+    code.update(zip((g.heads * n + g.tails).tolist(), range(1, 2 * m, 2)))
+    paths = [None] * n
+    paths[0] = []
+    order = [0]
+    for u in order:  # BFS: order grows while it is read
+        for w in g.neighbors[u]:
+            if paths[w] is None:
+                paths[w] = [code[w * n + u]] + paths[u]
+                order.append(w)
+    return paths
+
+
+def _fundamental_cycles(g, paths):
+    """One circulation per non-tree edge e of the tree `paths`, as a
+    column: a unit on e plus the tree routing of the demand -1 at its tail
+    and +1 at its head. Entries above the ends' common ancestor cancel
+    exactly. The columns are independent, since each alone uses its
+    non-tree edge."""
+    m, tails, heads = g.n_edges, g.tails.tolist(), g.heads.tolist()
+    tree = {path[0] >> 1 for path in paths[1:]}
+    chords = [k for k in range(m) if k not in tree]
+    c = len(chords)
+    flat, weight = [], []
+    for j, k in enumerate(chords):
+        flat.append(k * c + j)
+        weight.append(1.0)
+        for end, sign in ((tails[k], -1.0), (heads[k], 1.0)):
+            for e in paths[end]:
+                flat.append((e >> 1) * c + j)
+                weight.append(-sign if e & 1 else sign)
+    return np.bincount(np.array(flat, dtype=np.intp), weight,
+                       m * c).reshape(m, c)
 
 
 def warm_start_reoptimize(problem, pert, sub, t, x_star=None, eta=None,

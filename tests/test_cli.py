@@ -201,6 +201,8 @@ def test_reopt_converges_on_whole_graph(triangle_files, tmp_path):
     assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
     for r in rows:
         assert float(r["feasibility_residual"]) <= 1e-9
+    stats = json.load(open(os.path.join(out, "reopt.json")))["stats"]
+    assert stats["cycle_rank"] == 1
 
 
 def test_reopt_reports_ball_stats(tmp_path):
@@ -218,8 +220,9 @@ def test_reopt_reports_ball_stats(tmp_path):
                  "--radius", "2", "--iters", "6", "--out", out]) == 0
     stats = json.load(open(os.path.join(out, "reopt.json")))["stats"]
     assert {k: stats[k] for k in ("ball_vertices", "ball_edges",
-                                  "iterations")} == {
-        "ball_vertices": 5, "ball_edges": 4, "iterations": 6}
+                                  "cycle_rank", "iterations")} == {
+        "ball_vertices": 5, "ball_edges": 4, "cycle_rank": 0,
+        "iterations": 6}
     assert stats["local_s"] >= 0.0 and stats["global_s"] > 0.0
 
 
@@ -264,6 +267,30 @@ def test_tune_unpriceable_family_exits_3(tmp_path, capsys, family, field):
                  "--out", str(tmp_path)])
     assert code == 3
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--omega", "nan"], "omega"),
+    (["--omega", "inf"], "omega"),
+    (["--omega", "0"], "omega"),
+    (["--omega", "-1"], "omega"),
+    (["--z", "-1"], "z"),
+    (["--Q", "nan"], "Q"),
+    (["--Q", "inf"], "Q"),
+    (["--eps", "nan"], "eps"),
+    (["--eps", "inf"], "eps"),
+])
+def test_tune_non_finite_or_out_of_range_input_exits_2(tmp_path, capsys,
+                                                       flags, field):
+    family = {"--Q": "1", "--k": "3", "--mu": "2.8", "--eps": "1e-3"}
+    family.update(zip(flags[::2], flags[1::2]))
+    out = str(tmp_path / "tune")
+    argv = ["tune", "--out", out]
+    for flag, value in family.items():
+        argv += [flag, value]
+    assert main(argv) == 2
+    assert "tuner %s must be" % field in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "tune.json"))
 
 
 def test_tune_flag_overrides_family_file(tmp_path):
@@ -514,3 +541,40 @@ def test_config_file_not_an_object_exits_2(tmp_path, capsys):
     config = write_json(tmp_path / "cfg.json", [1, 2])
     assert main(["solve", "--config", config]) == 2
     assert "malformed file %s" % config in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("iters", ["0", "-3"])
+def test_reopt_iters_below_one_exits_2(cycle6_files, tmp_path, capsys,
+                                       iters):
+    graph, costs, flow = cycle6_files
+    pert = write_json(tmp_path / "pert.json", {"v0": 0.5, "v1": -0.5})
+    out = str(tmp_path / "out")
+    assert main(["reopt", "--graph", graph, "--costs", costs, "--flow", flow,
+                 "--perturbation", pert, "--subgraph-center", "v0",
+                 "--radius", "1", "--iters", iters, "--out", out]) == 2
+    assert "--iters must be at least 1" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "reopt.csv"))
+
+
+@pytest.mark.parametrize("tolerance", ["0", "-1", "nan", "inf"])
+def test_solve_invalid_tolerance_exits_2(cycle6_files, tmp_path, capsys,
+                                         tolerance):
+    graph, _, flow = cycle6_files
+    # log-cosh costs take the Newton path, where the tolerance is read
+    costs = write_json(tmp_path / "logcosh.json",
+                       {"default": {"kind": "log-cosh", "a": 1.0, "s": 0.5}})
+    out = str(tmp_path / "out")
+    assert main(["solve", "--graph", graph, "--costs", costs, "--flow", flow,
+                 "--tolerance", tolerance, "--out", out]) == 2
+    assert "--tolerance must be positive and finite" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "solution.json"))
+
+
+def test_solve_zero_tolerance_in_config_file_exits_2(cycle6_files, tmp_path,
+                                                     capsys):
+    graph, costs, flow = cycle6_files
+    config = write_json(tmp_path / "cfg.json", {
+        "graph": graph, "costs": costs, "flow": flow, "tolerance": 0})
+    assert main(["solve", "--config", config,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "--tolerance" in capsys.readouterr().err

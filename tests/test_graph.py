@@ -123,6 +123,37 @@ def test_subgraph_requires_connected():
         SubgraphSpec(g, [0, 3])
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_induced_matches_constructor_on_random_vertex_sets(seed):
+    """`induced`, built from index arrays, is the graph the constructor
+    builds from the subgraph's ids; a set the constructor finds
+    disconnected raises "subgraph is not connected"."""
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, int(rng.integers(2, 25)),
+                               extra_edges=int(rng.integers(0, 30)))
+    size = int(rng.integers(1, g.n_vertices + 1))
+    vertices = rng.choice(g.n_vertices, size=size, replace=False)
+    inside = set(vertices.tolist())
+    ids = [g.vertices[v] for v in sorted(inside)]
+    edges = [e for k, e in enumerate(g.edges)
+             if g.tails[k] in inside and g.heads[k] in inside]
+    try:
+        want = DirectedGraph(ids, edges)
+    except GraphError:
+        with pytest.raises(GraphError, match="subgraph is not connected"):
+            SubgraphSpec(g, vertices)
+        return
+    got = SubgraphSpec(g, vertices).induced
+    assert got.vertices == want.vertices
+    assert got.edges == want.edges
+    assert np.array_equal(got.tails, want.tails)
+    assert np.array_equal(got.heads, want.heads)
+    assert got.neighbors == want.neighbors
+    assert got.vertex_index == want.vertex_index
+    assert got.edge_index == want.edge_index
+
+
 def test_generate_complete():
     g = generate("complete", n=4)
     assert g.n_edges == 6

@@ -264,6 +264,55 @@ def test_localized_run_matches_full_vector_reference(seed, quadratic, radius):
     assert np.array_equal(x, x0)  # the run does not write into x
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.booleans(),
+       st.sampled_from(["tree", "grid", "whole"]))
+def test_localized_run_matches_reference_on_trees_grids_and_whole_graphs(
+        seed, quadratic, shape):
+    """The cycle-space projection against the dense projector on balls of
+    a tree (cycle rank 0), balls of a grid (cycle rank near |V|) and
+    whole-graph subgraphs."""
+    rng = np.random.default_rng(seed)
+    if shape == "grid":
+        g = generate("grid-2d", rows=int(rng.integers(2, 8)),
+                     cols=int(rng.integers(2, 8)))
+    else:
+        g = random_connected_graph(
+            rng, int(rng.integers(3, 30)),
+            extra_edges=0 if shape == "tree" else int(rng.integers(0, 40)))
+    if shape == "whole":
+        sub = SubgraphSpec(g, range(g.n_vertices))
+    else:
+        sub = ball_subgraph(g, int(rng.integers(g.n_vertices)),
+                            int(rng.integers(1, 5)))
+    if quadratic:
+        bundle = ObjectiveBundle([
+            EdgeCost("quadratic", a=float(a), c=float(c))
+            for a, c in zip(rng.uniform(0.5, 2.0, g.n_edges),
+                            rng.standard_normal(g.n_edges))])
+    else:
+        bundle = logcosh_bundle(rng, g.n_edges)
+    problem = FlowProblem(g, bundle, random_balanced(rng, g.n_vertices))
+    x = solve_exact(problem)
+    b_target = problem.b.copy()
+    b_target[sub.v_in[0]] += 1.0
+    b_target[sub.v_in[-1]] -= 1.0
+    eta = 0.9 / bundle.beta
+    local = LocalizedSolver(problem, sub)
+    Q = local.cycle_basis
+    assert Q.shape == (len(sub.e_in), sub.cycle_rank)
+    assert np.abs(Q.T @ Q - np.eye(sub.cycle_rank)).max(initial=0) <= 1e-13
+    ref = _reference_iterates(problem, sub, x, b_target, 7, eta)
+    seen = []
+    local.run(x, b_target, 7, eta, collect=seen.append)
+    scale = max(np.abs(r).max() for r in ref)
+    for got, want in zip(seen, ref):
+        assert np.abs(got - want).max() <= 1e-12 * scale
+    if shape == "tree":  # one feasible flow, whatever the costs
+        assert sub.cycle_rank == 0
+        assert all(np.array_equal(got, seen[0]) for got in seen)
+
+
 def test_localized_run_checks_frozen_flows_once(rng):
     """Per step the run touches only the ball: the full graph's outflow
     and the cut edges' outflow are computed once each, and the full bundle

@@ -1,0 +1,121 @@
+#!/usr/bin/env python3
+"""Localized-reoptimization scaling curve.
+
+    OPENBLAS_NUM_THREADS=1 python3 tools/bench_curve.py --out BENCH.json
+
+For each n, on a random 3-regular graph with quadratic costs a ~ U[1, 1.02]
+and c ~ N(0, 1), the script times:
+- the global `solve_exact`, the median of three solves;
+- at each radius r, a request as the benchmark's reopt-local workload makes
+  it: `ball_subgraph`, then `warm_start_reoptimize` with 30 steps from the
+  base optimum, for a unit perturbation across a random edge (median over
+  --requests requests);
+- at each radius r, one localized step: (run of 31 steps - run of 1 step)
+  / 30 on the same solver, so the per-run work (frozen-flow check, tree
+  routing) is left out.
+
+The north star is that the per-step time, and in time the per-request
+time, stays flat in n at fixed r. The library is imported from ./src.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+import numpy as np  # noqa: E402
+
+import localflow as lf  # noqa: E402
+
+STEPS = 30
+
+
+def _ms(start):
+    return (time.perf_counter() - start) * 1e3
+
+
+def _instance(n, seed):
+    g = lf.generate("random-k-regular", n=n, k=3, seed=seed)
+    rng = np.random.default_rng([seed, n])
+    costs = [lf.EdgeCost("quadratic", a=float(a), c=float(c))
+             for a, c in zip(rng.uniform(1.0, 1.02, g.n_edges),
+                             rng.standard_normal(g.n_edges))]
+    b = rng.standard_normal(n)
+    return lf.FlowProblem(g, lf.ObjectiveBundle(costs), b - b.mean()), rng
+
+
+def _radius_row(problem, x_star, rng, r, requests):
+    g = problem.graph
+    request_ms, step_us, sizes = [], [], []
+    for _ in range(requests):
+        k = int(rng.integers(g.n_edges))
+        p = np.zeros(g.n_vertices)
+        p[g.tails[k]], p[g.heads[k]] = 1.0, -1.0
+        pert = lf.PerturbationSpec(g, p)
+        start = time.perf_counter()
+        sub = lf.ball_subgraph(g, int(g.tails[k]), r)
+        lf.warm_start_reoptimize(problem, pert, sub, STEPS, x_star=x_star)
+        request_ms.append(_ms(start))
+        local = lf.LocalizedSolver(problem, sub)
+        b_target = problem.b + p
+        start = time.perf_counter()
+        local.run(x_star, b_target, 1)
+        one = _ms(start)
+        start = time.perf_counter()
+        local.run(x_star, b_target, STEPS + 1)
+        step_us.append((_ms(start) - one) * 1e3 / STEPS)
+        sizes.append((len(sub.v_in), len(sub.e_in), sub.cycle_rank))
+    vertices, edges, cycle_rank = (statistics.mean(s) for s in zip(*sizes))
+    return {"request_ms_p50": statistics.median(request_ms),
+            "step_us_p50": statistics.median(step_us),
+            "requests": requests, "ball_vertices_mean": vertices,
+            "ball_edges_mean": edges, "cycle_rank_mean": cycle_rank}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[1])
+    parser.add_argument("--out", required=True, help="JSON file to write")
+    parser.add_argument("--sizes", type=int, nargs="+",
+                        default=[200, 2000, 20000, 200000])
+    parser.add_argument("--radii", type=int, nargs="+", default=[2, 4, 8])
+    parser.add_argument("--requests", type=int, default=20)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    if args.requests < 1:
+        parser.error("--requests must be at least 1")
+    rows = []
+    for n in args.sizes:
+        problem, rng = _instance(n, args.seed)
+        solve_ms = []
+        for _ in range(3):
+            start = time.perf_counter()
+            x_star = lf.solve_exact(problem)
+            solve_ms.append(_ms(start))
+        row = {"n": n, "m": problem.graph.n_edges,
+               "global_solve_ms": statistics.median(solve_ms),
+               "radius": {str(r): _radius_row(problem, x_star, rng, r,
+                                              args.requests)
+                          for r in args.radii}}
+        rows.append(row)
+        print(json.dumps(row), flush=True)
+    with open(args.out, "w") as fh:
+        json.dump({"machine": {"python": platform.python_version(),
+                               "numpy": np.__version__,
+                               "processor": platform.machine(),
+                               "cpus": os.cpu_count(),
+                               "OPENBLAS_NUM_THREADS":
+                                   os.environ.get("OPENBLAS_NUM_THREADS")},
+                   "steps": STEPS, "seed": args.seed, "rows": rows},
+                  fh, indent=2)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
