@@ -72,6 +72,19 @@ def _require(config, *keys):
     return [config[k] for k in keys]
 
 
+def _integer(key, value):
+    """value as an int; CliInputError naming --key unless it is integral,
+    so a config-file 3.9 is refused rather than truncated."""
+    try:
+        number = int(value)
+        integral = number == float(value)
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise CliInputError("--%s must be an integer, got %r" % (key, value))
+    return number
+
+
 @contextlib.contextmanager
 def _reading(path):
     """Input errors while turning the JSON of path into a config, graph,
@@ -192,7 +205,8 @@ def cmd_decay(config):
                 for r in report.rows])
     _write_json(os.path.join(_out_dir(config), "decay.json"),
                 {"config": config, "index_map": _index_map(g),
-                 "constants_mode": mode})
+                 "constants_mode": mode, "lam": report.lam,
+                 "spectral": report.spectral})
     return EXIT_OK
 
 
@@ -201,9 +215,10 @@ def cmd_reopt(config):
     pert = _load_perturbation(config, g)
     center, radius, iters = _require(
         config, "subgraph-center", "radius", "iters")
-    if int(iters) < 1:
-        raise CliInputError("--iters must be at least 1, got %d" % int(iters))
-    sub = graphmod.ball_subgraph(g, center, int(radius))
+    radius, iters = _integer("radius", radius), _integer("iters", iters)
+    if iters < 1:
+        raise CliInputError("--iters must be at least 1, got %d" % iters)
+    sub = graphmod.ball_subgraph(g, center, radius)
 
     t0 = time.perf_counter()
     x_star = solve_exact(problem)
@@ -220,7 +235,7 @@ def cmd_reopt(config):
                      float(np.abs(g.net_outflow(x) - b_target).max())))
         record_s[0] += time.perf_counter() - start
 
-    final = warm_start_reoptimize(problem, pert, sub, int(iters),
+    final = warm_start_reoptimize(problem, pert, sub, iters,
                                   x_star=x_star, collect=record)
     stats = {"ball_vertices": len(sub.v_in), "ball_edges": len(sub.e_in),
              "cycle_rank": sub.cycle_rank,
@@ -246,11 +261,12 @@ def cmd_tune(config):
             raise CliInputError("--Q, --k and --mu do not apply with --graph")
         g, bundle, _ = _load_problem(config)
         (k, _, mu), Q = locality._graph_triple(g), bundle.Q
+        spectral = mu.spectral
     else:
         Q, k, mu = _require(config, "Q", "k", "mu")
-        Q, k, mu = float(Q), int(k), float(mu)
+        Q, k, spectral = float(Q), _integer("k", k), None
     family = locality.TunerFamily(
-        Q=Q, k=k, mu=mu, z=int(config.get("z", 1)),
+        Q=Q, k=k, mu=float(mu), z=_integer("z", config.get("z", 1)),
         p_norm=float(config.get("p-norm", 1.0)),
         omega=float(config.get("omega", 3.0)))
     result = locality.tune(family, float(eps))
@@ -264,6 +280,7 @@ def cmd_tune(config):
             "nu_var": result.nu_var, "xi_var": result.xi_var,
             "Q": family.Q, "k": family.k, "mu": family.mu, "z": family.z,
         },
+        "spectral": spectral,
         "config": config,
     }
     _write_json(os.path.join(_out_dir(config), "tune.json"), payload)
@@ -273,18 +290,19 @@ def cmd_tune(config):
 def cmd_interlace(config):
     g, _, problem = _load_problem(config)
     center, radius = _require(config, "subgraph-center", "radius")
-    sub = graphmod.ball_subgraph(g, center, int(radius))
+    sub = graphmod.ball_subgraph(g, center, _integer("radius", radius))
     if not len(sub.e_in):
         raise SolverError("subgraph has no edges to update")
     walk = problem.walk_at(solve_exact(problem))
     sub_walk = WeightedWalk(sub.induced, walk.weights[sub.e_in])
     w_minus, w_plus = float(walk.weights.min()), float(walk.weights.max())
-    lam_prime, bound = locality.interlacing_bound(
+    lam_prime, bound, spectral = locality.interlacing_bound(
         g, sub_walk, w_minus, w_plus)
     _write_json(os.path.join(_out_dir(config), "interlace.json"), {
         "lambda_prime": lam_prime, "bound": bound,
         "w_minus": w_minus, "w_plus": w_plus,
         "constants_mode": locality._constants_mode(problem),
+        "spectral": spectral,
         "config": config, "index_map": _index_map(g),
     })
     return EXIT_OK
@@ -293,7 +311,8 @@ def cmd_interlace(config):
 def cmd_generate(config):
     (kind,) = _require(config, "kind")
     _, keys = graphmod.GENERATORS.get(kind, (None, ()))
-    params = {key: int(v) for key, v in zip(keys, _require(config, *keys))}
+    params = {key: _integer(key, v)
+              for key, v in zip(keys, _require(config, *keys))}
     g = graphmod.generate(kind, **params)
     out = _out_dir(config)
     g.save(os.path.join(out, "graph.json"))

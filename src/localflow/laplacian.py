@@ -3,8 +3,10 @@
 The weight of an edge is the reciprocal of the cost curvature at the
 current flow, so the Laplacian here is exactly the constraint-side matrix
 appearing in the sensitivity operator. Products with L^+ are matrix-free
-conjugate-gradient solves (laplacian_solve); dense matrices serve spectra,
-killed walks, the walk series and the small-graph oracles.
+conjugate-gradient solves (laplacian_solve). Spectral norms behind the
+error bounds are certified upper bounds from a matrix-free Lanczos run
+(norm_bound); dense matrices serve spectra, killed walks and the
+small-graph oracles.
 """
 
 from functools import cached_property
@@ -19,6 +21,10 @@ KERNEL_RTOL = 1e-12
 CG_RTOL = 1e-14
 # stop Green's-function series when lambda^t / (1 - lambda) drops below this
 SERIES_TAIL = 1e-12
+# norm_bound fails with probability at most SPECTRAL_DELTA over its random
+# start, after at most LANCZOS_STEPS steps
+SPECTRAL_DELTA = 1e-6
+LANCZOS_STEPS = 120
 
 
 class LaplacianError(ValueError):
@@ -62,6 +68,15 @@ class WeightedWalk:
     _spectrum = cached_property(lambda self: Spectrum(self))
     _pinv = cached_property(lambda self: pseudoinverse(self.L))
 
+    @cached_property
+    def slem_bound(self):
+        """Certified upper bound on the walk's second largest eigenvalue in
+        magnitude: the norm of D^{-1/2} W D^{-1/2} - u u^T, with
+        u = sqrt(d) / |sqrt(d)| the eigenvector of the eigenvalue 1."""
+        s = np.sqrt(self.d)
+        return norm_bound(self.graph, self.weights, 1.0 / s,
+                          s / np.linalg.norm(s))
+
     def is_aperiodic(self):
         # connected: periodic iff bipartite iff no edge joins equal depths
         g, d = self.graph, self.graph.bfs_distances([0])
@@ -88,6 +103,80 @@ class Spectrum:
                                  abs(self.eigenvalues[-1])))
         else:
             self.lam = 0.0
+
+
+class NormBound(float):
+    """An upper bound on a spectral norm, as a float, with the record of
+    the Lanczos run behind it: `spectral` holds the method, the steps, the
+    failure probability delta, the Ritz estimate (at most the norm) and
+    the bound."""
+
+    def __new__(cls, bound, ritz, steps, delta):
+        self = super().__new__(cls, bound)
+        self.spectral = {"method": "lanczos", "steps": steps, "delta": delta,
+                         "ritz": ritz, "bound": float(bound)}
+        return self
+
+
+def norm_bound(graph, weights, scale, deflate):
+    """Upper bound on ||B||_2 for B = S W S - v v^T, where W is the
+    symmetric matrix of the edge weights, S = diag(scale) and v = deflate.
+    B is applied by bincount products and never formed.
+
+    Lanczos runs on the positive semidefinite B^2, with full
+    reorthogonalisation, from a Gaussian start drawn with a fixed seed.
+    After k steps its top Ritz value theta gives ||B||^2 <= theta / (1 - e),
+    e = (ln(1.648 sqrt(n) / delta) / (2k - 1))^2, with probability at least
+    1 - delta over the start (Kuczynski & Wozniakowski, SIAM J. Matrix
+    Anal. Appl. 13(4), 1992); delta is SPECTRAL_DELTA. When the Krylov
+    space is exhausted before LANCZOS_STEPS, theta is exact and delta is 0.
+    The bound adds 16 k ulps of s = max_i (S W S 1)_i + |v|^2 >= ||B||,
+    the scale of the round-off in the products and the Ritz eigensolve.
+    Returns a NormBound.
+    """
+    n, ulp = graph.n_vertices, np.finfo(float).eps
+    sws = _weight_operator(graph, weights, scale)
+    s = sws(np.ones(n)).max(initial=0.0) + deflate @ deflate
+
+    def apply(x):
+        return sws(x) - deflate * (deflate @ x)
+
+    basis = np.empty((min(LANCZOS_STEPS, n), n))
+    start = np.random.default_rng(0).standard_normal(n)
+    basis[0] = start / np.linalg.norm(start)
+    alpha, beta = [], []
+    for k in range(1, len(basis) + 1):
+        r = apply(apply(basis[k - 1]))
+        alpha.append(basis[k - 1] @ r)
+        for _ in range(2):  # classical Gram-Schmidt, twice
+            r -= (basis[:k] @ r) @ basis[:k]
+        res = np.linalg.norm(r)
+        # a residual at round-off level: the Krylov space is invariant
+        exhausted = k == n or res <= 16.0 * np.sqrt(n) * ulp * s * s
+        if exhausted or k == len(basis):
+            break
+        beta.append(res)
+        basis[k] = r / res
+    theta = max(float(np.linalg.eigvalsh(
+        np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))[-1]), 0.0)
+    if exhausted:
+        delta, square = 0.0, theta + res
+    else:
+        delta = SPECTRAL_DELTA
+        e = (np.log(1.648 * np.sqrt(n) / delta) / (2 * k - 1)) ** 2
+        square = theta / (1.0 - e)
+    return NormBound(np.sqrt(square) + 16.0 * k * ulp * s,
+                     float(np.sqrt(theta)), k, delta)
+
+
+def _weight_operator(graph, weights, scale):
+    """y -> S W S y, one bincount, for the symmetric matrix W of the edge
+    weights and S = diag(scale)."""
+    rows = np.concatenate((graph.tails, graph.heads))
+    cols = np.concatenate((graph.heads, graph.tails))
+    coef = scale[rows] * np.tile(np.asarray(weights, dtype=float), 2) \
+        * scale[cols]
+    return lambda y: np.bincount(rows, coef * y[cols], graph.n_vertices)
 
 
 def pseudoinverse(L):
@@ -185,6 +274,9 @@ def killed_green_series(rl, tail=SERIES_TAIL, max_terms=1_000_000):
 
 
 def _truncation_point(lam, tail, max_terms):
+    if lam >= 1.0:
+        raise LaplacianError("walk decay bound %.6f is not below 1; use the "
+                             "L+ form" % lam)
     if lam <= 0.0:
         return 1
     T = max(1, int(np.ceil(np.log(tail * (1.0 - lam)) / np.log(lam))) + 1)
@@ -222,22 +314,24 @@ def green_difference(walk, u, v, w, z, form="pinv", tail=SERIES_TAIL):
     f[z] -= 1.0
     pot = green_series_apply(walk, f, tail)
     return (float(pot[u] - pot[v]),
-            _truncation_point(walk.spectrum().lam, tail, 1_000_000))
+            _truncation_point(walk.slem_bound, tail, 1_000_000))
 
 
 def green_series_apply(walk, f, tail=SERIES_TAIL):
-    """sum_t P^t (f / d) for a balanced vertex vector f, truncated by the
-    spectral tail bound. Used by the walk-series sensitivity formula."""
+    """sum_t P^t (f / d) for a balanced vertex vector f, truncated where
+    the walk's certified decay bound puts the tail below `tail`; each term
+    is one bincount product. Used by the walk-series sensitivity
+    formula."""
     if not walk.is_aperiodic():
         raise LaplacianError("series not absolutely summable; use L+ form")
     f = np.asarray(f, dtype=float)
     if abs(f.sum()) > 1e-9 * max(1.0, np.abs(f).max()):
         raise LaplacianError("series form needs a balanced vector")
-    lam = walk.spectrum().lam
-    T = _truncation_point(lam, tail, 1_000_000)
+    T = _truncation_point(walk.slem_bound, tail, 1_000_000)
+    w = _weight_operator(walk.graph, walk.weights, np.ones(walk.n))
     vec = f / walk.d
     total = vec.copy()
     for _ in range(T):
-        vec = walk.P @ vec
+        vec = w(vec) / walk.d
         total += vec
     return total

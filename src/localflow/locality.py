@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import _edge_indices, _edge_set, geodesic_distance
-from .laplacian import WeightedWalk, laplacian_solve
+from .laplacian import laplacian_solve, norm_bound
 from .sensitivity import PerturbationSpec, sensitivity_operator, solve_exact
 from .solver import LocalizedSolver, SolverError
 
@@ -24,15 +24,21 @@ class LocalityError(RuntimeError):
 
 
 def adjacency_slem(graph):
-    """Second largest eigenvalue in magnitude of the unweighted
-    vertex-vertex adjacency matrix."""
-    vals = np.linalg.eigvalsh(WeightedWalk(graph, np.ones(graph.n_edges)).W)
-    return float(max(abs(vals[-2]), abs(vals[0]))) if len(vals) > 1 else 0.0
+    """Certified upper bound (a NormBound) on the second largest
+    eigenvalue in magnitude of the unweighted adjacency matrix A: the
+    norm of A - (d / n) 1 1^T, d = 2m / n the mean degree. On 1's
+    complement that matrix is A, and it is at most A everywhere, so by
+    Courant-Fischer its norm is at least max(|lambda_2|, |lambda_n|); on
+    a regular graph it is equal. The mean degree, rather than the
+    largest, keeps the bound close on irregular graphs too."""
+    n = graph.n_vertices
+    return norm_bound(graph, np.ones(graph.n_edges), np.ones(n),
+                      np.full(n, math.sqrt(2.0 * graph.n_edges) / n))
 
 
 def _graph_triple(graph):
-    """(k_plus, k_minus, mu): largest and smallest degree and the
-    adjacency matrix's second largest eigenvalue in magnitude."""
+    """(k_plus, k_minus, mu): largest and smallest degree and the bound
+    on the adjacency matrix's second largest eigenvalue in magnitude."""
     degs = graph.degrees()
     return int(degs.max()), int(degs.min()), adjacency_slem(graph)
 
@@ -61,29 +67,62 @@ def _constants_mode(problem):
 
 
 def _decay_rate(problem, walk, mode):
-    """lam of the decay bounds: the walk's second eigenvalue in magnitude
-    in exact mode, its interlacing envelope otherwise."""
-    lam = walk.spectrum().lam if mode == "exact" else envelope_lambda(problem)
+    """(lam, spectral) of the decay bounds: lam is the certified bound on
+    the walk's second eigenvalue in magnitude in exact mode and its
+    interlacing envelope otherwise; spectral records the Lanczos run the
+    bound rests on."""
+    if mode == "exact":
+        lam = walk.slem_bound
+        spectral = lam.spectral
+    else:
+        k_plus, k_minus, mu = _graph_triple(problem.graph)
+        lam = _envelope(problem.bundle.Q, k_plus, k_minus, mu)[0]
+        spectral = mu.spectral
     if lam >= 1.0:
         raise LocalityError(
             "decay rate bound is %.4f >= 1; use an instance with a larger "
             "spectral gap" % lam)
-    return lam
+    return float(lam), spectral
 
 
-def _set_constants(problem, walk, U, mode):
-    """(c, sqrt(2 max inner degree), min degree) of the vertex array U.
+def _set_constants(problem, walk, Us, mode):
+    """Arrays (c, sqrt(2 max inner degree), min degree) over the sorted
+    vertex arrays Us, each holding a vertex with an edge.
 
-    c is the set-to-point constant. Exact mode reads the walk's weighted
-    degrees and the largest weight on an edge inside U; envelope mode
-    reads the graph degrees and the curvature ratio Q in their place.
+    c is the set-to-point constant. The inner edges of a set, both ends in
+    it, come from the edge arrays in one pass over all sets: each edge at
+    a vertex of a set is looked up by its other end in the sorted keys
+    (set, vertex). Exact mode reads the walk's weighted degrees and the
+    largest inner weight; envelope mode reads the graph degrees and the
+    curvature ratio Q in their place.
     """
-    inner = walk.W[np.ix_(U, U)]
-    maxsq = math.sqrt(2.0 * int(np.count_nonzero(inner, axis=1).max()))
+    g, n = problem.graph, problem.graph.n_vertices
+    sizes = np.array([len(U) for U in Us])
+    starts = np.cumsum(sizes) - sizes
+    verts = np.concatenate(Us)
+    keys = np.repeat(np.arange(len(Us)), sizes) * n + verts
+    # the edges at each vertex of each set, from the incident-edge lists
+    ends = np.concatenate((g.tails, g.heads))
+    edge_of = np.argsort(ends, kind="stable") % g.n_edges
+    degree = np.bincount(ends, minlength=n)
+    first = np.cumsum(degree) - degree
+    count = degree[verts]
+    pair = np.repeat(np.arange(len(verts)), count)
+    pair_first = np.cumsum(count) - count
+    v = verts[pair]
+    edge = edge_of[first[v] + np.arange(len(pair)) - pair_first[pair]]
+    # (set, other end) of each edge, looked up among the set's keys
+    probe = keys[pair] - v + (g.tails[edge] + g.heads[edge] - v)
+    inner = keys[np.minimum(np.searchsorted(keys, probe),
+                            len(keys) - 1)] == probe
+    maxsq = np.sqrt(2.0 * np.maximum.reduceat(
+        np.bincount(pair[inner], minlength=len(verts)), starts))
     if mode == "exact":
-        min_d = walk.d[U].min()
-        return maxsq / min_d * inner.max(), maxsq, min_d
-    min_d = min(problem.graph.degree(v) for v in U)
+        min_d = np.minimum.reduceat(walk.d[verts], starts)
+        max_w = np.maximum.reduceat(
+            np.where(inner, walk.weights[edge], 0.0), pair_first[starts])
+        return maxsq / min_d * max_w, maxsq, min_d
+    min_d = np.minimum.reduceat(degree[verts], starts)
     return maxsq * problem.bundle.Q / min_d, maxsq, min_d
 
 
@@ -98,10 +137,13 @@ class DecayRow:
 
 @dataclass
 class DecayReport:
+    """Rows of a decay sweep, the decay rate lam and, in `spectral`, the
+    record of the Lanczos run that certifies it (None with no rows)."""
     rows: list
     lam: float
     constants_mode: str
     p_norm_Z: float
+    spectral: dict = None
 
 
 def measure_decay(problem, pert, F_sets):
@@ -121,17 +163,19 @@ def measure_decay(problem, pert, F_sets):
     deriv = op.apply(pert.p)
     Z = sorted(pert.support)
     p_norm = float(np.linalg.norm(pert.p[Z])) if Z else 0.0
-    lam = _decay_rate(problem, op.walk, mode) if sets else None
+    lam, spectral = _decay_rate(problem, op.walk, mode) if sets \
+        else (None, None)
     dist_Z = g.bfs_distances(Z) if Z else np.zeros(g.n_vertices, dtype=int)
+    cs = _set_constants(problem, op.walk, [U for _, U in sets], mode)[0] \
+        if sets else np.zeros(0)
     rows = []
-    for idx, U in sets:
+    for (idx, U), c in zip(sets, cs.tolist()):
         dist = int(dist_Z[U].min())
-        c = _set_constants(problem, op.walk, U, mode)[0]
         measured = float(np.linalg.norm(deriv[idx]))
         bound = c * lam ** dist / (1.0 - lam) * p_norm
         rows.append(DecayRow(tuple(g.edges[k][0] for k in idx),
                              dist, measured, bound, c))
-    return DecayReport(rows, lam, mode, p_norm)
+    return DecayReport(rows, lam, mode, p_norm, spectral)
 
 
 def _edge_perturbation(problem, e):
@@ -167,21 +211,23 @@ def point_to_set(problem, f, F):
     measured = float(np.linalg.norm(
         w_f * g.potential_difference(pot)[idx]))
 
-    _, maxsq, min_U = _set_constants(problem, op.walk, U, mode)
-    min_f = _set_constants(problem, op.walk, ends, mode)[2]
+    _, (maxsq, _), (min_U, min_f) = _set_constants(
+        problem, op.walk, [U, np.sort(ends)], mode)
     if mode == "exact":
         c_prime = w_f * maxsq / math.sqrt(min_f) / math.sqrt(min_U)
     else:
         c_prime = problem.bundle.Q * maxsq / math.sqrt(min_f * min_U)
-    lam = _decay_rate(problem, op.walk, mode)
+    lam = _decay_rate(problem, op.walk, mode)[0]
     dist = geodesic_distance(g, U, ends)
     bound = math.sqrt(2.0) * c_prime * lam ** dist / (1.0 - lam)
     return measured, bound
 
 
 def interlacing_bound(graph, sub_walk, w_minus, w_plus):
-    """Second eigenvalue in magnitude of a weighted subgraph walk and its
-    interlacing bound from the unweighted full-graph adjacency."""
+    """(lambda', bound, spectral): the second eigenvalue in magnitude of a
+    weighted subgraph walk, from its dense spectrum, its interlacing bound
+    from the unweighted full-graph adjacency, and the record of the
+    Lanczos run behind that bound's mu."""
     if w_minus <= 0 or w_plus < w_minus:
         raise LocalityError("need 0 < w_minus <= w_plus")
     wts = sub_walk.weights
@@ -201,12 +247,13 @@ def interlacing_bound(graph, sub_walk, w_minus, w_plus):
             "requires min weighted subgraph degree >= w_minus*k_minus = "
             "%.6f but it is %.6f"
             % (bound, lam_prime, w_minus * k_minus, min_wdeg))
-    return lam_prime, bound
+    return lam_prime, bound, mu.spectral
 
 
 @dataclass
 class ErrorBudget:
-    """Constants of the localized-algorithm error bounds."""
+    """Constants of the localized-algorithm error bounds; `spectral`
+    records the Lanczos run that certifies mu."""
     k_plus: int
     k_minus: int
     mu: float
@@ -215,6 +262,7 @@ class ErrorBudget:
     c: float
     gamma: float
     constants_mode: str
+    spectral: dict
 
     @property
     def valid(self):
@@ -237,9 +285,9 @@ class ErrorBudget:
 def budget_for(problem):
     k_plus, k_minus, mu = _graph_triple(problem.graph)
     Q = problem.bundle.Q
-    return ErrorBudget(k_plus, k_minus, mu, Q,
+    return ErrorBudget(k_plus, k_minus, float(mu), Q,
                        *_envelope(Q, k_plus, k_minus, mu),
-                       _constants_mode(problem))
+                       _constants_mode(problem), mu.spectral)
 
 
 @dataclass

@@ -70,8 +70,9 @@ class LocalizedSolver:
     Householder QR, give the basis Q (|E| x c, c = |E| - |V| + 1). A run
     routes the restricted b along the tree once, to x0, and each step
     projects v to x0 + Q Q^T (v - x0). On a tree (c = 0) every step
-    returns the one feasible flow. A run iterates on the subgraph's flows
-    alone, after one check of the frozen flows.
+    returns the one feasible flow, x0, without evaluating the gradient. A
+    run iterates on the subgraph's flows alone, after one check of the
+    frozen flows.
     """
 
     def __init__(self, problem, sub):
@@ -126,8 +127,11 @@ class LocalizedSolver:
         Q = self.cycle_basis
         xi = x[self.e_in]
         for _ in range(int(t)):
-            v = xi - eta * self.bundle.gradient(xi)
-            xi = x0 + Q @ (Q.T @ (v - x0))
+            if Q.shape[1]:
+                v = xi - eta * self.bundle.gradient(xi)
+                xi = x0 + Q @ (Q.T @ (v - x0))
+            else:  # a tree's one feasible flow: no gradient to take
+                xi = x0
             if collect is not None:
                 collect(self._scatter(x, xi))
         return self._scatter(x, xi)

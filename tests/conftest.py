@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,16 @@ def logcosh_bundle(rng, n_edges, a_range=(0.5, 2.0), s_range=(0.2, 1.0)):
                               a=float(rng.uniform(*a_range)),
                               s=float(rng.uniform(*s_range))))
     return ObjectiveBundle(costs)
+
+
+def traced_peak_mb(fn):
+    """Peak memory traced while fn() runs, in MB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -219,12 +219,12 @@ def test_criterion_6_interlacing():
         g = graphs[seed % len(graphs)]
         w_minus, w_plus = 1.0, 1.02
         walk = WeightedWalk(g, rng.uniform(w_minus, w_plus, g.n_edges))
-        lam_prime, bound = interlacing_bound(g, walk, w_minus, w_plus)
+        lam_prime, bound, _ = interlacing_bound(g, walk, w_minus, w_plus)
         if lam_prime > bound + 1e-10:
             violations += 1
         assert bound < 1.0
     gk4 = generate("complete", n=4)
-    lam_prime, bound = interlacing_bound(
+    lam_prime, bound, _ = interlacing_bound(
         gk4, WeightedWalk(gk4, np.ones(6)), 1.0, 1.0)
     k4_dev = abs(lam_prime - 1.0 / 3.0)
     equality = abs(bound - 1.0 / 3.0) <= 1e-12 and k4_dev <= 1e-10

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from conftest import traced_peak_mb
 from localflow import cli
 from localflow.cli import main
 
@@ -578,3 +579,116 @@ def test_solve_zero_tolerance_in_config_file_exits_2(cycle6_files, tmp_path,
     assert main(["solve", "--config", config,
                  "--out", str(tmp_path / "out")]) == 2
     assert "--tolerance" in capsys.readouterr().err
+
+
+def check_spectral(record, bound):
+    assert record["method"] == "lanczos"
+    assert 0.0 <= record["delta"] < 1.0 and record["steps"] >= 1
+    assert record["ritz"] <= record["bound"] == bound
+
+
+@pytest.fixture
+def expander_files(tmp_path):
+    gen = str(tmp_path / "gen")
+    assert main(["generate", "--kind", "random-k-regular", "--n", "200",
+                 "--k", "3", "--seed", "11", "--out", gen]) == 0
+    costs = write_json(tmp_path / "costs.json",
+                       {"default": {"kind": "quadratic", "a": 1.0}})
+    flow = write_json(tmp_path / "flow.json", {})
+    pert = write_json(tmp_path / "pert.json", {"v0": 1.0, "v1": -1.0})
+    return os.path.join(gen, "graph.json"), costs, flow, pert
+
+
+def test_reports_carry_the_spectral_record(expander_files, tmp_path):
+    graph, costs, flow, pert = expander_files
+    problem = ["--graph", graph, "--costs", costs, "--flow", flow]
+    out = str(tmp_path / "out")
+    assert main(["decay", *problem, "--perturbation", pert,
+                 "--out", out]) == 0
+    report = json.load(open(os.path.join(out, "decay.json")))
+    # exact mode: the record is the walk's, and certifies the rate itself
+    check_spectral(report["spectral"], report["lam"])
+    assert report["spectral"]["delta"] > 0.0  # n = 200 > LANCZOS_STEPS
+    assert main(["tune", *problem, "--eps", "1e-3", "--out", out]) == 0
+    report = json.load(open(os.path.join(out, "tune.json")))
+    check_spectral(report["spectral"], report["constants"]["mu"])
+    assert main(["interlace", *problem, "--subgraph-center", "v0",
+                 "--radius", "30", "--out", out]) == 0
+    report = json.load(open(os.path.join(out, "interlace.json")))
+    check_spectral(report["spectral"], report["spectral"]["bound"])
+    assert report["spectral"] == json.load(open(os.path.join(
+        out, "tune.json")))["spectral"]  # both certify the adjacency's mu
+
+
+def test_tune_family_from_flags_has_no_spectral_record(tmp_path):
+    out = str(tmp_path / "tune")
+    assert main(["tune", "--Q", "1", "--k", "3", "--mu", "2.8",
+                 "--eps", "1e-3", "--out", out]) == 0
+    assert json.load(open(os.path.join(out, "tune.json")))["spectral"] \
+        is None
+
+
+@pytest.mark.parametrize("kind, size", [
+    ("cycle", ["--n", "12"]), ("grid-2d", ["--rows", "4", "--cols", "5"])])
+def test_exact_decay_on_bipartite_graph_exits_3(tmp_path, capsys, kind,
+                                                size):
+    gen = str(tmp_path / "gen")
+    assert main(["generate", "--kind", kind, *size, "--out", gen]) == 0
+    costs = write_json(tmp_path / "costs.json",
+                       {"default": {"kind": "quadratic", "a": 1.0}})
+    flow = write_json(tmp_path / "flow.json", {})
+    first, second = json.load(open(os.path.join(gen, "graph.json")))[
+        "vertices"][:2]
+    pert = write_json(tmp_path / "pert.json", {first: 1.0, second: -1.0})
+    assert main(["decay", "--graph", os.path.join(gen, "graph.json"),
+                 "--costs", costs, "--flow", flow, "--perturbation", pert,
+                 "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    rate = float(err.split("decay rate bound is ")[1].split()[0])
+    assert rate >= 1.0
+
+
+@pytest.mark.parametrize("command, field, value", [
+    ("tune", "k", 3.9), ("tune", "z", 0.7), ("reopt", "radius", 1.5),
+    ("reopt", "iters", 2.5), ("interlace", "radius", 0.7),
+    ("generate", "n", 12.5)])
+def test_fractional_integer_field_in_config_exits_2(
+        cycle6_files, tmp_path, capsys, command, field, value):
+    graph, costs, flow = cycle6_files
+    pert = write_json(tmp_path / "pert.json", {"v0": 0.5, "v1": -0.5})
+    config = {
+        "tune": {"Q": 1.0, "k": 3, "mu": 2.8, "eps": 1e-3},
+        "reopt": {"graph": graph, "costs": costs, "flow": flow,
+                  "perturbation": pert, "subgraph-center": "v0",
+                  "radius": 1, "iters": 2},
+        "interlace": {"graph": graph, "costs": costs, "flow": flow,
+                      "subgraph-center": "v0", "radius": 3},
+        "generate": {"kind": "cycle", "n": 12},
+    }[command]
+    out = str(tmp_path / "out")
+    # the integral value runs; the fractional one is refused, not truncated
+    assert main([command, "--config", write_json(tmp_path / "ok.json",
+                                                 config), "--out", out]) == 0
+    config[field] = value
+    assert main([command, "--config", write_json(tmp_path / "bad.json",
+                                                 config),
+                 "--out", str(tmp_path / "bad")]) == 2
+    assert "--%s must be an integer, got %r" % (field, value) \
+        in capsys.readouterr().err
+    assert not os.path.exists(str(tmp_path / "bad"))
+
+
+def test_tune_with_graph_forms_no_n_by_n_array(tmp_path):
+    gen = str(tmp_path / "gen")
+    assert main(["generate", "--kind", "random-k-regular", "--n", "20000",
+                 "--k", "3", "--seed", "1", "--out", gen]) == 0
+    costs = write_json(tmp_path / "costs.json",
+                       {"default": {"kind": "quadratic", "a": 1.0}})
+    flow = write_json(tmp_path / "flow.json", {})
+    argv = ["tune", "--graph", os.path.join(gen, "graph.json"),
+            "--costs", costs, "--flow", flow, "--eps", "1e-3",
+            "--out", str(tmp_path / "out")]
+    # an n x n float array at n = 2e4 is 3.2 GB
+    assert traced_peak_mb(lambda: main(argv)) < 64
+    report = json.load(open(os.path.join(tmp_path, "out", "tune.json")))
+    assert report["spectral"]["steps"] == 120

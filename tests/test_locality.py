@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localflow import (DirectedGraph, EdgeCost, LocalityError,
                        ObjectiveBundle, PerturbationSpec, SubgraphSpec,
@@ -12,8 +14,10 @@ from localflow import (DirectedGraph, EdgeCost, LocalityError,
                        point_to_set, sensitivity_operator, set_to_point,
                        solve_exact, tune)
 from conftest import (logcosh_bundle, quadratic_problem, random_balanced,
-                      random_connected_graph, triangle)
+                      random_connected_graph, traced_peak_mb, triangle)
 from localflow import FlowProblem
+from localflow import laplacian
+from localflow.laplacian import LANCZOS_STEPS, SPECTRAL_DELTA
 
 
 def k4():
@@ -32,6 +36,78 @@ def antipodal_perturbation(g):
 def test_adjacency_slem_complete_graph():
     # K_n adjacency spectrum: n-1 once, -1 repeated
     assert adjacency_slem(k4()) == pytest.approx(1.0, abs=1e-10)
+
+
+def check_bounds_bracket_dense(g, seed):
+    """adjacency_slem and the walk's slem_bound against dense eigensolves:
+    dense <= bound <= 1.01 dense, each with its Lanczos record."""
+    weights = np.random.default_rng(seed).uniform(0.5, 2.0, g.n_edges)
+    vals = np.linalg.eigvalsh(WeightedWalk(g, np.ones(g.n_edges)).W)
+    walk = WeightedWalk(g, weights)
+    for bound, dense in ((adjacency_slem(g), max(-vals[0], abs(vals[-2]))),
+                         (walk.slem_bound, walk.spectrum().lam)):
+        assert dense <= bound <= 1.01 * dense
+        record = bound.spectral
+        assert record["ritz"] <= record["bound"] == bound
+        assert record["delta"] in (0.0, SPECTRAL_DELTA)
+        assert record["delta"] == 0.0 or g.n_vertices > LANCZOS_STEPS
+
+
+# one-row grids (odd paths) are left out: there ||A - (d/n) 1 1^T||
+# exceeds the second eigenvalue by up to 5%, a sound but loose bound
+GRAPHS = st.one_of(
+    st.builds(lambda n, k, seed: generate("random-k-regular", n=2 * n, k=k,
+                                          seed=seed),
+              st.integers(3, 150), st.sampled_from([3, 4]),
+              st.integers(0, 1000)),
+    st.builds(lambda rows, cols: generate("grid-2d", rows=rows, cols=cols),
+              st.integers(2, 20), st.integers(2, 20)),
+    st.builds(lambda n: generate("complete", n=n), st.integers(2, 40)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=GRAPHS, seed=st.integers(0, 2 ** 16))
+def test_certified_bounds_bracket_dense_spectra(g, seed):
+    check_bounds_bracket_dense(g, seed)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("random-k-regular", {"n": 2000, "k": 3, "seed": 1}),
+    ("grid-2d", {"rows": 40, "cols": 50})])
+def test_certified_bounds_bracket_dense_spectra_at_n_2000(kind, params):
+    check_bounds_bracket_dense(generate(kind, **params), 0)
+
+
+def test_certified_bound_covers_an_unconverged_ritz_value(monkeypatch):
+    # ten steps leave the Ritz value below the norm; the tail bound's
+    # inflation, not the Ritz value, is what makes the bound sound
+    monkeypatch.setattr(laplacian, "LANCZOS_STEPS", 10)
+    g = generate("random-k-regular", n=400, k=3, seed=1)
+    vals = np.linalg.eigvalsh(WeightedWalk(g, np.ones(g.n_edges)).W)
+    bound = adjacency_slem(g)
+    ritz = bound.spectral["ritz"]
+    assert bound.spectral["steps"] == 10
+    assert ritz < max(-vals[0], vals[-2]) <= bound
+    e = (math.log(1.648 * math.sqrt(400) / SPECTRAL_DELTA) / 19) ** 2
+    assert bound >= ritz / math.sqrt(1.0 - e)
+
+
+@pytest.fixture(scope="module")
+def expander20k():
+    return generate("random-k-regular", n=20_000, k=3, seed=1)
+
+
+def test_constants_form_no_n_by_n_array(expander20k):
+    # an n x n float array at n = 2e4 is 3.2 GB
+    g = expander20k
+    rng = np.random.default_rng(0)
+    problem = FlowProblem(g, ObjectiveBundle([
+        EdgeCost("quadratic", a=a) for a in rng.uniform(1.0, 2.0, g.n_edges)
+    ]), np.zeros(g.n_vertices))
+    assert traced_peak_mb(lambda: budget_for(problem)) < 64
+    pert = antipodal_perturbation(g)
+    assert traced_peak_mb(lambda: measure_decay(
+        problem, pert, [[0], [1, 2], [g.n_edges - 1]])) < 64
 
 
 def test_measure_decay_distance_zero_case(expander200):
@@ -89,16 +165,28 @@ def test_measure_decay_envelope_mode(rng):
         assert row.measured <= row.bound + 1e-9
 
 
-def reference_decay(problem, pert, F_sets):
-    """measure_decay rows as (edge ids, distance, measured, bound, c), with
-    one BFS per F and a loop over every edge for the exact-mode weight."""
+def dense_decay_rate(problem, walk):
+    """The decay rate from dense eigensolves: the walk's second eigenvalue
+    in magnitude in exact mode, the envelope of the adjacency's otherwise."""
+    if problem.bundle.all_quadratic:
+        return walk.spectrum().lam
+    g = problem.graph
+    vals = np.linalg.eigvalsh(WeightedWalk(g, np.ones(g.n_edges)).W)
+    mu = max(abs(vals[-2]), abs(vals[0]))
+    k_plus, k_minus = g.degrees().max(), g.degrees().min()
+    return problem.bundle.Q * (k_plus + mu) / k_minus - 1.0
+
+
+def reference_decay(problem, pert, F_sets, lam):
+    """measure_decay rows as (edge ids, distance, measured, bound, c) at
+    decay rate lam, with one BFS per F and a loop over every edge for the
+    exact-mode weight."""
     g = problem.graph
     exact = problem.bundle.all_quadratic
     op = sensitivity_operator(problem)
     deriv = op.apply(pert.p)
     Z = sorted(pert.support)
     p_norm = float(np.linalg.norm(pert.p[Z])) if Z else 0.0
-    lam = op.walk.spectrum().lam if exact else envelope_lambda(problem)
     rows = []
     for F in F_sets:
         idx = [g.edge_index[e] if isinstance(e, str) else int(e) for e in F]
@@ -117,7 +205,7 @@ def reference_decay(problem, pert, F_sets):
         rows.append((tuple(g.edges[k][0] for k in idx), dist,
                      float(np.linalg.norm(deriv[idx])),
                      c * lam ** dist / (1.0 - lam) * p_norm, c))
-    return rows, lam
+    return rows
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "log-cosh"])
@@ -141,10 +229,11 @@ def test_measure_decay_matches_reference(kind):
               for size in (1, 2, 3, 5, 8) for _ in range(6)]
     F_sets += [[g.edges[k][0] for k in F] for F in F_sets[::3]]
     report = measure_decay(problem, pert, F_sets)
-    rows, lam = reference_decay(problem, pert, F_sets)
+    rows = reference_decay(problem, pert, F_sets, report.lam)
     assert report.constants_mode == ("exact" if kind == "quadratic"
                                      else "envelope")
-    assert report.lam == lam
+    dense = dense_decay_rate(problem, sensitivity_operator(problem).walk)
+    assert dense <= report.lam <= 1.01 * dense
     assert [(r.edge_ids, r.distance, r.measured, r.bound, r.c)
             for r in report.rows] == rows
 
@@ -250,7 +339,7 @@ def test_point_to_set_symmetry_with_pinv(expander200):
 def test_interlacing_k4_equality():
     g = k4()
     walk = WeightedWalk(g, np.ones(g.n_edges))
-    lam_prime, bound = interlacing_bound(g, walk, 1.0, 1.0)
+    lam_prime, bound, _ = interlacing_bound(g, walk, 1.0, 1.0)
     assert lam_prime == pytest.approx(1.0 / 3.0, abs=1e-10)
     assert bound == pytest.approx(1.0 / 3.0, abs=1e-12)
 
@@ -258,7 +347,7 @@ def test_interlacing_k4_equality():
 def test_interlacing_uniform_weights_specialize():
     g = generate("random-k-regular", n=20, k=3, seed=2)
     walk = WeightedWalk(g, np.full(g.n_edges, 0.7))
-    lam_prime, bound = interlacing_bound(g, walk, 0.7, 0.7)
+    lam_prime, bound, _ = interlacing_bound(g, walk, 0.7, 0.7)
     mu = adjacency_slem(g)
     assert bound == pytest.approx(3.0 / 3.0 - 1.0 + mu / 3.0)
     assert lam_prime <= bound + 1e-10
@@ -290,7 +379,7 @@ def test_interlacing_seeded_subgraph_sweep():
         w_minus, w_plus = 0.5, 1.5
         weights = rng.uniform(w_minus, w_plus, len(e_in))
         walk = WeightedWalk(sub_graph, weights)
-        lam_prime, bound = interlacing_bound(g, walk, w_minus, w_plus)
+        lam_prime, bound, _ = interlacing_bound(g, walk, w_minus, w_plus)
         assert lam_prime <= bound + 1e-10
         checked += 1
 
@@ -366,6 +455,7 @@ def test_budget_constants_regular_graph(expander200):
     assert budget.c == pytest.approx(math.sqrt(6.0) / 3.0)
     assert budget.gamma == pytest.approx(
         budget.c * (1.0 + budget.c * math.sqrt(2.0)))
+    assert budget.spectral == mu.spectral
 
 
 @pytest.mark.parametrize("s", [0.0, 0.005])
@@ -380,7 +470,7 @@ def test_envelope_constants_agree_across_entry_points(expander200, s):
     budget = budget_for(problem)
     tuned = tune(TunerFamily(Q, 3, mu), 1e-3)
     walk = WeightedWalk(g, np.ones(g.n_edges))
-    _, bound = interlacing_bound(g, walk, 1.0, Q)
+    _, bound, _ = interlacing_bound(g, walk, 1.0, Q)
     assert envelope_lambda(problem) == pytest.approx(budget.rho)
     assert tuned.rho == pytest.approx(budget.rho)
     assert bound == pytest.approx(budget.rho)

@@ -315,29 +315,36 @@ def test_localized_run_matches_reference_on_trees_grids_and_whole_graphs(
 
 def test_localized_run_checks_frozen_flows_once(rng):
     """Per step the run touches only the ball: the full graph's outflow
-    and the cut edges' outflow are computed once each, and the full bundle
-    is only domain-checked once."""
+    and the cut edges' outflow are computed once each, the full bundle is
+    only domain-checked once, and the gradient is taken on the ball's
+    flows once per step; a tree ball (r = 2 here) takes none, yet collect
+    still receives every iterate."""
     g = generate("random-k-regular", n=400, k=3, seed=5)
     problem = FlowProblem(g, logcosh_bundle(rng, g.n_edges),
                           random_balanced(rng, g.n_vertices))
     x = solve_exact(problem)
-    local = LocalizedSolver(problem, ball_subgraph(g, 0, 2))
-    outflows, gradient_sizes = [], []
-    full_outflow, ball_gradient = g.net_outflow, local.bundle.gradient
+    full_outflow = g.net_outflow
+    for r, steps in ((6, 30), (2, 0)):
+        local = LocalizedSolver(problem, ball_subgraph(g, 0, r))
+        assert (local.sub.cycle_rank > 0) == (steps > 0)
+        outflows, gradient_sizes, iterates = [], [], []
+        ball_gradient = local.bundle.gradient
 
-    def counted_outflow(*args):
-        outflows.append(len(args[0]))
-        return full_outflow(*args)
+        def counted_outflow(*args):
+            outflows.append(len(args[0]))
+            return full_outflow(*args)
 
-    def counted_gradient(v):
-        gradient_sizes.append(len(v))
-        return ball_gradient(v)
+        def counted_gradient(v):
+            gradient_sizes.append(len(v))
+            return ball_gradient(v)
 
-    g.net_outflow, local.bundle.gradient = counted_outflow, counted_gradient
-    problem.bundle.gradient = problem.bundle.hessian_diag = None
-    local.run(x, problem.b, 30)
-    assert outflows == [g.n_edges, len(local.sub.cut)]
-    assert gradient_sizes == [len(local.e_in)] * 30
+        g.net_outflow, local.bundle.gradient = (counted_outflow,
+                                                counted_gradient)
+        problem.bundle.gradient = problem.bundle.hessian_diag = None
+        local.run(x, problem.b, 30, collect=iterates.append)
+        assert outflows == [g.n_edges, len(local.sub.cut)]
+        assert gradient_sizes == [len(local.e_in)] * steps
+        assert len(iterates) == 30
 
 
 def test_localized_run_rejects_out_of_domain_frozen_flow():

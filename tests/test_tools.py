@@ -17,6 +17,8 @@ def test_bench_curve_writes_one_row_per_size(tmp_path):
     assert [row["n"] for row in report["rows"]] == [20, 40]
     for row in report["rows"]:
         assert row["global_solve_ms"] > 0
+        # a 3-regular graph's mu is at most its degree
+        assert row["constants_ms"] > 0 and 0 < row["mu_bound"] <= 3.0 + 1e-9
         assert set(row["radius"]) == {"1", "2"}
         for entry in row["radius"].values():
             assert entry["request_ms_p50"] > 0 and entry["requests"] == 2

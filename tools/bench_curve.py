@@ -6,6 +6,9 @@
 For each n, on a random 3-regular graph with quadratic costs a ~ U[1, 1.02]
 and c ~ N(0, 1), the script times:
 - the global `solve_exact`, the median of three solves;
+- the error budget's spectral constants, `budget_for` (median of three), and
+  records the certified bound `mu_bound` on the adjacency's second
+  eigenvalue in magnitude that it computes;
 - at each radius r, a request as the benchmark's reopt-local workload makes
   it: `ball_subgraph`, then `warm_start_reoptimize` with 30 steps from the
   base optimum, for a unit perturbation across a random edge (median over
@@ -97,8 +100,15 @@ def main(argv=None):
             start = time.perf_counter()
             x_star = lf.solve_exact(problem)
             solve_ms.append(_ms(start))
+        constants_ms = []
+        for _ in range(3):
+            start = time.perf_counter()
+            budget = lf.budget_for(problem)
+            constants_ms.append(_ms(start))
         row = {"n": n, "m": problem.graph.n_edges,
                "global_solve_ms": statistics.median(solve_ms),
+               "constants_ms": statistics.median(constants_ms),
+               "mu_bound": budget.mu,
                "radius": {str(r): _radius_row(problem, x_star, rng, r,
                                               args.requests)
                           for r in args.radii}}
