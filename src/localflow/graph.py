@@ -6,7 +6,7 @@ surface so reports can embed it.
 """
 
 import json
-from collections import deque
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +24,10 @@ class DirectedGraph:
     reports the first fault of the first failing class. Queries take
     vertex or edge ids or indices, and raise GraphError for an unknown id
     and for a negative or out-of-range index.
+
+    The undirected adjacency is an incident-edge CSR: the slots
+    indptr[u]:indptr[u + 1] hold u's neighbors `adj`, ascending, and the
+    edges `adj_edge` that join u to them.
     """
 
     def __init__(self, vertices, edges):
@@ -42,7 +46,7 @@ class DirectedGraph:
         except KeyError as exc:
             raise GraphError("unknown endpoint id: %s" % exc.args[0]) from None
         self.tails, self.heads = ends.reshape(-1, 2).T.copy()
-        self._set_neighbors(_simple_adjacency(self.tails, self.heads,
+        self._set_adjacency(_simple_adjacency(self.tails, self.heads,
                                               self.n_vertices,
                                               self.vertices.__getitem__))
         if not self._is_connected():
@@ -57,19 +61,27 @@ class DirectedGraph:
         g.vertex_index = {v: i for i, v in enumerate(vertices)}
         g.edge_index = {e[0]: k for k, e in enumerate(edges)}
         n = len(vertices)
-        g._set_neighbors(np.sort(np.concatenate((tails * n + heads,
-                                                 heads * n + tails))))
+        g._set_adjacency(np.argsort(np.concatenate((tails * n + heads,
+                                                    heads * n + tails))))
         return g
 
-    def _set_neighbors(self, keys):
-        """Neighbor lists from the sorted keys u * n + w of both
-        orientations of every edge, split by u."""
-        adjacency = (keys % self.n_vertices).tolist()
-        stops = np.cumsum(self.degrees()).tolist()
-        self.neighbors = [adjacency[a:b] for a, b in zip([0] + stops, stops)]
+    def _set_adjacency(self, order):
+        """The CSR from `order`, which sorts the keys u * n + w of both
+        orientations of every edge: entry k < m of those keys is edge k
+        from its tail, entry m + k edge k from its head."""
+        self.adj = np.concatenate((self.heads, self.tails))[order]
+        self.adj_edge = order % self.n_edges
+        self.indptr = np.concatenate(([0], np.cumsum(self.degrees())))
+
+    @cached_property
+    def neighbors(self):
+        """Each vertex's neighbors as a list of indices, ascending."""
+        adj, stops = self.adj.tolist(), self.indptr.tolist()
+        return [adj[a:b] for a, b in zip(stops, stops[1:])]
 
     def _is_connected(self):
-        return len(_ball(self, 0, self.n_vertices)) == self.n_vertices
+        n = self.n_vertices
+        return n > 0 and len(_search(self, [0])[2]) == n
 
     @property
     def n_vertices(self):
@@ -91,7 +103,7 @@ class DirectedGraph:
         return nu[self.tails] - nu[self.heads]
 
     def degree(self, v_idx):
-        return len(self.neighbors[v_idx])
+        return int(self.indptr[v_idx + 1] - self.indptr[v_idx])
 
     def degrees(self):
         return np.bincount(np.concatenate((self.tails, self.heads)),
@@ -102,18 +114,8 @@ class DirectedGraph:
 
         Unreachable vertices get -1 (cannot happen on a connected graph).
         """
-        dist = np.full(self.n_vertices, -1, dtype=np.intp)
-        queue = deque()
-        for s in sources:
-            dist[s] = 0
-            queue.append(s)
-        while queue:
-            u = queue.popleft()
-            for w in self.neighbors[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return dist
+        sources = np.unique(np.asarray(sources, dtype=np.intp))
+        return _search(self, sources)[0]
 
     def to_json_dict(self):
         return {
@@ -156,12 +158,14 @@ def _first_repeat(keys):
 
 
 def _simple_adjacency(tails, heads, n, name=str):
-    """The sorted keys u * n + w of both orientations of every edge, after
-    the simple-graph rule: GraphError at the first self-loop, else at the
-    first edge repeating an earlier vertex pair in either orientation.
-    `name` turns a vertex index into the id the message shows."""
-    keys = np.sort(np.concatenate((tails * n + heads, heads * n + tails)))
-    if (keys[1:] == keys[:-1]).any():  # a self-loop repeats its key too
+    """The order that sorts the keys u * n + w of both orientations of
+    every edge, after the simple-graph rule: GraphError at the first
+    self-loop, else at the first edge repeating an earlier vertex pair in
+    either orientation. `name` turns a vertex index into the id the
+    message shows."""
+    keys = np.concatenate((tails * n + heads, heads * n + tails))
+    ordered = np.sort(keys)  # cheaper than the order on rejected draws
+    if (ordered[1:] == ordered[:-1]).any():  # a self-loop repeats its key
         loops = np.flatnonzero(tails == heads)
         if len(loops):
             raise GraphError("self-loop on vertex: %s" % name(tails[loops[0]]))
@@ -169,7 +173,7 @@ def _simple_adjacency(tails, heads, n, name=str):
                           + np.maximum(tails, heads))
         raise GraphError("multiple edges between vertices: %s, %s"
                          % (name(tails[k]), name(heads[k])))
-    return keys
+    return keys.argsort()
 
 
 def _indices(index, ids, kind):
@@ -220,34 +224,70 @@ def induced_vertex_set(g, F):
 class SubgraphSpec:
     """A connected subgraph: v_in/e_in are its vertex and edge indices and
     cut the edges with one end in it, each sorted. The inner boundary holds
-    the subgraph vertices with a neighbor outside it. `induced` is the
-    subgraph as a DirectedGraph, vertices and edges in index order, built
-    from g's index arrays. A vertex set that is not connected raises
-    GraphError; `connected=True` skips that check for a set that is
-    connected by construction, such as a BFS ball.
+    the subgraph vertices with a neighbor outside it.
+
+    A BFS spanning tree of the subgraph comes with it: `depth` holds each
+    vertex's depth (in v_in's order) and `tree_edge` the position in e_in
+    of its edge toward the root, -1 at the root. `tree` is the (dist,
+    parent) pair of a search over g that reached exactly these vertices,
+    such as ball_subgraph's, rooted at the ball's center. Without it a
+    search from the lowest vertex through the set builds the tree, and a
+    set it does not reach whole raises GraphError. `induced`, the subgraph
+    as a DirectedGraph with vertices and edges in index order, is built
+    from g's index arrays on first use.
     """
 
-    def __init__(self, g, vertex_indices, connected=False):
+    def __init__(self, g, vertex_indices, tree=None):
         self.graph = g
-        inside = np.zeros(g.n_vertices, dtype=bool)
-        inside[_vertex_indices(g, vertex_indices)] = True
-        self.v_in = np.flatnonzero(inside)
-        if not len(self.v_in):
-            raise GraphError("empty subgraph vertex set")
-        self.e_in = np.flatnonzero(inside[g.tails] & inside[g.heads])
-        self.cut = np.flatnonzero(inside[g.tails] != inside[g.heads])
-        self.vertex_set = frozenset(self.v_in.tolist())
-        self.edge_set = frozenset(self.e_in.tolist())
-        # the inner ends of the edges that leave the subgraph
-        ends = np.concatenate([g.tails[self.cut], g.heads[self.cut]])
-        self.boundary = frozenset(ends[inside[ends]].tolist())
-        self.induced = DirectedGraph._of_arrays(
+        if tree is None:
+            inside = np.zeros(g.n_vertices, dtype=bool)
+            inside[_vertex_indices(g, vertex_indices)] = True
+            self.v_in = np.flatnonzero(inside)
+            if not len(self.v_in):
+                raise GraphError("empty subgraph vertex set")
+            dist, parent, reached = _search(g, self.v_in[:1], inside=inside)
+            if len(reached) < len(self.v_in):
+                raise GraphError("subgraph is not connected")
+        else:
+            dist, parent = tree
+            inside = dist >= 0
+            self.v_in = np.sort(vertex_indices)
+        slots, counts = _slots(g, self.v_in)
+        edges, across = g.adj_edge[slots], ~inside[g.adj[slots]]
+        # an inner edge shows up once from each end
+        self.e_in = np.sort(edges[~across])[::2]
+        self.cut = np.sort(edges[across])
+        self._inner_ends = self.v_in.repeat(counts)[across]
+        self.depth = dist[self.v_in]
+        up = parent[self.v_in]
+        self.tree_edge = self.e_in.searchsorted(up)
+        self.tree_edge[up < 0] = -1
+
+    @cached_property
+    def vertex_set(self):
+        return frozenset(self.v_in.tolist())
+
+    @cached_property
+    def edge_set(self):
+        return frozenset(self.e_in.tolist())
+
+    @cached_property
+    def boundary(self):
+        return frozenset(self._inner_ends.tolist())
+
+    @cached_property
+    def ends(self):
+        """Tails and heads of the subgraph's edges, as positions in v_in."""
+        g = self.graph
+        return (self.v_in.searchsorted(g.tails[self.e_in]),
+                self.v_in.searchsorted(g.heads[self.e_in]))
+
+    @cached_property
+    def induced(self):
+        g = self.graph
+        return DirectedGraph._of_arrays(
             [g.vertices[v] for v in self.v_in.tolist()],
-            [g.edges[k] for k in self.e_in.tolist()],
-            np.searchsorted(self.v_in, g.tails[self.e_in]),
-            np.searchsorted(self.v_in, g.heads[self.e_in]))
-        if not connected and not self.induced._is_connected():
-            raise GraphError("subgraph is not connected")
+            [g.edges[k] for k in self.e_in.tolist()], *self.ends)
 
     @property
     def is_whole_graph(self):
@@ -262,22 +302,63 @@ class SubgraphSpec:
 
 def ball_subgraph(g, center, r):
     """Subgraph induced by the ball of radius r around a center vertex,
-    searched to depth r only."""
-    center = int(_vertex_indices(g, [center])[0])
-    if r < 0:
-        raise GraphError("radius must be nonnegative")
-    return SubgraphSpec(g, _ball(g, center, r), connected=True)
+    searched to depth r only; its spanning tree is rooted at the center.
+    The radius must be a nonnegative integer."""
+    center = _vertex_indices(g, [center])
+    depth = _nonnegative_int(r, GraphError, "radius")
+    dist, parent, reached = _search(g, center, depth)
+    return SubgraphSpec(g, reached, tree=(dist, parent))
 
 
-def _ball(g, center, r):
-    """Vertex indices within r hops of center, searched level by level."""
-    ball = frontier = {center}
-    for _ in range(r):
-        frontier = {w for u in frontier for w in g.neighbors[u]} - ball
-        if not frontier:
-            break
-        ball |= frontier
-    return ball
+def _nonnegative_int(value, error, name):
+    """value as an int if it is a nonnegative integer (2.0 included);
+    else `error`, naming the value `name`."""
+    try:
+        if value >= 0 and float(value).is_integer():
+            return int(value)
+    except (TypeError, ValueError):
+        pass
+    raise error("%s must be a nonnegative integer, got %r" % (name, value))
+
+
+def _slots(g, vertices):
+    """Positions in g's CSR arrays of the edges incident to the nonempty
+    `vertices`, vertex by vertex, and the count of each vertex's."""
+    starts = g.indptr[vertices]
+    counts = g.indptr[vertices + 1] - starts
+    stops = counts.cumsum()
+    return np.arange(stops[-1]) + (starts - stops + counts).repeat(counts), \
+        counts
+
+
+def _search(g, sources, depth=None, inside=None):
+    """Level-synchronous BFS over g's CSR from the distinct vertex indices
+    `sources`, to `depth` levels (all when None), through the vertices of
+    the mask `inside` only (all when None). Returns (dist, parent,
+    reached): each vertex's distance from the sources and the edge to its
+    parent in the BFS forest, a neighbor on the level above, both -1 where
+    it is not reached (parent also at a source), and the reached vertices
+    level by level."""
+    dist, parent = np.full((2, g.n_vertices), -1, dtype=np.intp)
+    frontier = np.asarray(sources, dtype=np.intp)
+    dist[frontier] = 0
+    levels = [frontier]
+    level = 0
+    while len(frontier) and level != depth:
+        slots = _slots(g, frontier)[0]
+        ahead = g.adj[slots]
+        new = dist[ahead] < 0
+        if inside is not None:
+            new &= inside[ahead]
+        ahead, edges = ahead[new], g.adj_edge[slots[new]]
+        # a vertex seen across several edges keeps whichever edge the
+        # write leaves, and joins the frontier once
+        parent[ahead] = edges
+        frontier = ahead[parent[ahead] == edges]
+        level += 1
+        dist[frontier] = level
+        levels.append(frontier)
+    return dist, parent, np.concatenate(levels)
 
 
 def radius_max(g, center):

@@ -124,7 +124,9 @@ def norm_bound(graph, weights, scale, deflate):
     B is applied by bincount products and never formed.
 
     Lanczos runs on the positive semidefinite B^2, with full
-    reorthogonalisation, from a Gaussian start drawn with a fixed seed.
+    reorthogonalisation (one Gram-Schmidt pass, and a second when the
+    first removes much: the DGKS criterion), from a Gaussian start drawn
+    with a fixed seed.
     After k steps its top Ritz value theta gives ||B||^2 <= theta / (1 - e),
     e = (ln(1.648 sqrt(n) / delta) / (2k - 1))^2, with probability at least
     1 - delta over the start (Kuczynski & Wozniakowski, SIAM J. Matrix
@@ -146,11 +148,19 @@ def norm_bound(graph, weights, scale, deflate):
     basis[0] = start / np.linalg.norm(start)
     alpha, beta = [], []
     for k in range(1, len(basis) + 1):
-        r = apply(apply(basis[k - 1]))
-        alpha.append(basis[k - 1] @ r)
-        for _ in range(2):  # classical Gram-Schmidt, twice
+        q = basis[k - 1]
+        r = apply(apply(q))
+        alpha.append(q @ r)
+        # the three-term recurrence, then classical Gram-Schmidt against
+        # the whole basis, run again only when it removed more than
+        # 1 - 1/sqrt(2) of the norm (Daniel, Gragg, Kaufman and Stewart)
+        r -= alpha[-1] * q + (beta[-1] * basis[k - 2] if beta else 0.0)
+        for _ in range(2):
+            norm = np.linalg.norm(r)
             r -= (basis[:k] @ r) @ basis[:k]
-        res = np.linalg.norm(r)
+            res = np.linalg.norm(r)
+            if res * np.sqrt(2.0) >= norm:
+                break
         # a residual at round-off level: the Krylov space is invariant
         exhausted = k == n or res <= 16.0 * np.sqrt(n) * ulp * s * s
         if exhausted or k == len(basis):

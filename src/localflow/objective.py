@@ -122,7 +122,7 @@ class ObjectiveBundle:
 
     def __getitem__(self, idx):
         sub = object.__new__(ObjectiveBundle)
-        sub.costs = [self.costs[e] for e in idx]
+        sub.costs = [self.costs[e] for e in np.asarray(idx).tolist()]
         sub._set_params(self._params[:, idx])
         return sub
 

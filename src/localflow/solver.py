@@ -6,10 +6,10 @@ conservation constraints outside the subgraph.
 """
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
+from .graph import _nonnegative_int
 from .sensitivity import FEAS_TOL, FlowProblem, _scale, solve_exact
 
 
@@ -64,14 +64,17 @@ class LocalizedSolver:
     """Frozen-boundary projected gradient descent on a subgraph.
 
     The subgraph's feasible flows are one particular flow plus its cycle
-    space. Once per (problem, subgraph) pair, a BFS spanning tree of the
-    subgraph gives the routing of a balanced demand along tree paths, and
-    the fundamental cycles of the non-tree edges, orthonormalised by a
-    Householder QR, give the basis Q (|E| x c, c = |E| - |V| + 1). A run
-    routes the restricted b along the tree once, to x0, and each step
-    projects v to x0 + Q Q^T (v - x0). On a tree (c = 0) every step
-    returns the one feasible flow, x0, without evaluating the gradient. A
-    run iterates on the subgraph's flows alone, after one check of the
+    space. Once per (problem, subgraph) pair, the subgraph's BFS spanning
+    tree gives the routing of a balanced demand along tree paths, and the
+    fundamental cycles of the c = |E| - |V| + 1 non-tree edges (chords)
+    give a sparse basis C (|E| x c, entries +-1, held as triples). The
+    chord rows of C are the identity, so the Gram matrix G = C^T C is I
+    plus a positive semidefinite matrix; its Cholesky factor gives G^-1.
+    A run routes the restricted b along the tree once, to x0, and each
+    step projects v to x0 + C G^-1 C^T (v - x0): two bincounts over the
+    nonzeros of C and one c x c product. On a tree (c = 0) every step
+    returns the one feasible flow, x0, without evaluating the gradient.
+    A run iterates on the subgraph's flows alone, after one check of the
     frozen flows.
     """
 
@@ -84,18 +87,37 @@ class LocalizedSolver:
         if not len(self.e_in):
             raise SolverError("subgraph has no edges to update")
         self.bundle = problem.bundle[self.e_in]
-        paths = _tree_paths(sub.induced)
-        # the tree routing as a sparse matrix: column v holds v's path
-        codes = np.fromiter(chain.from_iterable(paths), np.intp)
-        self._rows, self._signs = codes >> 1, 1.0 - 2.0 * (codes & 1)
-        self._cols = np.repeat(np.arange(len(paths)), list(map(len, paths)))
-        cycles = _fundamental_cycles(sub.induced, paths)
-        # edges on no cycle (bridges) keep zero rows; the QR skips them,
-        # and a tree, whose basis is empty, needs none
-        on_cycle = np.flatnonzero(cycles.any(axis=1))
-        self.cycle_basis = np.zeros_like(cycles)
-        if len(on_cycle):
-            self.cycle_basis[on_cycle] = np.linalg.qr(cycles[on_cycle])[0]
+        tails, heads = sub.ends
+        edge, depth = sub.tree_edge, sub.depth
+        vertex = np.arange(len(edge))
+        # each vertex's parent and the sign that routes its demand up its
+        # tree edge: +1 where the edge leaves it (the root is its own
+        # parent, with no edge)
+        up = np.where(edge < 0, vertex, tails[edge] + heads[edge] - vertex)
+        sign = np.where(tails[edge] == vertex, 1.0, -1.0)
+        child = (edge >= 0).nonzero()[0]
+        # the levels below the root, deepest first, each with its parents
+        by_depth = depth.argsort(kind="stable")
+        stops = depth[by_depth].searchsorted(np.arange(depth.max() + 2))
+        self._tree = (child, edge[child], sign[child], [
+            (by_depth[a:b], up[by_depth[a:b]])
+            for a, b in zip(stops[-2:0:-1], stops[:0:-1])])
+        c = sub.cycle_rank
+        if not c:
+            self.cycles = (np.zeros(0, np.intp), np.zeros(0, np.intp),
+                           np.zeros(0))
+            self.gram_inverse = np.zeros((0, 0))
+        else:
+            chords = np.setdiff1d(np.arange(len(self.e_in)), edge[child],
+                                  assume_unique=True)
+            # column j: a unit on chord j plus the tree routing of -1 at
+            # its tail and +1 at its head, climbed to their common ancestor
+            rows, cols, vals = _climb(edge, up, depth, sign, tails[chords],
+                                      heads[chords])
+            self.cycles = (np.concatenate((chords, rows)),
+                           np.concatenate((np.arange(c), cols)),
+                           np.concatenate((np.ones(c), vals)))
+            self.gram_inverse = _spd_inverse(_gram(*self.cycles, c))
 
     def restricted_b(self, x, b_target):
         """b_target on the subgraph minus the frozen flows' outflow there,
@@ -116,25 +138,41 @@ class LocalizedSolver:
 
     def run(self, x, b_target, t, eta=None, collect=None):
         """t localized iterations from x, returned as a new full vector;
-        collect, if given, receives one after every iteration."""
+        collect, if given, receives one after every iteration. t must be
+        a nonnegative integer; t = 0 returns a copy of x."""
+        t = _nonnegative_int(t, SolverError, "iteration count")
         if eta is None:
             eta = 1.0 / self.problem.bundle.beta
         x = np.asarray(x, dtype=float)
-        d = self.restricted_b(x, b_target)
-        x0 = np.bincount(self._rows, self._signs * d[self._cols],
-                         len(self.e_in))  # d routed along the tree
+        x0 = self._route(self.restricted_b(x, b_target))
         self.problem.bundle.check_domain(x)
-        Q = self.cycle_basis
+        rows, cols, vals = self.cycles
+        inverse = self.gram_inverse
+        c = len(inverse)
         xi = x[self.e_in]
-        for _ in range(int(t)):
-            if Q.shape[1]:
+        for _ in range(t):
+            if c:
                 v = xi - eta * self.bundle.gradient(xi)
-                xi = x0 + Q @ (Q.T @ (v - x0))
+                y = np.bincount(cols, vals * (v - x0)[rows], c)
+                xi = x0 + np.bincount(rows, vals * (inverse @ y)[cols],
+                                      len(xi))
             else:  # a tree's one feasible flow: no gradient to take
                 xi = x0
             if collect is not None:
                 collect(self._scatter(x, xi))
         return self._scatter(x, xi)
+
+    def _route(self, d):
+        """The flow on the tree edges that meets the balanced demand d:
+        each tree edge carries the demand of the subtree below it, summed
+        one level at a time from the deepest."""
+        child, rows, signs, levels = self._tree
+        below = d.copy()
+        for level, parents in levels:
+            below += np.bincount(parents, below[level], len(below))
+        flow = np.zeros(len(self.e_in))
+        flow[rows] = signs * below[child]
+        return flow
 
     def _scatter(self, x, xi):
         out = x.copy()
@@ -149,53 +187,56 @@ class LocalizedSolver:
             self.sub.induced, self.bundle, self.restricted_b(x, b_target))))
 
 
-def _tree_paths(g):
-    """Each vertex's path to vertex 0 in a BFS spanning tree of the
-    connected graph g, as a list of edge codes: 2k where edge k points
-    toward vertex 0 and 2k + 1 where it points away. Routing each vertex's
-    demand along its path, with those signs, meets A x = d for every
-    demand d that sums to zero."""
-    n, m = g.n_vertices, g.n_edges
-    # the code of the edge from w to its parent u, keyed by w * n + u
-    code = dict(zip((g.tails * n + g.heads).tolist(), range(0, 2 * m, 2)))
-    code.update(zip((g.heads * n + g.tails).tolist(), range(1, 2 * m, 2)))
-    paths = [None] * n
-    paths[0] = []
-    order = [0]
-    for u in order:  # BFS: order grows while it is read
-        for w in g.neighbors[u]:
-            if paths[w] is None:
-                paths[w] = [code[w * n + u]] + paths[u]
-                order.append(w)
-    return paths
+def _climb(edge, up, depth, sign, a, b):
+    """Sparse triples (row, column, value) of the tree routing of the
+    demand -1 at a[j] and +1 at b[j] into column j: both ends climb toward
+    the root until they meet, the deeper end first and ends at equal depth
+    together, so the loop runs once per tree level. `edge`, `up`, `depth`
+    and `sign` give each vertex's tree edge, parent, depth and the sign
+    that routes its demand up that edge."""
+    rows, cols, vals = [], [], []
+    col = np.arange(len(a))
+    while len(col):
+        da, db = depth[a], depth[b]
+        for end, moves, value in ((a, da >= db, -1.0), (b, db >= da, 1.0)):
+            rows.append(edge[end[moves]])
+            cols.append(col[moves])
+            vals.append(value * sign[end[moves]])
+        a = np.where(da >= db, up[a], a)
+        b = np.where(db >= da, up[b], b)
+        apart = a != b
+        a, b, col = a[apart], b[apart], col[apart]
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
-def _fundamental_cycles(g, paths):
-    """One circulation per non-tree edge e of the tree `paths`, as a
-    column: a unit on e plus the tree routing of the demand -1 at its tail
-    and +1 at its head. Entries above the ends' common ancestor cancel
-    exactly. The columns are independent, since each alone uses its
-    non-tree edge."""
-    m, tails, heads = g.n_edges, g.tails.tolist(), g.heads.tolist()
-    tree = {path[0] >> 1 for path in paths[1:]}
-    chords = [k for k in range(m) if k not in tree]
-    c = len(chords)
-    flat, weight = [], []
-    for j, k in enumerate(chords):
-        flat.append(k * c + j)
-        weight.append(1.0)
-        for end, sign in ((tails[k], -1.0), (heads[k], 1.0)):
-            for e in paths[end]:
-                flat.append((e >> 1) * c + j)
-                weight.append(-sign if e & 1 else sign)
-    return np.bincount(np.array(flat, dtype=np.intp), weight,
-                       m * c).reshape(m, c)
+def _gram(rows, cols, vals, c):
+    """C^T C for the sparse C of the triples: each pair of entries that
+    share a row adds its product at (column, column)."""
+    order = np.argsort(rows, kind="stable")
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    counts = np.bincount(rows)
+    size = counts[rows]  # the entries in each entry's row
+    left = np.repeat(np.arange(len(rows)), size)
+    offset = np.cumsum(size) - size
+    right = np.arange(len(left)) + np.repeat(
+        np.cumsum(counts)[rows] - counts[rows] - offset, size)
+    return np.bincount(cols[left] * c + cols[right], vals[left] * vals[right],
+                       c * c).reshape(c, c)
+
+
+def _spd_inverse(gram):
+    """G^-1 = L^-T L^-1 from the Cholesky factor L of G."""
+    l_inv = np.linalg.inv(np.linalg.cholesky(gram))
+    return l_inv.T @ l_inv
 
 
 def warm_start_reoptimize(problem, pert, sub, t, x_star=None, eta=None,
                           collect=None):
     """Run t localized iterations toward x*(b + p) from the warm start
-    x*(b), freezing the complement flows as boundary conditions."""
+    x*(b), freezing the complement flows as boundary conditions. t must be
+    a nonnegative integer (SolverError otherwise); t = 0 returns the warm
+    start."""
+    t = _nonnegative_int(t, SolverError, "iteration count")
     if not pert.support <= sub.vertex_set:
         raise SolverError("perturbation support not inside the subgraph")
     if x_star is None:

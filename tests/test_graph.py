@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import deque
 
 import numpy as np
 import pytest
@@ -220,9 +221,23 @@ def test_neighbors_and_degrees_match_edge_list(seed, n):
     assert g.degrees().tolist() == [len(s) for s in nbrs]
 
 
+def _reference_distances(g, sources):
+    """Distances from a queue-driven BFS over the neighbor lists."""
+    dist = np.full(g.n_vertices, -1, dtype=np.intp)
+    queue = deque(sources)
+    dist[list(sources)] = 0
+    while queue:
+        u = queue.popleft()
+        for w in g.neighbors[u]:
+            if dist[w] < 0:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
 def _reference_ball(g, center, r):
     """The ball from a whole-graph BFS, as (vertices, edges, boundary)."""
-    dist = g.bfs_distances([center])
+    dist = _reference_distances(g, [center])
     verts = {int(v) for v in np.nonzero(dist <= r)[0]}
     edges = {k for k in range(g.n_edges)
              if g.tails[k] in verts and g.heads[k] in verts}
@@ -259,6 +274,63 @@ def test_local_ball_matches_whole_graph_bfs(kind, seed):
             k for k in range(g.n_edges)
             if (g.tails[k] in verts) != (g.heads[k] in verts)]
         assert sub.is_whole_graph == (len(verts) == g.n_vertices)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(["random", "grid", "tree"]))
+def test_array_bfs_ball_and_tree(seed, shape):
+    """On random graphs, grids and trees, with a random center and radius:
+    bfs_distances matches a queue-driven BFS from one or more sources, the
+    ball matches the ball cut from it, and each vertex's tree edge joins
+    it, at depth d, to a ball vertex at depth d - 1."""
+    rng = np.random.default_rng(seed)
+    if shape == "grid":
+        g = generate("grid-2d", rows=int(rng.integers(1, 9)),
+                     cols=int(rng.integers(2, 9)))
+    else:
+        g = random_connected_graph(
+            rng, int(rng.integers(2, 40)),
+            extra_edges=0 if shape == "tree" else int(rng.integers(0, 60)))
+    sources = rng.choice(g.n_vertices, replace=False,
+                         size=int(rng.integers(1, min(g.n_vertices, 3) + 1)))
+    sources = sources.tolist()
+    assert np.array_equal(g.bfs_distances(sources),
+                          _reference_distances(g, sources))
+    center, r = int(rng.integers(g.n_vertices)), int(rng.integers(0, 8))
+    sub = ball_subgraph(g, center, r)
+    verts, edges, boundary = _reference_ball(g, center, r)
+    assert sub.v_in.tolist() == sorted(verts)
+    assert sub.e_in.tolist() == sorted(edges)
+    assert sub.cut.tolist() == [
+        k for k in range(g.n_edges)
+        if (g.tails[k] in verts) != (g.heads[k] in verts)]
+    assert sub.boundary == boundary
+    dist = _reference_distances(g, [center])
+    assert np.array_equal(sub.depth, dist[sub.v_in])
+    assert sub.depth.max() <= r
+    root = sub.tree_edge < 0
+    assert sub.v_in[root].tolist() == [center]
+    child = np.flatnonzero(~root)
+    edge = sub.e_in[sub.tree_edge[child]]
+    ends = np.stack((g.tails[edge], g.heads[edge]))
+    assert (ends == sub.v_in[child]).any(axis=0).all()
+    up = ends.sum(axis=0) - sub.v_in[child]
+    assert np.isin(up, sub.v_in).all()
+    assert np.array_equal(dist[up], sub.depth[child] - 1)
+
+
+@pytest.mark.parametrize("radius", [2.5, float("nan"), -1, float("inf"),
+                                    "2", None])
+def test_ball_radius_must_be_a_nonnegative_integer(radius):
+    with pytest.raises(GraphError, match="radius must be a nonnegative"):
+        ball_subgraph(path(4), "1", radius)
+
+
+def test_ball_accepts_integral_radius_of_any_type():
+    g = path(5)
+    want = ball_subgraph(g, "1", 2).v_in.tolist()
+    for radius in (2.0, np.int64(2), np.float64(2.0)):
+        assert ball_subgraph(g, "1", radius).v_in.tolist() == want
 
 
 # sha256 of json.dumps(g.edges) for generate("random-k-regular", n, k=3,

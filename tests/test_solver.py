@@ -181,6 +181,42 @@ def test_warm_start_quadratic_one_step_exact(rng):
     assert np.allclose(out, target, atol=1e-9)
 
 
+@pytest.mark.parametrize("t", [2.7, -3, -1.0, float("nan"), float("inf"),
+                               "3", None])
+def test_iteration_count_must_be_a_nonnegative_integer(t):
+    g = generate("cycle", n=8)
+    problem = quadratic_problem(g, np.zeros(8))
+    p = np.zeros(8)
+    p[0], p[1] = 1.0, -1.0
+    sub = ball_subgraph(g, 0, 2)
+    x = solve_exact(problem)
+    with pytest.raises(SolverError, match="iteration count"):
+        LocalizedSolver(problem, sub).run(x, problem.b + p, t)
+    with pytest.raises(SolverError, match="iteration count"):
+        warm_start_reoptimize(problem, PerturbationSpec(g, p), sub, t,
+                              x_star=x)
+
+
+def test_zero_iterations_return_the_start():
+    g = generate("grid-2d", rows=3, cols=3)
+    problem = quadratic_problem(g, np.zeros(9))
+    p = np.zeros(9)
+    p[4], p[5] = 1.0, -1.0
+    x = solve_exact(problem)
+    sub = ball_subgraph(g, 4, 1)
+    out = warm_start_reoptimize(problem, PerturbationSpec(g, p), sub, 0,
+                                x_star=x)
+    assert np.array_equal(out, x) and out is not x
+    seen = []
+    assert np.array_equal(LocalizedSolver(problem, sub).run(
+        x, problem.b + p, 0.0, collect=seen.append), x)
+    assert seen == []
+    # an integral float counts its steps
+    local = LocalizedSolver(problem, sub)
+    assert np.array_equal(local.run(x, problem.b + p, 2.0),
+                          local.run(x, problem.b + p, 2))
+
+
 def test_warm_start_support_outside_subgraph_errors(rng):
     g = path(5)
     problem = quadratic_problem(g, np.zeros(5))
@@ -264,6 +300,50 @@ def test_localized_run_matches_full_vector_reference(seed, quadratic, radius):
     assert np.array_equal(x, x0)  # the run does not write into x
 
 
+def _check_cycle_matrix(local):
+    """The solver's sparse cycle matrix C, returned dense: one column per
+    unit of cycle rank, circulations of the subgraph (A_sub C = 0,
+    exactly), and the identity on the chords, the edges off the spanning
+    tree."""
+    sub = local.sub
+    rows, cols, vals = local.cycles
+    C = np.zeros((len(sub.e_in), sub.cycle_rank))
+    np.add.at(C, (rows, cols), vals)
+    assert np.array_equal(build_incidence(sub.induced) @ C,
+                          np.zeros((len(sub.v_in), sub.cycle_rank)))
+    tree = sub.tree_edge[sub.tree_edge >= 0]
+    chords = np.setdiff1d(np.arange(len(sub.e_in)), tree)
+    assert len(tree) == len(sub.v_in) - 1 == len(np.unique(tree))
+    assert np.array_equal(C[chords], np.eye(sub.cycle_rank))
+    assert local.gram_inverse.shape == (sub.cycle_rank,) * 2
+    return C
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(["random", "grid", "tree"]))
+def test_cycle_matrix_on_random_balls(seed, shape):
+    """On balls of random graphs, grids and trees, with random centers and
+    radii, C is the fundamental-cycle matrix of the ball's tree, and
+    G^-1 inverts its Gram matrix."""
+    rng = np.random.default_rng(seed)
+    if shape == "grid":
+        g = generate("grid-2d", rows=int(rng.integers(1, 9)),
+                     cols=int(rng.integers(2, 9)))
+    else:
+        g = random_connected_graph(
+            rng, int(rng.integers(2, 40)),
+            extra_edges=0 if shape == "tree" else int(rng.integers(0, 60)))
+    sub = ball_subgraph(g, int(rng.integers(g.n_vertices)),
+                        int(rng.integers(1, 7)))
+    local = LocalizedSolver(quadratic_problem(g, np.zeros(g.n_vertices)),
+                            sub)
+    C = _check_cycle_matrix(local)
+    # every column is a fundamental cycle: at most 2r + 1 edges
+    assert (np.abs(C).sum(axis=0) <= 2 * sub.depth.max() + 1).all()
+    assert np.allclose(local.gram_inverse @ (C.T @ C),
+                       np.eye(sub.cycle_rank), atol=1e-10)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6), st.booleans(),
        st.sampled_from(["tree", "grid", "whole"]))
@@ -299,9 +379,7 @@ def test_localized_run_matches_reference_on_trees_grids_and_whole_graphs(
     b_target[sub.v_in[-1]] -= 1.0
     eta = 0.9 / bundle.beta
     local = LocalizedSolver(problem, sub)
-    Q = local.cycle_basis
-    assert Q.shape == (len(sub.e_in), sub.cycle_rank)
-    assert np.abs(Q.T @ Q - np.eye(sub.cycle_rank)).max(initial=0) <= 1e-13
+    _check_cycle_matrix(local)
     ref = _reference_iterates(problem, sub, x, b_target, 7, eta)
     seen = []
     local.run(x, b_target, 7, eta, collect=seen.append)

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -6,11 +7,19 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def _bench_curve():
+    spec = importlib.util.spec_from_file_location(
+        "bench_curve", os.path.join(ROOT, "tools", "bench_curve.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_bench_curve_writes_one_row_per_size(tmp_path):
     out = tmp_path / "bench.json"
     script = os.path.join(ROOT, "tools", "bench_curve.py")
     subprocess.run([sys.executable, script, "--out", str(out),
-                    "--sizes", "20", "40", "--radii", "1", "2",
+                    "--sizes", "20", "40", "--radii", "1", "4",
                     "--requests", "2"],
                    check=True, capture_output=True, timeout=120)
     report = json.loads(out.read_text())
@@ -19,6 +28,23 @@ def test_bench_curve_writes_one_row_per_size(tmp_path):
         assert row["global_solve_ms"] > 0
         # a 3-regular graph's mu is at most its degree
         assert row["constants_ms"] > 0 and 0 < row["mu_bound"] <= 3.0 + 1e-9
-        assert set(row["radius"]) == {"1", "2"}
+        assert set(row["radius"]) == {"1", "4"}
         for entry in row["radius"].values():
             assert entry["request_ms_p50"] > 0 and entry["requests"] == 2
+            assert entry["build_ms_p50"] > 0
+            # a step time is reported only over balls with a cycle
+            assert (entry["step_us_p50"] is None) == (
+                entry["step_requests"] == 0)
+            assert entry["step_requests"] <= 2
+        # a radius-4 ball of a 3-regular graph that is a tree has 1 + 3 +
+        # 6 + 12 + 24 = 46 vertices, more than 20 or 40: these balls have
+        # a cycle, so their step time is measured
+        assert row["radius"]["4"]["step_requests"] == 2
+
+
+def test_step_summary_skips_tree_balls():
+    summary = _bench_curve().step_summary
+    assert summary([-5.0, 3.0, 7.0, -1.0], [0, 2, 5, 0]) == {
+        "step_us_p50": 5.0, "step_requests": 2}
+    assert summary([-5.0, -8.0], [0, 0]) == {"step_us_p50": None,
+                                              "step_requests": 0}

@@ -13,9 +13,13 @@ and c ~ N(0, 1), the script times:
   it: `ball_subgraph`, then `warm_start_reoptimize` with 30 steps from the
   base optimum, for a unit perturbation across a random edge (median over
   --requests requests);
+- at each radius r, the build of a request, `ball_subgraph` plus the
+  `LocalizedSolver` construction (median over the requests);
 - at each radius r, one localized step: (run of 31 steps - run of 1 step)
   / 30 on the same solver, so the per-run work (frozen-flow check, tree
-  routing) is left out.
+  routing) is left out. A tree ball (cycle rank 0) does no per-step work,
+  so the median is over the requests whose ball has a cycle only
+  (`step_requests` of them), and null when there are none.
 
 The north star is that the per-step time, and in time the per-request
 time, stays flat in n at fixed r. The library is imported from ./src.
@@ -55,7 +59,7 @@ def _instance(n, seed):
 
 def _radius_row(problem, x_star, rng, r, requests):
     g = problem.graph
-    request_ms, step_us, sizes = [], [], []
+    request_ms, build_ms, step_us, sizes = [], [], [], []
     for _ in range(requests):
         k = int(rng.integers(g.n_edges))
         p = np.zeros(g.n_vertices)
@@ -65,7 +69,10 @@ def _radius_row(problem, x_star, rng, r, requests):
         sub = lf.ball_subgraph(g, int(g.tails[k]), r)
         lf.warm_start_reoptimize(problem, pert, sub, STEPS, x_star=x_star)
         request_ms.append(_ms(start))
-        local = lf.LocalizedSolver(problem, sub)
+        start = time.perf_counter()
+        local = lf.LocalizedSolver(problem,
+                                   lf.ball_subgraph(g, int(g.tails[k]), r))
+        build_ms.append(_ms(start))
         b_target = problem.b + p
         start = time.perf_counter()
         local.run(x_star, b_target, 1)
@@ -76,9 +83,18 @@ def _radius_row(problem, x_star, rng, r, requests):
         sizes.append((len(sub.v_in), len(sub.e_in), sub.cycle_rank))
     vertices, edges, cycle_rank = (statistics.mean(s) for s in zip(*sizes))
     return {"request_ms_p50": statistics.median(request_ms),
-            "step_us_p50": statistics.median(step_us),
+            "build_ms_p50": statistics.median(build_ms),
+            **step_summary(step_us, [size[2] for size in sizes]),
             "requests": requests, "ball_vertices_mean": vertices,
             "ball_edges_mean": edges, "cycle_rank_mean": cycle_rank}
+
+
+def step_summary(step_us, cycle_ranks):
+    """The median step time over the requests whose ball has a cycle, and
+    their count; the median is None when no ball has one."""
+    steps = [us for us, c in zip(step_us, cycle_ranks) if c > 0]
+    return {"step_us_p50": statistics.median(steps) if steps else None,
+            "step_requests": len(steps)}
 
 
 def main(argv=None):
