@@ -155,16 +155,13 @@ def cmd_solve(config):
     if not 0.0 < tol < math.inf:
         raise CliInputError("--tolerance must be positive and finite, got %r"
                             % tol)
-    x = solve_exact(problem, tol=tol)
-    grad = problem.bundle.gradient(x)
+    stats = {}
+    x = solve_exact(problem, tol=tol, stats=stats)
     payload = {
         "solution": {e[0]: float(v) for e, v in zip(g.edges, x)},
-        "residuals": {
-            "feasibility_inf":
-                float(np.abs(g.net_outflow(x) - problem.b).max()),
-            "stationarity_inf":
-                float(np.abs(problem.project_gradient(grad)).max()),
-        },
+        "residuals": {key: stats[key]
+                      for key in ("feasibility_inf", "stationarity_inf")},
+        "stats": stats,
         "config": config,
         "index_map": _index_map(g),
     }

@@ -203,27 +203,52 @@ def _weighted_degrees(graph, w):
                        graph.n_vertices)
 
 
-def laplacian_solve(graph, weights, rhs):
+def laplacian_solve(graph, weights, rhs, x0=None, stats=None):
     """L_w^+ rhs by Jacobi-preconditioned conjugate gradients on the
     mean-zero subspace (the mean of rhs is in the kernel and dropped).
 
-    Raises LaplacianError on non-finite input or a nonpositive weight, and
-    when the residual does not reach CG_RTOL within 10 n + 100 iterations.
+    CG starts from x0 (zeros when None), less its mean; a start whose
+    residual exceeds |rhs|_2 is worse than zeros and is replaced by them.
+    The stopping rule is absolute whatever the start:
+    |rhs - L x|_2 <= CG_RTOL |rhs|_2 for the mean-zero rhs, so a warm
+    start saves iterations but never loosens the answer; rhs = 0 returns
+    zeros. A given stats dict gets the iteration count as
+    `cg_iterations`.
+
+    Raises LaplacianError on non-finite input (x0 included) or a
+    nonpositive weight, and when the residual does not reach CG_RTOL
+    within 10 n + 100 iterations.
     """
     w, r = np.asarray(weights, dtype=float), np.asarray(rhs, dtype=float)
     if not (np.all(np.isfinite(r)) and np.all(np.isfinite(w) & (w > 0))):
         raise LaplacianError("Laplacian solve needs a finite right-hand "
                              "side and finite positive weights")
+    if x0 is not None:
+        x0 = np.asarray(x0, dtype=float)
+        if x0.shape != r.shape or not np.all(np.isfinite(x0)):
+            raise LaplacianError("Laplacian solve needs a finite start "
+                                 "with one entry per vertex")
     # an exact power-of-two scaling keeps r @ r from over- and underflow
     e = np.frexp(np.abs(r).max())[1]
     r = np.ldexp(r, -e)
     r = r - r.mean()
-    x, inv_d = np.zeros_like(r), 1.0 / _weighted_degrees(graph, w)
+    x, scale = np.zeros_like(r), np.sqrt(r @ r)
+    if x0 is not None and scale > 0.0:
+        # a start far above the answer's scale overflows to a rejected NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            start = np.ldexp(x0, -e)
+            start -= start.mean()
+            r0 = r - graph.net_outflow(w * graph.potential_difference(start))
+            if np.sqrt(r0 @ r0) <= scale:
+                x, r = start, r0
+    inv_d = 1.0 / _weighted_degrees(graph, w)
     z = p = inv_d * r
-    rz, scale = r @ z, np.sqrt(r @ r)
-    for _ in range(10 * graph.n_vertices + 100):
+    rz = r @ z
+    for k in range(10 * graph.n_vertices + 100):
         res = np.sqrt(r @ r)
         if res < CG_RTOL * scale or res == 0.0:
+            if stats is not None:
+                stats["cg_iterations"] = k
             return np.ldexp(x - x.mean(), e)
         if not np.isfinite(res):
             break

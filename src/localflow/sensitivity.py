@@ -66,9 +66,14 @@ class FlowProblem:
 
     def project(self, v, b):
         """Orthogonal projection v - A^T (A A^T)^+ (Av - b) onto Au = b."""
+        return self._projection(v, b)[0]
+
+    def _projection(self, v, b, nu0=None, log=None):
+        """project(v, b) and its potential nu = (A A^T)^+ (Av - b), with
+        the solve warm-started from nu0 and logged to log (see _solve)."""
         g = self.graph
-        nu = laplacian_solve(g, np.ones(g.n_edges), g.net_outflow(v) - b)
-        return v - g.potential_difference(nu)
+        nu = _solve(g, np.ones(g.n_edges), g.net_outflow(v) - b, nu0, log)
+        return v - g.potential_difference(nu), nu
 
     def project_gradient(self, grad):
         """Component of grad in the constraint null space."""
@@ -98,74 +103,119 @@ class PerturbationSpec:
         return cls(graph, p)
 
 
-def solve_exact(problem, tol=1e-10, max_iter=200):
+def solve_exact(problem, tol=1e-10, max_iter=200, stats=None):
     """Exact optimal flow.
 
     Quadratic bundles are solved in closed form through the weighted
     Laplacian; general bundles by damped Newton steps restricted to the
     constraint null space, starting from the least-norm feasible point,
     until the projected gradient is at most tol * max(1, |grad|_inf).
+
+    A Laplacian solve starts from the potential at hand, where there is
+    one: the quadratic stationarity check from the closed form's
+    potential, a Newton direction from the latest stationarity potential,
+    a trial point's stationarity from the direction's potential, and the
+    final check from the accepted iterate's. Every solve keeps the
+    absolute CG_RTOL stopping rule, and every check its tolerance.
+
+    A given stats dict is filled with `method` ("closed-form" or
+    "newton"), `newton_iterations`, `halvings` (line-search step
+    halvings), `cg_iterations` (one count per Laplacian solve, in order;
+    the last is the final stationarity check) and the final residuals
+    `feasibility_inf` and `stationarity_inf`.
     """
     g, b, bundle = problem.graph, problem.b, problem.bundle
+    log = []
     if bundle.all_quadratic:
         lin = bundle.c
         sigma = 1.0 / bundle.a
-        nu = laplacian_solve(g, sigma, b + g.net_outflow(sigma * lin))
+        nu = _solve(g, sigma, b + g.net_outflow(sigma * lin), None, log)
         x = sigma * (g.potential_difference(nu) - lin)
-        _check_solution(problem, x)
-        return x
+        record = {"method": "closed-form", "newton_iterations": 0,
+                  "halvings": 0}
+    else:
+        x, nu, record = _newton(problem, tol, max_iter, log)
+    feas, stat = _check_solution(problem, x, nu, log)
+    if stats is not None:
+        stats.update(record, cg_iterations=log, feasibility_inf=feas,
+                     stationarity_inf=stat)
+    return x
 
-    x = problem.project(np.zeros(g.n_edges), b)
-    res, scale = _kkt_residual(problem, x)
-    for _ in range(max_iter):
+
+def _newton(problem, tol, max_iter, log):
+    """Damped Newton for solve_exact: the optimum, the potential of its
+    stationarity projection and the method record."""
+    g, bundle = problem.graph, problem.bundle
+    x = problem._projection(np.zeros(g.n_edges), problem.b, log=log)[0]
+    res, scale, mu = _kkt_residual(problem, x, None, log)
+    halvings = 0
+    for it in range(max_iter):
         if res <= tol * scale:
             break
         grad = bundle.gradient(x)
         sig = 1.0 / bundle.hessian_diag(x)
-        w = laplacian_solve(g, sig, g.net_outflow(sig * grad))
+        w = _solve(g, sig, g.net_outflow(sig * grad), mu, log)
         dx = -sig * (grad - g.potential_difference(w))
         step = 1.0
         while step > 2.0 ** -40:
             cand = x + step * dx
             try:
-                new_res, new_scale = _kkt_residual(problem, cand)
+                new_res, new_scale, new_mu = _kkt_residual(problem, cand, w,
+                                                           log)
             except CostError:  # step left a cost's validity interval
                 step *= 0.5
+                halvings += 1
                 continue
             if (new_res < res * (1.0 - 0.25 * step)
                     or new_res <= tol * new_scale):
-                x, res, scale = cand, new_res, new_scale
+                x, res, scale, mu = cand, new_res, new_scale, new_mu
                 break
             step *= 0.5
+            halvings += 1
         else:
             raise SensitivityError(
                 "Newton line search stalled at residual %.3e" % res)
     else:
         raise SensitivityError(
             "solver did not converge: KKT residual %.3e" % res)
-    _check_solution(problem, x)
-    return x
+    return x, mu, {"method": "newton", "newton_iterations": it,
+                   "halvings": halvings}
+
+
+def _solve(graph, weights, rhs, x0, log):
+    """laplacian_solve from x0, its CG iteration count appended to log
+    (when not None)."""
+    stats = {}
+    out = laplacian_solve(graph, weights, rhs, x0=x0, stats=stats)
+    if log is not None:
+        log.append(stats["cg_iterations"])
+    return out
 
 
 def _scale(v):
     return max(1.0, float(np.abs(v).max()))
 
 
-def _kkt_residual(problem, x):
-    """|projected gradient|_inf and its scale max(1, |grad|_inf)."""
+def _kkt_residual(problem, x, nu0, log):
+    """|projected gradient|_inf, its scale max(1, |grad|_inf) and the
+    projection's potential; the solve starts from nu0."""
     grad = problem.bundle.gradient(x)
-    return float(np.abs(problem.project_gradient(grad)).max()), _scale(grad)
+    pg, nu = problem._projection(grad, 0.0, nu0, log)
+    return float(np.abs(pg).max()), _scale(grad), nu
 
 
-def _check_solution(problem, x):
+def _check_solution(problem, x, nu0, log):
+    """Raise unless x is feasible and stationary; return both residuals.
+    The stationarity solve starts from nu0."""
     b = problem.b
     feas = float(np.abs(problem.graph.net_outflow(x) - b).max())
     if not feas <= FEAS_TOL * _scale(b):
         raise SensitivityError("solution infeasible: |Ax-b| = %.3e" % feas)
-    stat, scale = _kkt_residual(problem, x)
+    stat, scale, _ = _kkt_residual(problem, x, nu0, log)
     if not stat <= STATIONARITY_TOL * scale:
         raise SensitivityError(
             "solution not stationary: residual %.3e" % stat)
+    return feas, stat
 
 
 class SensitivityOperator:

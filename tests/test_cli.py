@@ -114,9 +114,9 @@ def test_solve_reads_tolerance_from_config(triangle_files, tmp_path,
     graph, costs, flow, _ = triangle_files
     seen, real = [], cli.solve_exact
 
-    def solve_exact(problem, tol):
+    def solve_exact(problem, tol, **kwargs):
         seen.append(tol)
-        return real(problem, tol=tol)
+        return real(problem, tol=tol, **kwargs)
 
     config = write_json(tmp_path / "cfg.json", {
         "graph": graph, "costs": costs, "flow": flow, "tolerance": 1e-7})
@@ -434,6 +434,23 @@ def test_solve_large_flow_exits_0(cycle6_files, tmp_path):
     report = json.load(open(os.path.join(out, "solution.json")))
     assert report["solution"]["e0"] == pytest.approx(5e8)
     assert report["residuals"]["feasibility_inf"] <= 1e-9 * 1e9
+
+
+@pytest.mark.parametrize("cost, method", [
+    ({"kind": "quadratic", "a": 1.0}, "closed-form"),
+    ({"kind": "log-cosh", "a": 1.0, "s": 0.5}, "newton")])
+def test_solve_reports_its_stats(cycle6_files, tmp_path, cost, method):
+    graph, _, flow = cycle6_files
+    costs = write_json(tmp_path / "costs.json", {"default": cost})
+    out = str(tmp_path / "out")
+    assert main(["solve", "--graph", graph, "--costs", costs,
+                 "--flow", flow, "--out", out]) == 0
+    report = json.load(open(os.path.join(out, "solution.json")))
+    stats = report["stats"]
+    assert stats["method"] == method
+    assert stats["cg_iterations"][-1] == 0
+    assert report["residuals"] == {
+        key: stats[key] for key in ("feasibility_inf", "stationarity_inf")}
 
 
 def test_solve_nan_flow_exits_2(cycle6_files, tmp_path, capsys):

@@ -338,3 +338,75 @@ def test_laplacian_solve_rejects_non_finite_rhs(bad):
     rhs = np.array([1.0, bad, 0.0, -1.0])
     with pytest.raises(LaplacianError, match="finite"):
         laplacian_solve(g, np.ones(g.n_edges), rhs)
+
+
+def _start(kind, want, rng):
+    n = len(want)
+    return {"zeros": np.zeros(n),
+            "exact": want,
+            "noisy": want + 1e-3 * np.abs(want).max()
+            * rng.standard_normal(n),
+            "random": rng.standard_normal(n),
+            "mean": want + 7.0,
+            "huge": 1e150 * rng.uniform(1.0, 2.0, n)}[kind]
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 30), seed=st.integers(0, 10_000),
+       log10_ratio=st.floats(0.0, 2.0),
+       start=st.sampled_from(["zeros", "exact", "noisy", "random", "mean",
+                              "huge"]))
+def test_laplacian_solve_from_any_start(n, seed, log10_ratio, start):
+    """The answer and its true residual do not depend on the start: CG
+    stops on the absolute residual, and a start worse than zeros is
+    dropped."""
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, max(n, 3), extra_edges=n // 2)
+    w = 10.0 ** rng.uniform(0.0, log10_ratio, g.n_edges)
+    rhs = rng.standard_normal(g.n_vertices)
+    rhs -= rhs.mean()
+    L = WeightedWalk(g, w).L
+    want = pseudoinverse(L) @ rhs
+    got = laplacian_solve(g, w, rhs, x0=_start(start, want, rng))
+    assert np.linalg.norm(rhs - L @ got) <= 1e-12 * np.linalg.norm(rhs)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_laplacian_solve_zero_start_is_the_cold_start(seed):
+    rng = np.random.default_rng(seed)
+    g = generate("random-k-regular", n=60, k=3, seed=seed)
+    w = rng.uniform(0.5, 2.0, g.n_edges)
+    rhs = 10.0 ** rng.uniform(-5, 5) * rng.standard_normal(g.n_vertices)
+    cold, warm = {}, {}
+    want = laplacian_solve(g, w, rhs, stats=cold)
+    got = laplacian_solve(g, w, rhs, x0=np.zeros(g.n_vertices), stats=warm)
+    assert np.array_equal(got, want) and cold == warm
+    assert cold["cg_iterations"] > 0
+
+
+def test_laplacian_solve_from_its_answer_takes_no_iteration(rng):
+    g = generate("random-k-regular", n=200, k=3, seed=2)
+    w = rng.uniform(0.5, 2.0, g.n_edges)
+    rhs = rng.standard_normal(g.n_vertices)
+    stats = {}
+    laplacian_solve(g, w, rhs, x0=laplacian_solve(g, w, rhs), stats=stats)
+    assert stats == {"cg_iterations": 0}
+
+
+def test_laplacian_solve_zero_rhs_ignores_the_start(rng):
+    g = random_connected_graph(rng, 12, extra_edges=6)
+    stats = {}
+    got = laplacian_solve(g, np.ones(g.n_edges), np.zeros(g.n_vertices),
+                          x0=rng.standard_normal(g.n_vertices), stats=stats)
+    assert np.array_equal(got, np.zeros(g.n_vertices))
+    assert stats == {"cg_iterations": 0}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_laplacian_solve_rejects_non_finite_start(bad):
+    g = path(4)
+    x0 = np.array([0.0, bad, 1.0, 2.0])
+    with pytest.raises(LaplacianError, match="finite start"):
+        laplacian_solve(g, np.ones(g.n_edges), np.array([1.0, 0, 0, -1]),
+                        x0=x0)

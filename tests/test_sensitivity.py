@@ -333,3 +333,45 @@ def test_large_quadratic_solve_and_apply_are_matrix_free(rng):
         tracemalloc.stop()
     assert peak < 50 * 2 ** 20
     assert np.abs(g.net_outflow(u) - p).max() <= 1e-9
+
+
+def test_quadratic_stats_and_free_stationarity_check(rng):
+    # the check's projection starts from the closed form's potential,
+    # which is already its answer
+    g = generate("random-k-regular", n=200, k=3, seed=5)
+    bundle = ObjectiveBundle([EdgeCost("quadratic",
+                                       a=float(rng.uniform(1.0, 2.0)),
+                                       c=float(rng.standard_normal()))
+                              for _ in range(g.n_edges)])
+    problem = FlowProblem(g, bundle, random_balanced(rng, g.n_vertices))
+    stats = {}
+    x = solve_exact(problem, stats=stats)
+    assert np.array_equal(x, solve_exact(problem))
+    solve, check = stats.pop("cg_iterations")
+    assert solve > 10 and check <= 1
+    assert stats == {
+        "method": "closed-form", "newton_iterations": 0, "halvings": 0,
+        "feasibility_inf": float(np.abs(g.net_outflow(x) - problem.b).max()),
+        "stationarity_inf": pytest.approx(
+            np.abs(problem.project_gradient(bundle.gradient(x))).max(),
+            abs=1e-12)}
+
+
+def test_newton_stats_and_warm_started_solves(rng):
+    g = generate("random-k-regular", n=40, k=3, seed=6)
+    problem = FlowProblem(g, logcosh_bundle(rng, g.n_edges),
+                          random_balanced(rng, g.n_vertices, scale=3.0))
+    stats = {}
+    x = solve_exact(problem, stats=stats)
+    cg = stats["cg_iterations"]
+    assert stats["method"] == "newton" and stats["newton_iterations"] >= 2
+    assert stats["halvings"] >= 0
+    # a start, its stationarity, then per Newton iteration a direction and
+    # at least one trial point, then the final check
+    assert len(cg) >= 3 + 2 * stats["newton_iterations"]
+    assert cg[-1] == 0
+    assert sum(cg) < len(cg) * cg[0]
+    assert stats["feasibility_inf"] <= 1e-9
+    assert stats["stationarity_inf"] == pytest.approx(
+        np.abs(problem.project_gradient(problem.bundle.gradient(x))).max(),
+        abs=1e-12)
