@@ -257,7 +257,11 @@ def cmd_tune(config):
         if any(config.get(key) is not None for key in ("Q", "k", "mu")):
             raise CliInputError("--Q, --k and --mu do not apply with --graph")
         g, bundle, _ = _load_problem(config)
-        (k, _, mu), Q = locality._graph_triple(g), bundle.Q
+        (k, k_minus, mu), Q = locality._graph_triple(g), bundle.Q
+        if k_minus != k:  # the tuner prices regular families only
+            raise locality.LocalityError(
+                "tune --graph needs a regular graph, got k- = %d, k+ = %d"
+                % (k_minus, k))
         spectral = mu.spectral
     else:
         Q, k, mu = _require(config, "Q", "k", "mu")

@@ -10,6 +10,11 @@ from functools import cached_property
 
 import numpy as np
 
+# relative to max(1, |v|_inf): the sum of a balanced vertex vector v, and
+# the net-outflow residual Ax - b of a feasible flow x (v = b)
+BALANCE_TOL = 1e-9
+FEAS_TOL = 1e-9
+
 
 class GraphError(ValueError):
     """Invalid graph construction or query."""
@@ -49,7 +54,8 @@ class DirectedGraph:
         self._set_adjacency(_simple_adjacency(self.tails, self.heads,
                                               self.n_vertices,
                                               self.vertices.__getitem__))
-        if not self._is_connected():
+        n = self.n_vertices
+        if not n or len(_search(self, [0])[2]) < n:
             raise GraphError("graph is not connected")
 
     @classmethod
@@ -78,10 +84,6 @@ class DirectedGraph:
         """Each vertex's neighbors as a list of indices, ascending."""
         adj, stops = self.adj.tolist(), self.indptr.tolist()
         return [adj[a:b] for a, b in zip(stops, stops[1:])]
-
-    def _is_connected(self):
-        n = self.n_vertices
-        return n > 0 and len(_search(self, [0])[2]) == n
 
     @property
     def n_vertices(self):
@@ -137,6 +139,32 @@ class DirectedGraph:
     def load(cls, path):
         with open(path) as fh:
             return cls.from_json_dict(json.load(fh))
+
+
+def _scale(v):
+    return max(1.0, float(np.abs(v).max()))
+
+
+def _balanced(g, v, error, what):
+    """v as a float array if it has one finite entry per vertex of g and
+    sums to 0 within BALANCE_TOL; else `error`, naming v `what`."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (g.n_vertices,):
+        raise error("%s has wrong dimension" % what)
+    if not np.all(np.isfinite(v)):
+        raise error("%s is not finite" % what)
+    if abs(v.sum()) > BALANCE_TOL * _scale(v):
+        raise error("%s not balanced" % what)
+    return v
+
+
+def _feasible(residual, b, error, message):
+    """|r|_inf of the residual r = Ax - b of a flow x if it is at most
+    FEAS_TOL max(1, |b|_inf); else `error`, `message` % |r|_inf."""
+    worst = float(np.abs(residual).max())
+    if not worst <= FEAS_TOL * _scale(b):
+        raise error(message % worst)
+    return worst
 
 
 def build_incidence(g):

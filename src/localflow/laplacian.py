@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import _vertex_indices
+from .graph import _balanced, _vertex_indices
 
 # eigenvalues below this fraction of the largest are treated as kernel
 KERNEL_RTOL = 1e-12
@@ -353,15 +353,13 @@ def green_difference(walk, u, v, w, z, form="pinv", tail=SERIES_TAIL):
 
 
 def green_series_apply(walk, f, tail=SERIES_TAIL):
-    """sum_t P^t (f / d) for a balanced vertex vector f, truncated where
-    the walk's certified decay bound puts the tail below `tail`; each term
-    is one bincount product. Used by the walk-series sensitivity
-    formula."""
+    """sum_t P^t (f / d) for a balanced vertex vector f (graph._balanced,
+    else LaplacianError), truncated where the walk's certified decay bound
+    puts the tail below `tail`; each term is one bincount product. Used by
+    the walk-series sensitivity formula."""
     if not walk.is_aperiodic():
         raise LaplacianError("series not absolutely summable; use L+ form")
-    f = np.asarray(f, dtype=float)
-    if abs(f.sum()) > 1e-9 * max(1.0, np.abs(f).max()):
-        raise LaplacianError("series form needs a balanced vector")
+    f = _balanced(walk.graph, f, LaplacianError, "series form vector")
     T = _truncation_point(walk.slem_bound, tail, 1_000_000)
     w = _weight_operator(walk.graph, walk.weights, np.ones(walk.n))
     vec = f / walk.d

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import _edge_indices, _edge_set, geodesic_distance
+from .graph import _edge_indices, _edge_set, _slots, geodesic_distance
 from .laplacian import laplacian_solve, norm_bound
 from .sensitivity import PerturbationSpec, sensitivity_operator, solve_exact
 from .solver import LocalizedSolver, SolverError
@@ -90,29 +90,21 @@ def _set_constants(problem, walk, Us, mode):
     vertex arrays Us, each holding a vertex with an edge.
 
     c is the set-to-point constant. The inner edges of a set, both ends in
-    it, come from the edge arrays in one pass over all sets: each edge at
+    it, come from the graph's CSR in one pass over all sets: each edge at
     a vertex of a set is looked up by its other end in the sorted keys
     (set, vertex). Exact mode reads the walk's weighted degrees and the
     largest inner weight; envelope mode reads the graph degrees and the
     curvature ratio Q in their place.
     """
-    g, n = problem.graph, problem.graph.n_vertices
+    g = problem.graph
     sizes = np.array([len(U) for U in Us])
     starts = np.cumsum(sizes) - sizes
     verts = np.concatenate(Us)
-    keys = np.repeat(np.arange(len(Us)), sizes) * n + verts
-    # the edges at each vertex of each set, from the incident-edge lists
-    ends = np.concatenate((g.tails, g.heads))
-    edge_of = np.argsort(ends, kind="stable") % g.n_edges
-    degree = np.bincount(ends, minlength=n)
-    first = np.cumsum(degree) - degree
-    count = degree[verts]
-    pair = np.repeat(np.arange(len(verts)), count)
-    pair_first = np.cumsum(count) - count
-    v = verts[pair]
-    edge = edge_of[first[v] + np.arange(len(pair)) - pair_first[pair]]
+    keys = np.repeat(np.arange(len(Us)), sizes) * g.n_vertices + verts
+    slots, degree = _slots(g, verts)
+    pair = np.repeat(np.arange(len(verts)), degree)
     # (set, other end) of each edge, looked up among the set's keys
-    probe = keys[pair] - v + (g.tails[edge] + g.heads[edge] - v)
+    probe = keys[pair] - verts[pair] + g.adj[slots]
     inner = keys[np.minimum(np.searchsorted(keys, probe),
                             len(keys) - 1)] == probe
     maxsq = np.sqrt(2.0 * np.maximum.reduceat(
@@ -120,9 +112,10 @@ def _set_constants(problem, walk, Us, mode):
     if mode == "exact":
         min_d = np.minimum.reduceat(walk.d[verts], starts)
         max_w = np.maximum.reduceat(
-            np.where(inner, walk.weights[edge], 0.0), pair_first[starts])
+            np.where(inner, walk.weights[g.adj_edge[slots]], 0.0),
+            (np.cumsum(degree) - degree)[starts])
         return maxsq / min_d * max_w, maxsq, min_d
-    min_d = np.minimum.reduceat(degree[verts], starts)
+    min_d = np.minimum.reduceat(degree, starts)
     return maxsq * problem.bundle.Q / min_d, maxsq, min_d
 
 

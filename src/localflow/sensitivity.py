@@ -12,14 +12,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import _vertex_indices, build_incidence
+from .graph import (_balanced, _feasible, _scale, _vertex_indices,
+                    build_incidence)
 from .laplacian import (WeightedWalk, green_series_apply, laplacian_solve,
                         pseudoinverse)
 from .objective import CostError
 
-BALANCE_TOL = 1e-9
-# relative to max(1, |b|_inf) and max(1, |grad|_inf) respectively
-FEAS_TOL = 1e-9
+# relative to max(1, |grad|_inf); feasibility and balance are graph.py's
 STATIONARITY_TOL = 1e-8
 
 # materialize the dense edges-by-vertices operator only for small graphs
@@ -28,17 +27,6 @@ DENSE_OPERATOR_MAX_VERTICES = 512
 
 class SensitivityError(RuntimeError):
     """Invalid problem data or failed solve."""
-
-
-def _balanced(graph, v, what):
-    v = np.asarray(v, dtype=float)
-    if v.shape != (graph.n_vertices,):
-        raise SensitivityError("%s has wrong dimension" % what)
-    if not np.all(np.isfinite(v)):
-        raise SensitivityError("%s is not finite" % what)
-    if abs(v.sum()) > BALANCE_TOL * _scale(v):
-        raise SensitivityError("%s not balanced" % what)
-    return v
 
 
 class FlowProblem:
@@ -50,7 +38,7 @@ class FlowProblem:
         self.bundle = bundle
         if bundle.n_edges != graph.n_edges:
             raise SensitivityError("cost bundle does not match edge count")
-        self.b = _balanced(graph, b, "external flow")
+        self.b = _balanced(graph, b, SensitivityError, "external flow")
 
     def with_b(self, b):
         return FlowProblem(self.graph, self.bundle, b)
@@ -89,7 +77,7 @@ class PerturbationSpec:
 
     def __init__(self, graph, p):
         self.graph = graph
-        self.p = _balanced(graph, p, "perturbation")
+        self.p = _balanced(graph, p, SensitivityError, "perturbation")
         self.support = frozenset(int(v) for v in np.nonzero(self.p)[0])
         # balance forces at least two support vertices; p = 0 is allowed
         # as the degenerate no-op perturbation
@@ -147,12 +135,11 @@ def _newton(problem, tol, max_iter, log):
     stationarity projection and the method record."""
     g, bundle = problem.graph, problem.bundle
     x = problem._projection(np.zeros(g.n_edges), problem.b, log=log)[0]
-    res, scale, mu = _kkt_residual(problem, x, None, log)
+    res, scale, mu, grad = _kkt_residual(problem, x, None, log)
     halvings = 0
     for it in range(max_iter):
         if res <= tol * scale:
             break
-        grad = bundle.gradient(x)
         sig = 1.0 / bundle.hessian_diag(x)
         w = _solve(g, sig, g.net_outflow(sig * grad), mu, log)
         dx = -sig * (grad - g.potential_difference(w))
@@ -160,15 +147,16 @@ def _newton(problem, tol, max_iter, log):
         while step > 2.0 ** -40:
             cand = x + step * dx
             try:
-                new_res, new_scale, new_mu = _kkt_residual(problem, cand, w,
-                                                           log)
+                new_res, new_scale, new_mu, new_grad = _kkt_residual(
+                    problem, cand, w, log)
             except CostError:  # step left a cost's validity interval
                 step *= 0.5
                 halvings += 1
                 continue
             if (new_res < res * (1.0 - 0.25 * step)
                     or new_res <= tol * new_scale):
-                x, res, scale, mu = cand, new_res, new_scale, new_mu
+                x, res, scale, mu, grad = (cand, new_res, new_scale, new_mu,
+                                           new_grad)
                 break
             step *= 0.5
             halvings += 1
@@ -192,26 +180,21 @@ def _solve(graph, weights, rhs, x0, log):
     return out
 
 
-def _scale(v):
-    return max(1.0, float(np.abs(v).max()))
-
-
 def _kkt_residual(problem, x, nu0, log):
-    """|projected gradient|_inf, its scale max(1, |grad|_inf) and the
-    projection's potential; the solve starts from nu0."""
+    """|projected gradient|_inf, its scale max(1, |grad|_inf), the
+    projection's potential and the gradient; the solve starts from nu0."""
     grad = problem.bundle.gradient(x)
     pg, nu = problem._projection(grad, 0.0, nu0, log)
-    return float(np.abs(pg).max()), _scale(grad), nu
+    return float(np.abs(pg).max()), _scale(grad), nu, grad
 
 
 def _check_solution(problem, x, nu0, log):
     """Raise unless x is feasible and stationary; return both residuals.
     The stationarity solve starts from nu0."""
     b = problem.b
-    feas = float(np.abs(problem.graph.net_outflow(x) - b).max())
-    if not feas <= FEAS_TOL * _scale(b):
-        raise SensitivityError("solution infeasible: |Ax-b| = %.3e" % feas)
-    stat, scale, _ = _kkt_residual(problem, x, nu0, log)
+    feas = _feasible(problem.graph.net_outflow(x) - b, b, SensitivityError,
+                     "solution infeasible: |Ax-b| = %.3e")
+    stat, scale = _kkt_residual(problem, x, nu0, log)[:2]
     if not stat <= STATIONARITY_TOL * scale:
         raise SensitivityError(
             "solution not stationary: residual %.3e" % stat)

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import _nonnegative_int
-from .sensitivity import FEAS_TOL, FlowProblem, _scale, solve_exact
+from .graph import _feasible, _nonnegative_int
+from .sensitivity import FlowProblem, solve_exact
 
 
 class SolverError(RuntimeError):
@@ -36,9 +36,8 @@ def pgd_step(problem, x, eta=None):
     if eta is None:
         eta = 1.0 / problem.bundle.beta
     b = problem.b
-    feas = float(np.abs(problem.graph.net_outflow(x) - b).max())
-    if not feas <= FEAS_TOL * _scale(b):
-        raise SolverError("infeasible iterate: |Ax-b| = %.3e" % feas)
+    _feasible(problem.graph.net_outflow(x) - b, b, SolverError,
+              "infeasible iterate: |Ax-b| = %.3e")
     return problem.project(x - eta * problem.bundle.gradient(x), b)
 
 
@@ -69,7 +68,7 @@ class LocalizedSolver:
     fundamental cycles of the c = |E| - |V| + 1 non-tree edges (chords)
     give a sparse basis C (|E| x c, entries +-1, held as triples). The
     chord rows of C are the identity, so the Gram matrix G = C^T C is I
-    plus a positive semidefinite matrix; its Cholesky factor gives G^-1.
+    plus a positive semidefinite matrix, and one LU inverse gives G^-1.
     A run routes the restricted b along the tree once, to x0, and each
     step projects v to x0 + C G^-1 C^T (v - x0): two bincounts over the
     nonzeros of C and one c x c product. On a tree (c = 0) every step
@@ -117,7 +116,7 @@ class LocalizedSolver:
             self.cycles = (np.concatenate((chords, rows)),
                            np.concatenate((np.arange(c), cols)),
                            np.concatenate((np.ones(c), vals)))
-            self.gram_inverse = _spd_inverse(_gram(*self.cycles, c))
+            self.gram_inverse = np.linalg.inv(_gram(*self.cycles, c))
 
     def restricted_b(self, x, b_target):
         """b_target on the subgraph minus the frozen flows' outflow there,
@@ -126,10 +125,8 @@ class LocalizedSolver:
         g, v_in, cut = self.problem.graph, self.sub.v_in, self.sub.cut
         residual = g.net_outflow(x) - b_target
         residual[v_in] = 0.0
-        worst = float(np.abs(residual).max())
-        if not worst <= FEAS_TOL * _scale(b_target):
-            raise SolverError("boundary flows violate constraints: max "
-                              "residual %.3e" % worst)
+        _feasible(residual, b_target, SolverError,
+                  "boundary flows violate constraints: max residual %.3e")
         return b_target[v_in] - g.net_outflow(x[cut], cut)[v_in]
 
     def step(self, x, b_target, eta=None):
@@ -222,12 +219,6 @@ def _gram(rows, cols, vals, c):
         np.cumsum(counts)[rows] - counts[rows] - offset, size)
     return np.bincount(cols[left] * c + cols[right], vals[left] * vals[right],
                        c * c).reshape(c, c)
-
-
-def _spd_inverse(gram):
-    """G^-1 = L^-T L^-1 from the Cholesky factor L of G."""
-    l_inv = np.linalg.inv(np.linalg.cholesky(gram))
-    return l_inv.T @ l_inv
 
 
 def warm_start_reoptimize(problem, pert, sub, t, x_star=None, eta=None,

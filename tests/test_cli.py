@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import traced_peak_mb
-from localflow import cli
+from localflow import cli, generate
 from localflow.cli import main
 
 
@@ -709,3 +709,22 @@ def test_tune_with_graph_forms_no_n_by_n_array(tmp_path):
     assert traced_peak_mb(lambda: main(argv)) < 64
     report = json.load(open(os.path.join(tmp_path, "out", "tune.json")))
     assert report["spectral"]["steps"] == 120
+
+
+def test_tune_on_an_irregular_graph_exits_3(tmp_path, capsys):
+    # a 3-regular graph with one pendant vertex: k+ = 4, k- = 1, outside
+    # the regular families the tuner prices
+    g = generate("random-k-regular", n=200, k=3, seed=1)
+    data = g.to_json_dict()
+    data["vertices"].append("pendant")
+    data["edges"].append({"id": "ep", "tail": "v0", "head": "pendant"})
+    graph = write_json(tmp_path / "graph.json", data)
+    costs = write_json(tmp_path / "costs.json",
+                       {"default": {"kind": "quadratic", "a": 1.0}})
+    flow = write_json(tmp_path / "flow.json", {})
+    out = str(tmp_path / "tune")
+    assert main(["tune", "--graph", graph, "--costs", costs, "--flow", flow,
+                 "--eps", "0.1", "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert "regular" in err and "k- = 1" in err and "k+ = 4" in err
+    assert not os.path.exists(os.path.join(out, "tune.json"))

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from localflow import (LaplacianError, WeightedWalk, generate,
                        green_difference, green_series_apply, killed_green,
                        killed_green_series, laplacian_solve, pseudoinverse,
-                       restricted_vs_full)
-from conftest import path, random_connected_graph, triangle
+                       restricted_vs_full, sensitivity_operator)
+from conftest import path, quadratic_problem, random_connected_graph, triangle
 
 
 def unit_walk(g):
@@ -410,3 +410,16 @@ def test_laplacian_solve_rejects_non_finite_start(bad):
     with pytest.raises(LaplacianError, match="finite start"):
         laplacian_solve(g, np.ones(g.n_edges), np.array([1.0, 0, 0, -1]),
                         x0=x0)
+
+
+@pytest.mark.parametrize("f, message", [
+    (np.array([1.0, np.nan, -1.0]), "not finite"),
+    (np.array([np.inf, 0.0, -np.inf]), "not finite"),
+    (np.array([1.0, -1.0]), "wrong dimension")])
+def test_series_forms_reject_non_finite_or_wrong_length_input(f, message):
+    g = triangle()
+    walk = unit_walk(g)
+    op = sensitivity_operator(quadratic_problem(g, np.zeros(3)))
+    for apply in (lambda v: green_series_apply(walk, v), op.apply_series):
+        with pytest.raises(LaplacianError, match=message):
+            apply(f)

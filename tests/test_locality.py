@@ -18,6 +18,7 @@ from conftest import (logcosh_bundle, quadratic_problem, random_balanced,
 from localflow import FlowProblem
 from localflow import laplacian
 from localflow.laplacian import LANCZOS_STEPS, SPECTRAL_DELTA
+from localflow.locality import _set_constants
 
 
 def k4():
@@ -518,3 +519,38 @@ def test_tune_invalid_rho():
         tune(family, 1e-3)
     with pytest.raises(LocalityError, match="positive"):
         tune(TunerFamily(Q=1.0, k=3, mu=0.5), -1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 30),
+       extra=st.integers(0, 30), n_sets=st.integers(1, 6))
+def test_set_constants_match_a_loop_over_the_edges(seed, n, extra, n_sets):
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n, extra_edges=extra)
+    problem = FlowProblem(g, logcosh_bundle(rng, g.n_edges), np.zeros(n))
+    walk = WeightedWalk(g, rng.uniform(0.1, 3.0, g.n_edges))
+    # one vertex up to the whole graph
+    Us = [np.sort(rng.choice(n, size=size, replace=False))
+          for size in rng.integers(1, n + 1, size=n_sets)] + [np.arange(n)]
+    for mode in ("exact", "envelope"):
+        got = _set_constants(problem, walk, Us, mode)
+        for j, U in enumerate(Us):
+            ids = {g.vertices[v] for v in U.tolist()}
+            inner_degree = dict.fromkeys(ids, 0)
+            degree = dict.fromkeys(ids, 0)
+            max_w = 0.0
+            for k, (_, t, h) in enumerate(g.edges):
+                for end in {t, h} & ids:
+                    degree[end] += 1
+                if t in ids and h in ids:
+                    inner_degree[t] += 1
+                    inner_degree[h] += 1
+                    max_w = max(max_w, walk.weights[k])
+            maxsq = math.sqrt(2.0 * max(inner_degree.values()))
+            if mode == "exact":
+                min_d = min(walk.d[g.vertex_index[v]] for v in ids)
+                c = maxsq / min_d * max_w
+            else:
+                min_d = min(degree.values())
+                c = maxsq * problem.bundle.Q / min_d
+            assert (got[0][j], got[1][j], got[2][j]) == (c, maxsq, min_d)

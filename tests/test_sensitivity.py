@@ -375,3 +375,22 @@ def test_newton_stats_and_warm_started_solves(rng):
     assert stats["stationarity_inf"] == pytest.approx(
         np.abs(problem.project_gradient(problem.bundle.gradient(x))).max(),
         abs=1e-12)
+
+
+def test_newton_evaluates_one_gradient_per_trial_point(rng, monkeypatch):
+    # the initial residual, each trial point (accepted or halved) and the
+    # final check; an accepted point's gradient serves the next direction
+    g = generate("random-k-regular", n=40, k=3, seed=6)
+    problem = FlowProblem(g, logcosh_bundle(rng, g.n_edges),
+                          random_balanced(rng, g.n_vertices, scale=3.0))
+    gradient, calls = problem.bundle.gradient, []
+
+    def counted(x):
+        calls.append(1)
+        return gradient(x)
+
+    monkeypatch.setattr(problem.bundle, "gradient", counted)
+    stats = {}
+    solve_exact(problem, stats=stats)
+    assert stats["newton_iterations"] >= 2
+    assert len(calls) == 2 + stats["newton_iterations"] + stats["halvings"]
