@@ -95,79 +95,81 @@ def solve_exact(problem, tol=1e-10, max_iter=200, stats=None):
     """Exact optimal flow.
 
     Quadratic bundles are solved in closed form through the weighted
-    Laplacian; general bundles by damped Newton steps restricted to the
-    constraint null space, starting from the least-norm feasible point,
-    until the projected gradient is at most tol * max(1, |grad|_inf).
+    Laplacian; general bundles by damped Newton steps in the constraint
+    null space until the projected gradient is at most
+    tol * max(1, |grad|_inf). Newton starts at the closed form of the
+    costs' quadratic part sum a x^2/2 + c x, or at the least-norm point
+    (a = 1, c = 0) where that leaves a cost's interval. Its first step is
+    halved only to stay in every domain; a later one must cut the
+    residual by a factor 1 - step/4. Each Laplacian solve starts from the
+    potential at hand and keeps the absolute CG_RTOL stopping rule.
 
-    A Laplacian solve starts from the potential at hand, where there is
-    one: the quadratic stationarity check from the closed form's
-    potential, a Newton direction from the latest stationarity potential,
-    a trial point's stationarity from the direction's potential, and the
-    final check from the accepted iterate's. Every solve keeps the
-    absolute CG_RTOL stopping rule, and every check its tolerance.
-
-    A given stats dict is filled with `method` ("closed-form" or
-    "newton"), `newton_iterations`, `halvings` (line-search step
-    halvings), `cg_iterations` (one count per Laplacian solve, in order;
-    the last is the final stationarity check) and the final residuals
-    `feasibility_inf` and `stationarity_inf`.
+    A given stats dict gets `method` ("closed-form" or "newton"),
+    `newton_iterations`, `halvings` (line-search step halvings),
+    `cg_iterations` (per Laplacian solve, in order: the closed form and
+    its check; or Newton's start, two after a fallback, then per
+    iteration a direction and one per trial point that reached its
+    residual), Newton's `start` ("quadratic-part" or "least-norm") and
+    the final residuals `feasibility_inf` and `stationarity_inf`.
     """
-    g, b, bundle = problem.graph, problem.b, problem.bundle
-    log = []
+    bundle, log = problem.bundle, []
     if bundle.all_quadratic:
-        lin = bundle.c
-        sigma = 1.0 / bundle.a
-        nu = _solve(g, sigma, b + g.net_outflow(sigma * lin), None, log)
-        x = sigma * (g.potential_difference(nu) - lin)
+        x, nu = _quadratic_optimum(problem, bundle.a, bundle.c, log)
+        stat, scale = _kkt_residual(problem, x, nu, log)[:2]
         record = {"method": "closed-form", "newton_iterations": 0,
                   "halvings": 0}
     else:
-        x, nu, record = _newton(problem, tol, max_iter, log)
-    feas, stat = _check_solution(problem, x, nu, log)
+        x, stat, scale, record = _newton(problem, tol, max_iter, log)
+    feas = _check_solution(problem, x, stat, scale)
     if stats is not None:
         stats.update(record, cg_iterations=log, feasibility_inf=feas,
                      stationarity_inf=stat)
     return x
 
 
+def _quadratic_optimum(problem, a, c, log):
+    """argmin sum a x^2/2 + c x over Ax = b, and nu with ax + c = A^T nu."""
+    g, sigma = problem.graph, 1.0 / a
+    nu = _solve(g, sigma, problem.b + g.net_outflow(sigma * c), None, log)
+    return sigma * (g.potential_difference(nu) - c), nu
+
+
 def _newton(problem, tol, max_iter, log):
-    """Damped Newton for solve_exact: the optimum, the potential of its
-    stationarity projection and the method record."""
-    g, bundle = problem.graph, problem.bundle
-    x = problem._projection(np.zeros(g.n_edges), problem.b, log=log)[0]
-    res, scale, mu, grad = _kkt_residual(problem, x, None, log)
-    halvings = 0
-    for it in range(max_iter):
-        if res <= tol * scale:
-            break
+    """Damped Newton for solve_exact: x, its residual and scale, record."""
+    g, bundle, start = problem.graph, problem.bundle, "quadratic-part"
+    x, mu = _quadratic_optimum(problem, bundle.a, bundle.c, log)
+    if np.any((x < bundle.lo) | (x > bundle.hi)):
+        start, ones = "least-norm", np.ones(g.n_edges)
+        x, mu = _quadratic_optimum(problem, ones, 0.0 * ones, log)
+    grad = bundle.gradient(x)
+    res, halvings = np.inf, 0  # so any first trial in the domain is taken
+    for it in range(1, max_iter + 1):
         sig = 1.0 / bundle.hessian_diag(x)
         w = _solve(g, sig, g.net_outflow(sig * grad), mu, log)
         dx = -sig * (grad - g.potential_difference(w))
         step = 1.0
         while step > 2.0 ** -40:
             cand = x + step * dx
-            try:
-                new_res, new_scale, new_mu, new_grad = _kkt_residual(
-                    problem, cand, w, log)
+            try:  # residual, scale, potential and gradient at cand
+                new = _kkt_residual(problem, cand, w, log)
             except CostError:  # step left a cost's validity interval
-                step *= 0.5
-                halvings += 1
-                continue
-            if (new_res < res * (1.0 - 0.25 * step)
-                    or new_res <= tol * new_scale):
-                x, res, scale, mu, grad = (cand, new_res, new_scale, new_mu,
-                                           new_grad)
+                new = None
+            if new and (new[0] < res * (1.0 - 0.25 * step)
+                        or new[0] <= tol * new[1]):
+                x, (res, scale, mu, grad) = cand, new
                 break
             step *= 0.5
             halvings += 1
         else:
             raise SensitivityError(
                 "Newton line search stalled at residual %.3e" % res)
+        if res <= tol * scale:
+            break
     else:
         raise SensitivityError(
             "solver did not converge: KKT residual %.3e" % res)
-    return x, mu, {"method": "newton", "newton_iterations": it,
-                   "halvings": halvings}
+    return x, res, scale, {"method": "newton", "newton_iterations": it,
+                           "halvings": halvings, "start": start}
 
 
 def _solve(graph, weights, rhs, x0, log):
@@ -188,17 +190,15 @@ def _kkt_residual(problem, x, nu0, log):
     return float(np.abs(pg).max()), _scale(grad), nu, grad
 
 
-def _check_solution(problem, x, nu0, log):
-    """Raise unless x is feasible and stationary; return both residuals.
-    The stationarity solve starts from nu0."""
+def _check_solution(problem, x, stat, scale):
+    """Raise unless x is feasible and stationary; return |Ax - b|_inf."""
     b = problem.b
     feas = _feasible(problem.graph.net_outflow(x) - b, b, SensitivityError,
                      "solution infeasible: |Ax-b| = %.3e")
-    stat, scale = _kkt_residual(problem, x, nu0, log)[:2]
     if not stat <= STATIONARITY_TOL * scale:
         raise SensitivityError(
             "solution not stationary: residual %.3e" % stat)
-    return feas, stat
+    return feas
 
 
 class SensitivityOperator:

@@ -12,6 +12,9 @@ from localflow import (DirectedGraph, EdgeCost, FlowProblem, ObjectiveBundle,
                        generate, generic_sensitivity_matrix,
                        integrate_sensitivity, pseudoinverse,
                        sensitivity_operator, solve_exact)
+from localflow.graph import FEAS_TOL
+from localflow.laplacian import LaplacianError
+from localflow.sensitivity import STATIONARITY_TOL
 from conftest import (logcosh_bundle, path, quadratic_problem,
                       random_balanced, random_connected_graph, triangle)
 
@@ -250,7 +253,7 @@ def test_newton_line_search_propagates_non_cost_errors(rng, monkeypatch):
 
     def failing_gradient(x):
         calls.append(1)
-        if len(calls) > 2:  # initial residual and first Newton direction
+        if len(calls) > 2:  # the start's gradient and the first trial point
             raise ZeroDivisionError("not a cost error")
         return gradient(x)
 
@@ -365,11 +368,12 @@ def test_newton_stats_and_warm_started_solves(rng):
     x = solve_exact(problem, stats=stats)
     cg = stats["cg_iterations"]
     assert stats["method"] == "newton" and stats["newton_iterations"] >= 2
-    assert stats["halvings"] >= 0
-    # a start, its stationarity, then per Newton iteration a direction and
-    # at least one trial point, then the final check
-    assert len(cg) >= 3 + 2 * stats["newton_iterations"]
-    assert cg[-1] == 0
+    assert stats["start"] == "quadratic-part"
+    # the start, then per Newton iteration a direction and a solve per
+    # trial point (log-cosh never leaves its domain, so every trial
+    # point reaches its residual); no final-check solve
+    assert len(cg) == (1 + 2 * stats["newton_iterations"]
+                       + stats["halvings"])
     assert sum(cg) < len(cg) * cg[0]
     assert stats["feasibility_inf"] <= 1e-9
     assert stats["stationarity_inf"] == pytest.approx(
@@ -378,8 +382,8 @@ def test_newton_stats_and_warm_started_solves(rng):
 
 
 def test_newton_evaluates_one_gradient_per_trial_point(rng, monkeypatch):
-    # the initial residual, each trial point (accepted or halved) and the
-    # final check; an accepted point's gradient serves the next direction
+    # the start and each trial point (accepted or halved); an accepted
+    # point's gradient serves the next direction and the final check
     g = generate("random-k-regular", n=40, k=3, seed=6)
     problem = FlowProblem(g, logcosh_bundle(rng, g.n_edges),
                           random_balanced(rng, g.n_vertices, scale=3.0))
@@ -393,4 +397,76 @@ def test_newton_evaluates_one_gradient_per_trial_point(rng, monkeypatch):
     stats = {}
     solve_exact(problem, stats=stats)
     assert stats["newton_iterations"] >= 2
-    assert len(calls) == 2 + stats["newton_iterations"] + stats["halvings"]
+    assert len(calls) == 1 + stats["newton_iterations"] + stats["halvings"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(3, 30),
+       kind=st.sampled_from(["log-cosh", "quartic", "mixed"]),
+       log10_b=st.floats(-2.0, 5.0))
+def test_newton_solve_meets_dense_kkt_oracle(seed, n, kind, log10_b):
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n, extra_edges=int(rng.integers(0, n)))
+    m, A = g.n_edges, build_incidence(g)
+    gram_pinv = pseudoinverse(A @ A.T)
+    b = random_balanced(rng, n)
+    b *= 10.0 ** log10_b / np.abs(b).max()
+    quartic = {"log-cosh": np.zeros(m, bool), "quartic": np.ones(m, bool),
+               "mixed": rng.random(m) < 0.5}[kind]
+    a, q, s = (rng.uniform(0.5, 2.0, m), rng.uniform(0.0, 1.0, m),
+               rng.uniform(0.0, 1.0, m))
+    # every term of the cost is at least a x^2 / 2, and the least-norm
+    # point's cost (log cosh x <= |x|) bounds the optimum's: no optimal
+    # flow exceeds sqrt(2 f / a), and neither does the quadratic start
+    x_ln = A.T @ (gram_pinv @ b)
+    f_ln = np.sum(0.5 * a * x_ln ** 2 + 0.25 * q * x_ln ** 4 + s * abs(x_ln))
+    radius = 2.0 * np.sqrt(2.0 * f_ln / a.min()) + 1.0
+    bundle = ObjectiveBundle([
+        EdgeCost("quartic", a=a[e], q=q[e], radius=radius) if quartic[e]
+        else EdgeCost("log-cosh", a=a[e], s=s[e]) for e in range(m)])
+    try:
+        x = solve_exact(FlowProblem(g, bundle, b))
+    except (SensitivityError, LaplacianError, RuntimeWarning):
+        # a known defect: where quartic curvature 3 q x^2 dwarfs the
+        # log-cosh edges' (|b| >~ 1e3), potentials of size |grad| cost
+        # the flows their last digits, and the weighted CG can break
+        # down; such an instance is refused, never answered wrongly
+        assert kind == "mixed" and log10_b > 2.0
+        return
+    assert np.abs(A @ x - b).max() <= FEAS_TOL * max(1.0, np.abs(b).max())
+    grad = bundle.gradient(x)
+    pg = grad - A.T @ (gram_pinv @ (A @ grad))
+    assert np.abs(pg).max() <= STATIONARITY_TOL * max(1.0, np.abs(grad).max())
+
+
+def test_newton_at_a_quadratic_optimum_takes_one_step(rng):
+    # with s = 0 the quadratic part is the whole cost, so Newton's start is
+    # the optimum and its one step leaves it there
+    g = random_connected_graph(rng, 20, extra_edges=10)
+    a = rng.uniform(0.5, 2.0, g.n_edges)
+    b = random_balanced(rng, g.n_vertices, scale=3.0)
+    stats = {}
+    x = solve_exact(FlowProblem(g, ObjectiveBundle(
+        [EdgeCost("log-cosh", a=ae, s=0.0) for ae in a]), b), stats=stats)
+    want = solve_exact(FlowProblem(g, ObjectiveBundle(
+        [EdgeCost("quadratic", a=ae) for ae in a]), b))
+    assert stats["start"] == "quadratic-part"
+    assert stats["newton_iterations"] == 1 and stats["halvings"] == 0
+    assert np.abs(x - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def test_newton_falls_back_to_least_norm_start():
+    # the cheap edge e12 would carry 100/100.5 of the unit demand at the
+    # quadratic part's optimum, beyond its radius 0.8; the least-norm
+    # point puts 2/3 there, and the optimum about 0.47
+    bundle = ObjectiveBundle([EdgeCost("quartic", a=0.01, q=10.0, radius=0.8),
+                              EdgeCost("quartic", a=1.0, q=0.0, radius=2.0),
+                              EdgeCost("quartic", a=1.0, q=0.0, radius=2.0)])
+    problem = FlowProblem(triangle(), bundle, np.array([1.0, -1.0, 0.0]))
+    stats = {}
+    x = solve_exact(problem, stats=stats)
+    assert stats["start"] == "least-norm"
+    assert 0.4 < x[0] < 0.5
+    assert np.abs(problem.A @ x - problem.b).max() <= 1e-12
+    grad = bundle.gradient(x)
+    assert np.abs(problem.project_gradient(grad)).max() <= 1e-10

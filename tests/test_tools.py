@@ -26,6 +26,11 @@ def test_bench_curve_writes_one_row_per_size(tmp_path):
     assert [row["n"] for row in report["rows"]] == [20, 40]
     for row in report["rows"]:
         assert row["global_solve_ms"] > 0
+        # log-cosh costs are solved by Newton: a start, then per iteration
+        # a direction and a trial point, each at least one CG iteration
+        assert row["global_logcosh_ms"] > 0
+        assert isinstance(row["logcosh_cg_iterations"], int)
+        assert row["logcosh_cg_iterations"] >= 3
         # a 3-regular graph's mu is at most its degree
         assert row["constants_ms"] > 0 and 0 < row["mu_bound"] <= 3.0 + 1e-9
         assert set(row["radius"]) == {"1", "4"}

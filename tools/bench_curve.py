@@ -6,6 +6,10 @@
 For each n, on a random 3-regular graph with quadratic costs a ~ U[1, 1.02]
 and c ~ N(0, 1), the script times:
 - the global `solve_exact`, the median of three solves;
+- the global `solve_exact` on log-cosh costs with the same a and
+  s ~ U[0, 1] (`global_logcosh_ms`, the median of three), and the total
+  CG iterations of one such solve from its stats record
+  (`logcosh_cg_iterations`);
 - the error budget's spectral constants, `budget_for` (median of three), and
   records the certified bound `mu_bound` on the adjacency's second
   eigenvalue in magnitude that it computes;
@@ -55,6 +59,26 @@ def _instance(n, seed):
                              rng.standard_normal(g.n_edges))]
     b = rng.standard_normal(n)
     return lf.FlowProblem(g, lf.ObjectiveBundle(costs), b - b.mean()), rng
+
+
+def _logcosh(problem, seed):
+    """The instance with log-cosh costs of the same a and s ~ U[0, 1],
+    drawn from a stream of their own so the requests do not change."""
+    s = np.random.default_rng([seed, problem.graph.n_vertices, 1]).uniform(
+        0.0, 1.0, problem.graph.n_edges)
+    costs = [lf.EdgeCost("log-cosh", a=float(a), s=float(se))
+             for a, se in zip(problem.bundle.a, s)]
+    return lf.FlowProblem(problem.graph, lf.ObjectiveBundle(costs), problem.b)
+
+
+def _median_of_three(call):
+    """call()'s result and the median time of three calls, in ms."""
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        out = call()
+        times.append(_ms(start))
+    return out, statistics.median(times)
 
 
 def _radius_row(problem, x_star, rng, r, requests):
@@ -111,19 +135,17 @@ def main(argv=None):
     rows = []
     for n in args.sizes:
         problem, rng = _instance(n, args.seed)
-        solve_ms = []
-        for _ in range(3):
-            start = time.perf_counter()
-            x_star = lf.solve_exact(problem)
-            solve_ms.append(_ms(start))
-        constants_ms = []
-        for _ in range(3):
-            start = time.perf_counter()
-            budget = lf.budget_for(problem)
-            constants_ms.append(_ms(start))
+        x_star, solve_ms = _median_of_three(lambda: lf.solve_exact(problem))
+        logcosh, stats = _logcosh(problem, args.seed), {}
+        logcosh_ms = _median_of_three(
+            lambda: lf.solve_exact(logcosh, stats=stats))[1]
+        budget, constants_ms = _median_of_three(
+            lambda: lf.budget_for(problem))
         row = {"n": n, "m": problem.graph.n_edges,
-               "global_solve_ms": statistics.median(solve_ms),
-               "constants_ms": statistics.median(constants_ms),
+               "global_solve_ms": solve_ms,
+               "global_logcosh_ms": logcosh_ms,
+               "logcosh_cg_iterations": sum(stats["cg_iterations"]),
+               "constants_ms": constants_ms,
                "mu_bound": budget.mu,
                "radius": {str(r): _radius_row(problem, x_star, rng, r,
                                               args.requests)
