@@ -291,7 +291,7 @@ def killed_green(rl):
     return rl.Lbar_inv * rl.dbar[None, :]
 
 
-def killed_green_series(rl, tail=SERIES_TAIL, max_terms=1_000_000):
+def killed_green_series(rl, max_terms=1_000_000):
     """Truncated Neumann series for the killed Green's function, with the
     truncation point chosen from the killed walk's spectral radius."""
     s = np.sqrt(rl.dbar)
@@ -299,7 +299,7 @@ def killed_green_series(rl, tail=SERIES_TAIL, max_terms=1_000_000):
     rad = float(np.abs(np.linalg.eigvalsh(sym)).max())
     if rad >= 1.0:
         raise LaplacianError("killed walk spectral radius is not below 1")
-    T = _truncation_point(rad, tail, max_terms)
+    T = _truncation_point(rad, max_terms)
     G = np.eye(len(rl.dbar))
     term = np.eye(len(rl.dbar))
     for _ in range(T):
@@ -308,17 +308,18 @@ def killed_green_series(rl, tail=SERIES_TAIL, max_terms=1_000_000):
     return G, T
 
 
-def _truncation_point(lam, tail, max_terms):
+def _truncation_point(lam, max_terms=1_000_000):
     if lam >= 1.0:
         raise LaplacianError("walk decay bound %.6f is not below 1; use the "
                              "L+ form" % lam)
     if lam <= 0.0:
         return 1
-    T = max(1, int(np.ceil(np.log(tail * (1.0 - lam)) / np.log(lam))) + 1)
+    T = max(1, int(np.ceil(np.log(SERIES_TAIL * (1.0 - lam))
+                           / np.log(lam))) + 1)
     if T > max_terms:
         raise LaplacianError(
             "series needs %d terms to reach tail %.1e but max_terms is %d"
-            % (T, tail, max_terms))
+            % (T, SERIES_TAIL, max_terms))
     return T
 
 
@@ -332,7 +333,7 @@ def restricted_vs_full(rl, Lplus):
     return float(np.abs(rl.Lbar_inv - M).max())
 
 
-def green_difference(walk, u, v, w, z, form="pinv", tail=SERIES_TAIL):
+def green_difference(walk, u, v, w, z, form="pinv"):
     """(e_u - e_v)^T L^+ (e_w - e_z), exactly via the pseudoinverse or via
     the truncated walk series (aperiodic instances only).
 
@@ -347,20 +348,20 @@ def green_difference(walk, u, v, w, z, form="pinv", tail=SERIES_TAIL):
     f = np.zeros(walk.n)
     f[w] += 1.0
     f[z] -= 1.0
-    pot = green_series_apply(walk, f, tail)
+    pot = green_series_apply(walk, f)
     return (float(pot[u] - pot[v]),
-            _truncation_point(walk.slem_bound, tail, 1_000_000))
+            _truncation_point(walk.slem_bound))
 
 
-def green_series_apply(walk, f, tail=SERIES_TAIL):
+def green_series_apply(walk, f):
     """sum_t P^t (f / d) for a balanced vertex vector f (graph._balanced,
     else LaplacianError), truncated where the walk's certified decay bound
-    puts the tail below `tail`; each term is one bincount product. Used by
-    the walk-series sensitivity formula."""
+    puts the tail below SERIES_TAIL; each term is one bincount product.
+    Used by the walk-series sensitivity formula."""
     if not walk.is_aperiodic():
         raise LaplacianError("series not absolutely summable; use L+ form")
     f = _balanced(walk.graph, f, LaplacianError, "series form vector")
-    T = _truncation_point(walk.slem_bound, tail, 1_000_000)
+    T = _truncation_point(walk.slem_bound)
     w = _weight_operator(walk.graph, walk.weights, np.ones(walk.n))
     vec = f / walk.d
     total = vec.copy()

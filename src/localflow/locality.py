@@ -16,7 +16,7 @@ import numpy as np
 from .graph import _edge_indices, _edge_set, _slots, geodesic_distance
 from .laplacian import laplacian_solve, norm_bound
 from .sensitivity import PerturbationSpec, sensitivity_operator, solve_exact
-from .solver import LocalizedSolver, SolverError
+from .solver import LocalizedSolver
 
 
 class LocalityError(RuntimeError):
@@ -315,10 +315,7 @@ def bias_variance(problem, pert, sub, t, x_star_base=None):
                                   0.0, budget.variance_bound(0.0, t), budget)
 
     b_target = problem.b + pert.p
-    try:
-        local = LocalizedSolver(problem, sub)
-    except SolverError:
-        raise LocalityError("subgraph has no edges to update")
+    local = LocalizedSolver(problem, sub)
     limit = local.restricted_optimum(x_star_base, b_target)
     iterate = local.run(x_star_base.copy(), b_target, t)
     bias = x_pert - limit

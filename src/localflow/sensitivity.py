@@ -20,6 +20,8 @@ from .objective import CostError
 
 # relative to max(1, |grad|_inf); feasibility and balance are graph.py's
 STATIONARITY_TOL = 1e-8
+NEWTON_MAX_ITER = 200  # before solve_exact gives up
+FD_STEP = 1e-6  # boundary_sensitivity_check's central differences
 
 # materialize the dense edges-by-vertices operator only for small graphs
 DENSE_OPERATOR_MAX_VERTICES = 512
@@ -54,14 +56,7 @@ class FlowProblem:
 
     def project(self, v, b):
         """Orthogonal projection v - A^T (A A^T)^+ (Av - b) onto Au = b."""
-        return self._projection(v, b)[0]
-
-    def _projection(self, v, b, nu0=None, log=None):
-        """project(v, b) and its potential nu = (A A^T)^+ (Av - b), with
-        the solve warm-started from nu0 and logged to log (see _solve)."""
-        g = self.graph
-        nu = _solve(g, np.ones(g.n_edges), g.net_outflow(v) - b, nu0, log)
-        return v - g.potential_difference(nu), nu
+        return _project(self.graph, 1.0, v, b)[0]
 
     def project_gradient(self, grad):
         """Component of grad in the constraint null space."""
@@ -91,7 +86,7 @@ class PerturbationSpec:
         return cls(graph, p)
 
 
-def solve_exact(problem, tol=1e-10, max_iter=200, stats=None):
+def solve_exact(problem, tol=1e-10, stats=None):
     """Exact optimal flow.
 
     Quadratic bundles are solved in closed form through the weighted
@@ -113,13 +108,15 @@ def solve_exact(problem, tol=1e-10, max_iter=200, stats=None):
     the final residuals `feasibility_inf` and `stationarity_inf`.
     """
     bundle, log = problem.bundle, []
+    sigma = 1.0 / bundle.a  # the closed form of the costs' quadratic part
+    x, nu = _project(problem.graph, sigma, -sigma * bundle.c, problem.b,
+                     log=log)
     if bundle.all_quadratic:
-        x, nu = _quadratic_optimum(problem, bundle.a, bundle.c, log)
         stat, scale = _kkt_residual(problem, x, nu, log)[:2]
         record = {"method": "closed-form", "newton_iterations": 0,
                   "halvings": 0}
     else:
-        x, stat, scale, record = _newton(problem, tol, max_iter, log)
+        x, stat, scale, record = _newton(problem, x, nu, tol, log)
     feas = _check_solution(problem, x, stat, scale)
     if stats is not None:
         stats.update(record, cg_iterations=log, feasibility_inf=feas,
@@ -127,26 +124,35 @@ def solve_exact(problem, tol=1e-10, max_iter=200, stats=None):
     return x
 
 
-def _quadratic_optimum(problem, a, c, log):
-    """argmin sum a x^2/2 + c x over Ax = b, and nu with ax + c = A^T nu."""
-    g, sigma = problem.graph, 1.0 / a
-    nu = _solve(g, sigma, problem.b + g.net_outflow(sigma * c), None, log)
-    return sigma * (g.potential_difference(nu) - c), nu
+def _project(graph, sigma, v, d, nu0=None, log=None):
+    """(x, nu): the projection x = v + sigma A^T nu of v onto A x = d in
+    the metric diag(1/sigma), where L_sigma nu = d - A v is solved from nu0
+    and its CG iteration count appended to log (when not None). sigma and
+    v may be scalars. Every flow solve here is one: the closed form, the
+    least-norm start, Newton's direction, the stationarity residual, the
+    projection onto Au = b and the sensitivity apply."""
+    m = graph.n_edges
+    sigma, v = (a if np.ndim(a) else np.full(m, float(a)) for a in (sigma, v))
+    stats = {}
+    nu = laplacian_solve(graph, sigma, d - graph.net_outflow(v), x0=nu0,
+                         stats=stats)
+    if log is not None:
+        log.append(stats["cg_iterations"])
+    return v + sigma * graph.potential_difference(nu), nu
 
 
-def _newton(problem, tol, max_iter, log):
-    """Damped Newton for solve_exact: x, its residual and scale, record."""
+def _newton(problem, x, mu, tol, log):
+    """Damped Newton for solve_exact from x with potential mu: x, its
+    residual and scale, record."""
     g, bundle, start = problem.graph, problem.bundle, "quadratic-part"
-    x, mu = _quadratic_optimum(problem, bundle.a, bundle.c, log)
     if np.any((x < bundle.lo) | (x > bundle.hi)):
-        start, ones = "least-norm", np.ones(g.n_edges)
-        x, mu = _quadratic_optimum(problem, ones, 0.0 * ones, log)
+        start = "least-norm"
+        x, mu = _project(g, 1.0, 0.0, problem.b, log=log)
     grad = bundle.gradient(x)
     res, halvings = np.inf, 0  # so any first trial in the domain is taken
-    for it in range(1, max_iter + 1):
+    for it in range(1, NEWTON_MAX_ITER + 1):
         sig = 1.0 / bundle.hessian_diag(x)
-        w = _solve(g, sig, g.net_outflow(sig * grad), mu, log)
-        dx = -sig * (grad - g.potential_difference(w))
+        dx, w = _project(g, sig, -sig * grad, 0.0, mu, log)
         step = 1.0
         while step > 2.0 ** -40:
             cand = x + step * dx
@@ -172,21 +178,11 @@ def _newton(problem, tol, max_iter, log):
                            "halvings": halvings, "start": start}
 
 
-def _solve(graph, weights, rhs, x0, log):
-    """laplacian_solve from x0, its CG iteration count appended to log
-    (when not None)."""
-    stats = {}
-    out = laplacian_solve(graph, weights, rhs, x0=x0, stats=stats)
-    if log is not None:
-        log.append(stats["cg_iterations"])
-    return out
-
-
 def _kkt_residual(problem, x, nu0, log):
     """|projected gradient|_inf, its scale max(1, |grad|_inf), the
     projection's potential and the gradient; the solve starts from nu0."""
     grad = problem.bundle.gradient(x)
-    pg, nu = problem._projection(grad, 0.0, nu0, log)
+    pg, nu = _project(problem.graph, 1.0, -grad, 0.0, nu0, log)
     return float(np.abs(pg).max()), _scale(grad), nu, grad
 
 
@@ -207,16 +203,12 @@ class SensitivityOperator:
 
     def __init__(self, problem, x_star):
         self.problem = problem
-        self.b = problem.b
-        self.x_star = x_star
         self.walk = problem.walk_at(x_star)
         self.sigma = self.walk.weights
 
     def apply(self, p):
         """Directional derivative of the optimal flow for perturbation p."""
-        g = self.problem.graph
-        return self.sigma * g.potential_difference(
-            laplacian_solve(g, self.sigma, p))
+        return _project(self.problem.graph, self.sigma, 0.0, p)[0]
 
     def apply_series(self, p):
         """Same product through the truncated walk-series formula;
@@ -300,7 +292,7 @@ def gaussian_identity_check(Sigma, A):
     return float(np.abs(direct - block).max())
 
 
-def boundary_sensitivity_check(H, I_set, B_set, fd_step=1e-6):
+def boundary_sensitivity_check(H, I_set, B_set):
     """Deviation between Sigma_IB Sigma_BB^{-1} and -H_II^{-1} H_IB, plus a
     finite-difference check on the partially-minimized quadratic."""
     H = np.asarray(H, dtype=float)
@@ -325,7 +317,8 @@ def boundary_sensitivity_check(H, I_set, B_set, fd_step=1e-6):
     fd = np.empty((len(I_set), len(B_set)))
     for j in range(len(B_set)):
         step = np.zeros(len(B_set))
-        step[j] = fd_step
-        fd[:, j] = (argmin_I(x_B + step) - argmin_I(x_B - step)) / (2 * fd_step)
+        step[j] = FD_STEP
+        fd[:, j] = (argmin_I(x_B + step)
+                    - argmin_I(x_B - step)) / (2 * FD_STEP)
     fd_dev = float(np.abs(fd - lhs).max())
     return block_dev, fd_dev

@@ -225,17 +225,15 @@ def warm_start_reoptimize(problem, pert, sub, t, x_star=None, eta=None,
                           collect=None):
     """Run t localized iterations toward x*(b + p) from the warm start
     x*(b), freezing the complement flows as boundary conditions. t must be
-    a nonnegative integer (SolverError otherwise); t = 0 returns the warm
-    start."""
+    a nonnegative integer (SolverError otherwise); t = 0 and a one-vertex
+    subgraph of the problem graph return the warm start."""
     t = _nonnegative_int(t, SolverError, "iteration count")
     if not pert.support <= sub.vertex_set:
         raise SolverError("perturbation support not inside the subgraph")
     if x_star is None:
         x_star = solve_exact(problem)
-    try:
-        local = LocalizedSolver(problem, sub)
-    except SolverError:
-        if np.any(pert.p):
-            raise
+    if sub.graph is problem.graph and not len(sub.e_in):
+        # a connected subgraph without edges is one vertex, so p = 0
         return np.asarray(x_star, dtype=float).copy()
-    return local.run(x_star, problem.b + pert.p, t, eta, collect)
+    return LocalizedSolver(problem, sub).run(x_star, problem.b + pert.p, t,
+                                             eta, collect)

@@ -15,7 +15,7 @@ from localflow import (DirectedGraph, EdgeCost, LocalityError,
                        solve_exact, tune)
 from conftest import (logcosh_bundle, quadratic_problem, random_balanced,
                       random_connected_graph, traced_peak_mb, triangle)
-from localflow import FlowProblem
+from localflow import FlowProblem, SolverError
 from localflow import laplacian
 from localflow.laplacian import LANCZOS_STEPS, SPECTRAL_DELTA
 from localflow.locality import _set_constants
@@ -402,6 +402,16 @@ def test_bias_variance_zero_perturbation():
     out = bias_variance(problem, pert, SubgraphSpec(g, range(3)), t=3)
     assert np.abs(out.bias).max() == 0.0
     assert np.abs(out.variance).max() == 0.0
+
+
+def test_bias_variance_refuses_a_foreign_subgraph_by_name():
+    g, other = generate("cycle", n=6), generate("cycle", n=6)
+    problem = quadratic_problem(g, np.zeros(6))
+    p = np.zeros(6)
+    p[0], p[1] = 1.0, -1.0
+    with pytest.raises(SolverError, match="does not belong"):
+        bias_variance(problem, PerturbationSpec(g, p),
+                      ball_subgraph(other, 0, 2), t=3)
 
 
 def test_bias_variance_identity_and_support(expander200):

@@ -14,7 +14,7 @@ from localflow import (DirectedGraph, EdgeCost, FlowProblem, ObjectiveBundle,
                        sensitivity_operator, solve_exact)
 from localflow.graph import FEAS_TOL
 from localflow.laplacian import LaplacianError
-from localflow.sensitivity import STATIONARITY_TOL
+from localflow.sensitivity import STATIONARITY_TOL, _project
 from conftest import (logcosh_bundle, path, quadratic_problem,
                       random_balanced, random_connected_graph, triangle)
 
@@ -470,3 +470,33 @@ def test_newton_falls_back_to_least_norm_start():
     assert np.abs(problem.A @ x - problem.b).max() <= 1e-12
     grad = bundle.gradient(x)
     assert np.abs(problem.project_gradient(grad)).max() <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 20),
+       log10_v=st.floats(-3.0, 3.0))
+def test_project_meets_the_dense_weighted_projection(seed, n, log10_v):
+    # every flow solve is this projection; its potential's sign is what
+    # each warm start relies on
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n, extra_edges=int(rng.integers(0, n)))
+    A = build_incidence(g)
+    sigma = 10.0 ** rng.uniform(-1.0, 1.0, g.n_edges)
+    v = rng.standard_normal(g.n_edges) * 10.0 ** log10_v
+    d = random_balanced(rng, n)
+    log = []
+    x, nu = _project(g, sigma, v, d, log=log)
+    assert np.abs(A @ x - d).max() <= FEAS_TOL * max(1.0, np.abs(d).max())
+    scale = max(1.0, np.abs(x).max(), np.abs(v).max())
+    assert np.abs((x - v) / sigma - A.T @ nu).max() <= 1e-12 * scale \
+        / sigma.min()
+    want = pseudoinverse((A * sigma) @ A.T) @ (d - A @ v)
+    assert np.abs(nu - nu.mean() - want).max() <= 1e-9 * max(
+        1.0, np.abs(want).max())
+    # a warm start from the returned potential is already converged, bar
+    # round-off: CG stops on its recurrence residual, and the true one,
+    # re-measured at the start, can sit just above CG_RTOL (1 in ~200
+    # draws, then one or two iterations)
+    again = _project(g, sigma, v, d, nu0=nu, log=log)
+    assert log[1] <= 2
+    assert np.abs(again[0] - x).max() <= 1e-12 * scale

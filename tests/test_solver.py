@@ -158,6 +158,22 @@ def test_warm_start_zero_perturbation():
         assert np.allclose(out, x_star, atol=1e-10)
 
 
+def test_warm_start_refuses_a_foreign_subgraph_whatever_p():
+    g, other = generate("cycle", n=6), generate("cycle", n=6)
+    problem = quadratic_problem(g, np.zeros(6))
+    x_star = solve_exact(problem)
+    p = np.zeros(6)
+    p[0], p[1] = 1.0, -1.0
+    for pert in (PerturbationSpec(g, np.zeros(6)), PerturbationSpec(g, p)):
+        with pytest.raises(SolverError, match="does not belong"):
+            warm_start_reoptimize(problem, pert, ball_subgraph(other, 0, 2),
+                                  t=3, x_star=x_star)
+    # the problem graph's own one-vertex ball is the edgeless no-op
+    out = warm_start_reoptimize(problem, PerturbationSpec(g, np.zeros(6)),
+                                ball_subgraph(g, 0, 0), t=3, x_star=x_star)
+    assert np.array_equal(out, x_star) and out is not x_star
+
+
 def test_warm_start_whole_graph_converges(rng):
     g = random_connected_graph(rng, 12, extra_edges=8)
     problem = FlowProblem(g, logcosh_bundle(rng, g.n_edges),

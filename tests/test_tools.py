@@ -53,3 +53,25 @@ def test_step_summary_skips_tree_balls():
         "step_us_p50": 5.0, "step_requests": 2}
     assert summary([-5.0, -8.0], [0, 0]) == {"step_us_p50": None,
                                               "step_requests": 0}
+
+
+def test_bench_curve_reports_quartiles_around_each_median(tmp_path):
+    out = tmp_path / "bench.json"
+    assert _bench_curve().main(["--out", str(out), "--sizes", "30",
+                                "--radii", "1", "3", "--requests", "4"]) == 0
+    for entry in json.loads(out.read_text())["rows"][0]["radius"].values():
+        for name in ("request_ms", "build_ms", "step_us"):
+            p25, p50, p75 = (entry["%s_p%d" % (name, q)]
+                             for q in (25, 50, 75))
+            if name == "step_us" and p50 is None:
+                assert p25 is None and p75 is None
+                continue
+            assert p25 <= p50 <= p75
+
+
+def test_percentiles_are_none_without_samples():
+    percentiles = _bench_curve().percentiles
+    assert percentiles("x", [1.0, 2.0, 3.0, 4.0, 5.0]) == {
+        "x_p25": 2.0, "x_p50": 3.0, "x_p75": 4.0}
+    assert percentiles("x", []) == {"x_p25": None, "x_p50": None,
+                                    "x_p75": None}

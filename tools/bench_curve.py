@@ -25,6 +25,10 @@ and c ~ N(0, 1), the script times:
   so the median is over the requests whose ball has a cycle only
   (`step_requests` of them), and null when there are none.
 
+Each `*_p50` comes with `*_p25` and `*_p75`, the quartiles of the same
+samples. A change between two committed BENCH_*.json files that lies
+inside that spread is noise, not a speed-up or a regression.
+
 The north star is that the per-step time, and in time the per-request
 time, stays flat in n at fixed r. The library is imported from ./src.
 """
@@ -45,6 +49,7 @@ import numpy as np  # noqa: E402
 import localflow as lf  # noqa: E402
 
 STEPS = 30
+QUARTILES = (25, 50, 75)
 
 
 def _ms(start):
@@ -106,19 +111,27 @@ def _radius_row(problem, x_star, rng, r, requests):
         step_us.append((_ms(start) - one) * 1e3 / STEPS)
         sizes.append((len(sub.v_in), len(sub.e_in), sub.cycle_rank))
     vertices, edges, cycle_rank = (statistics.mean(s) for s in zip(*sizes))
-    return {"request_ms_p50": statistics.median(request_ms),
-            "build_ms_p50": statistics.median(build_ms),
-            **step_summary(step_us, [size[2] for size in sizes]),
+    return {**percentiles("request_ms", request_ms),
+            **percentiles("build_ms", build_ms),
+            **step_summary(step_us, [size[2] for size in sizes], QUARTILES),
             "requests": requests, "ball_vertices_mean": vertices,
             "ball_edges_mean": edges, "cycle_rank_mean": cycle_rank}
 
 
-def step_summary(step_us, cycle_ranks):
-    """The median step time over the requests whose ball has a cycle, and
-    their count; the median is None when no ball has one."""
+def percentiles(name, samples, qs=QUARTILES):
+    """name_pQ for each Q in qs: the Q-th percentile of the samples, None
+    when there are none."""
+    values = (np.percentile(samples, qs).tolist() if samples
+              else [None] * len(qs))
+    return {"%s_p%d" % (name, q): v for q, v in zip(qs, values)}
+
+
+def step_summary(step_us, cycle_ranks, qs=(50,)):
+    """The percentiles qs (the median by default) of the step time over the
+    requests whose ball has a cycle, and their count; None when no ball
+    has one."""
     steps = [us for us, c in zip(step_us, cycle_ranks) if c > 0]
-    return {"step_us_p50": statistics.median(steps) if steps else None,
-            "step_requests": len(steps)}
+    return {**percentiles("step_us", steps, qs), "step_requests": len(steps)}
 
 
 def main(argv=None):
