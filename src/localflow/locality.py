@@ -16,7 +16,7 @@ import numpy as np
 from .graph import _edge_indices, _edge_set, _slots, geodesic_distance
 from .laplacian import laplacian_solve, norm_bound
 from .sensitivity import PerturbationSpec, sensitivity_operator, solve_exact
-from .solver import LocalizedSolver
+from .solver import LocalizedSolver, _check_owner
 
 
 class LocalityError(RuntimeError):
@@ -301,6 +301,7 @@ def bias_variance(problem, pert, sub, t, x_star_base=None):
     point (restricted exact solve); variance is the remaining iteration
     error after t localized steps.
     """
+    _check_owner(problem, sub)
     if not pert.support <= sub.vertex_set:
         raise LocalityError("perturbation support not inside the subgraph")
     if x_star_base is None:

@@ -59,6 +59,12 @@ def pgd_run(problem, x0, config=None):
     return x, trace
 
 
+def _check_owner(problem, sub):
+    """SolverError unless sub is a subgraph of the problem's own graph."""
+    if sub.graph is not problem.graph:
+        raise SolverError("subgraph does not belong to the problem graph")
+
+
 class LocalizedSolver:
     """Frozen-boundary projected gradient descent on a subgraph.
 
@@ -78,8 +84,7 @@ class LocalizedSolver:
     """
 
     def __init__(self, problem, sub):
-        if sub.graph is not problem.graph:
-            raise SolverError("subgraph does not belong to the problem graph")
+        _check_owner(problem, sub)
         self.problem = problem
         self.sub = sub
         self.e_in = sub.e_in
@@ -226,14 +231,14 @@ def warm_start_reoptimize(problem, pert, sub, t, x_star=None, eta=None,
     """Run t localized iterations toward x*(b + p) from the warm start
     x*(b), freezing the complement flows as boundary conditions. t must be
     a nonnegative integer (SolverError otherwise); t = 0 and a one-vertex
-    subgraph of the problem graph return the warm start."""
+    subgraph (which has no edges, so p = 0) return the warm start."""
     t = _nonnegative_int(t, SolverError, "iteration count")
+    _check_owner(problem, sub)
     if not pert.support <= sub.vertex_set:
         raise SolverError("perturbation support not inside the subgraph")
     if x_star is None:
         x_star = solve_exact(problem)
-    if sub.graph is problem.graph and not len(sub.e_in):
-        # a connected subgraph without edges is one vertex, so p = 0
+    if not len(sub.e_in):
         return np.asarray(x_star, dtype=float).copy()
     return LocalizedSolver(problem, sub).run(x_star, problem.b + pert.p, t,
                                              eta, collect)

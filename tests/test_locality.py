@@ -409,9 +409,9 @@ def test_bias_variance_refuses_a_foreign_subgraph_by_name():
     problem = quadratic_problem(g, np.zeros(6))
     p = np.zeros(6)
     p[0], p[1] = 1.0, -1.0
-    with pytest.raises(SolverError, match="does not belong"):
-        bias_variance(problem, PerturbationSpec(g, p),
-                      ball_subgraph(other, 0, 2), t=3)
+    for pert in (PerturbationSpec(g, np.zeros(6)), PerturbationSpec(g, p)):
+        with pytest.raises(SolverError, match="does not belong"):
+            bias_variance(problem, pert, ball_subgraph(other, 0, 2), t=3)
 
 
 def test_bias_variance_identity_and_support(expander200):

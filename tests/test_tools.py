@@ -50,9 +50,11 @@ def test_bench_curve_writes_one_row_per_size(tmp_path):
 def test_step_summary_skips_tree_balls():
     summary = _bench_curve().step_summary
     assert summary([-5.0, 3.0, 7.0, -1.0], [0, 2, 5, 0]) == {
-        "step_us_p50": 5.0, "step_requests": 2}
-    assert summary([-5.0, -8.0], [0, 0]) == {"step_us_p50": None,
-                                              "step_requests": 0}
+        "step_us_p25": 4.0, "step_us_p50": 5.0, "step_us_p75": 6.0,
+        "step_requests": 2}
+    assert summary([-5.0, -8.0], [0, 0]) == {
+        "step_us_p25": None, "step_us_p50": None, "step_us_p75": None,
+        "step_requests": 0}
 
 
 def test_bench_curve_reports_quartiles_around_each_median(tmp_path):

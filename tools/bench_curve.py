@@ -113,25 +113,24 @@ def _radius_row(problem, x_star, rng, r, requests):
     vertices, edges, cycle_rank = (statistics.mean(s) for s in zip(*sizes))
     return {**percentiles("request_ms", request_ms),
             **percentiles("build_ms", build_ms),
-            **step_summary(step_us, [size[2] for size in sizes], QUARTILES),
+            **step_summary(step_us, [size[2] for size in sizes]),
             "requests": requests, "ball_vertices_mean": vertices,
             "ball_edges_mean": edges, "cycle_rank_mean": cycle_rank}
 
 
-def percentiles(name, samples, qs=QUARTILES):
-    """name_pQ for each Q in qs: the Q-th percentile of the samples, None
-    when there are none."""
-    values = (np.percentile(samples, qs).tolist() if samples
-              else [None] * len(qs))
-    return {"%s_p%d" % (name, q): v for q, v in zip(qs, values)}
+def percentiles(name, samples):
+    """name_pQ for each quartile Q: the Q-th percentile of the samples,
+    None when there are none."""
+    values = (np.percentile(samples, QUARTILES).tolist() if samples
+              else [None] * len(QUARTILES))
+    return {"%s_p%d" % (name, q): v for q, v in zip(QUARTILES, values)}
 
 
-def step_summary(step_us, cycle_ranks, qs=(50,)):
-    """The percentiles qs (the median by default) of the step time over the
-    requests whose ball has a cycle, and their count; None when no ball
-    has one."""
+def step_summary(step_us, cycle_ranks):
+    """The quartiles of the step time over the requests whose ball has a
+    cycle, and their count; None when no ball has one."""
     steps = [us for us, c in zip(step_us, cycle_ranks) if c > 0]
-    return {**percentiles("step_us", steps, qs), "step_requests": len(steps)}
+    return {**percentiles("step_us", steps), "step_requests": len(steps)}
 
 
 def main(argv=None):
