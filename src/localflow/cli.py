@@ -256,13 +256,13 @@ def cmd_tune(config):
     if config.get("graph"):
         if any(config.get(key) is not None for key in ("Q", "k", "mu")):
             raise CliInputError("--Q, --k and --mu do not apply with --graph")
-        g, bundle, _ = _load_problem(config)
-        (k, k_minus, mu), Q = locality._graph_triple(g), bundle.Q
-        if k_minus != k:  # the tuner prices regular families only
+        budget = locality.budget_for(_load_problem(config)[2])
+        if budget.k_minus != budget.k_plus:  # regular families only
             raise locality.LocalityError(
                 "tune --graph needs a regular graph, got k- = %d, k+ = %d"
-                % (k_minus, k))
-        spectral = mu.spectral
+                % (budget.k_minus, budget.k_plus))
+        Q, k, mu = budget.Q, budget.k_plus, budget.mu
+        spectral = budget.spectral
     else:
         Q, k, mu = _require(config, "Q", "k", "mu")
         Q, k, spectral = float(Q), _integer("k", k), None

@@ -17,7 +17,7 @@ from .graph import _balanced, _vertex_indices
 
 # eigenvalues below this fraction of the largest are treated as kernel
 KERNEL_RTOL = 1e-12
-# laplacian_solve stops at |rhs - L x|_2 <= CG_RTOL |rhs|_2 (mean-zero rhs)
+# laplacian_solve stops at CG's recurrence residual |r|_2 < CG_RTOL |rhs|_2
 CG_RTOL = 1e-14
 # stop Green's-function series when lambda^t / (1 - lambda) drops below this
 SERIES_TAIL = 1e-12
@@ -209,15 +209,15 @@ def laplacian_solve(graph, weights, rhs, x0=None, stats=None):
 
     CG starts from x0 (zeros when None), less its mean; a start whose
     residual exceeds |rhs|_2 is worse than zeros and is replaced by them.
-    The stopping rule is absolute whatever the start:
-    |rhs - L x|_2 <= CG_RTOL |rhs|_2 for the mean-zero rhs, so a warm
-    start saves iterations but never loosens the answer; rhs = 0 returns
-    zeros. A given stats dict gets the iteration count as
-    `cg_iterations`.
+    The stopping rule is absolute whatever the start: CG's recurrence
+    residual r (updated, not recomputed) reaches |r|_2 < CG_RTOL |rhs|_2
+    for the mean-zero rhs, and |rhs - L x|_2 differs from it by round-off.
+    A warm start saves iterations but never loosens the rule; rhs = 0
+    returns zeros. A stats dict gets the iteration count `cg_iterations`.
 
     Raises LaplacianError on non-finite input (x0 included) or a
-    nonpositive weight, and when the residual does not reach CG_RTOL
-    within 10 n + 100 iterations.
+    nonpositive weight, and when CG breaks down (p^T L p not positive and
+    finite) or does not reach CG_RTOL within 10 n + 100 iterations.
     """
     w, r = np.asarray(weights, dtype=float), np.asarray(rhs, dtype=float)
     if not (np.all(np.isfinite(r)) and np.all(np.isfinite(w) & (w > 0))):
@@ -253,14 +253,17 @@ def laplacian_solve(graph, weights, rhs, x0=None, stats=None):
         if not np.isfinite(res):
             break
         Lp = graph.net_outflow(w * graph.potential_difference(p))
-        alpha = rz / (p @ Lp)
+        pLp = p @ Lp
+        if not 0.0 < pLp < np.inf:  # breakdown
+            break
+        alpha = rz / pLp
         x += alpha * p
         r -= alpha * Lp
         z = inv_d * r
         rz, rz_old = r @ z, rz
         p = z + (rz / rz_old) * p
-    raise LaplacianError("conjugate gradients stalled at relative residual "
-                         "%.3e" % (res / scale))
+    raise LaplacianError("conjugate gradients broke down or stalled at "
+                         "relative residual %.3e" % (res / scale))
 
 
 class RestrictedLaplacian:

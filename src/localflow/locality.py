@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import _edge_indices, _edge_set, _slots, geodesic_distance
-from .laplacian import laplacian_solve, norm_bound
-from .sensitivity import PerturbationSpec, sensitivity_operator, solve_exact
+from .laplacian import norm_bound
+from .sensitivity import (PerturbationSpec, _project, sensitivity_operator,
+                          solve_exact)
 from .solver import LocalizedSolver, _check_owner
 
 
@@ -36,30 +37,10 @@ def adjacency_slem(graph):
                       np.full(n, math.sqrt(2.0 * graph.n_edges) / n))
 
 
-def _graph_triple(graph):
-    """(k_plus, k_minus, mu): largest and smallest degree and the bound
-    on the adjacency matrix's second largest eigenvalue in magnitude."""
-    degs = graph.degrees()
-    return int(degs.max()), int(degs.min()), adjacency_slem(graph)
-
-
-def _envelope(Q, k_plus, k_minus, mu):
-    """(rho, c, gamma) of the interlacing envelope for curvature ratio Q.
-
-    rho bounds the second eigenvalue in magnitude of every walk whose
-    weights lie within a factor Q of each other; c and gamma scale the
-    variance and bias bounds.
-    """
-    rho = Q * k_plus / k_minus - 1.0 + Q * mu / k_minus
-    c = math.sqrt(2.0 * k_plus) * Q / k_minus
-    gamma = c * (1.0 + c * math.sqrt(max(k_plus - 1, 0)))
-    return rho, c, gamma
-
-
 def envelope_lambda(problem):
-    """Interlacing-based upper bound on the walk's second eigenvalue in
-    magnitude, uniform over b."""
-    return _envelope(problem.bundle.Q, *_graph_triple(problem.graph))[0]
+    """Interlacing bound on the walk's second eigenvalue in magnitude,
+    uniform over b: the rho of budget_for(problem)."""
+    return budget_for(problem).rho
 
 
 def _constants_mode(problem):
@@ -75,9 +56,8 @@ def _decay_rate(problem, walk, mode):
         lam = walk.slem_bound
         spectral = lam.spectral
     else:
-        k_plus, k_minus, mu = _graph_triple(problem.graph)
-        lam = _envelope(problem.bundle.Q, k_plus, k_minus, mu)[0]
-        spectral = mu.spectral
+        budget = budget_for(problem)
+        lam, spectral = budget.rho, budget.spectral
     if lam >= 1.0:
         raise LocalityError(
             "decay rate bound is %.4f >= 1; use an instance with a larger "
@@ -198,7 +178,7 @@ def point_to_set(problem, f, F):
     op = sensitivity_operator(problem)
     # derivative at edge f under the perturbation of edge e equals
     # W_wz (e_u - e_v)^T L^+ (e_w - e_z), symmetric in the L^+ kernel
-    pot = laplacian_solve(g, op.walk.weights, p)
+    pot = _project(g, op.walk.weights, 0.0, p)[1]
     w_f = op.walk.weights[kf]
     idx, U = _edge_set(g, F)
     measured = float(np.linalg.norm(
@@ -226,9 +206,8 @@ def interlacing_bound(graph, sub_walk, w_minus, w_plus):
     wts = sub_walk.weights
     if np.any(wts < w_minus - 1e-12) or np.any(wts > w_plus + 1e-12):
         raise LocalityError("subgraph weight outside [w_minus, w_plus]")
-    k_plus, k_minus, mu = _graph_triple(graph)
-    lam_prime = sub_walk.spectrum().lam
-    bound = _envelope(w_plus / w_minus, k_plus, k_minus, mu)[0]
+    budget = _graph_budget(graph, w_plus / w_minus)
+    lam_prime, bound = sub_walk.spectrum().lam, budget.rho
     # the negative-end estimate behind the bound needs the subgraph to
     # keep weighted degrees at least w_minus * k_minus; a subgraph that
     # thins a vertex down (say a near-bipartite tree-like ball) can push
@@ -239,14 +218,15 @@ def interlacing_bound(graph, sub_walk, w_minus, w_plus):
             "interlacing bound %.6f violated by lambda' = %.6f; the bound "
             "requires min weighted subgraph degree >= w_minus*k_minus = "
             "%.6f but it is %.6f"
-            % (bound, lam_prime, w_minus * k_minus, min_wdeg))
-    return lam_prime, bound, mu.spectral
+            % (bound, lam_prime, w_minus * budget.k_minus, min_wdeg))
+    return lam_prime, bound, budget.spectral
 
 
 @dataclass
 class ErrorBudget:
-    """Constants of the localized-algorithm error bounds; `spectral`
-    records the Lanczos run that certifies mu."""
+    """The localized algorithm's error bounds and their constants rho, c
+    and gamma, which `envelope` alone computes; `spectral` records the
+    Lanczos run that certifies mu (None for a family given by numbers)."""
     k_plus: int
     k_minus: int
     mu: float
@@ -266,7 +246,11 @@ class ErrorBudget:
             return 0.0
         if not self.valid:
             return math.inf
-        return p_norm * self.gamma * self.rho ** dist / (1.0 - self.rho) ** 2
+        try:  # a negative dist (tune's n - z) can overflow at a tiny rho
+            decay = self.rho ** dist
+        except OverflowError:
+            decay = math.inf
+        return p_norm * self.gamma * decay / (1.0 - self.rho) ** 2
 
     def variance_bound(self, p_norm, t):
         if not self.valid:
@@ -274,13 +258,32 @@ class ErrorBudget:
         return p_norm * self.c * math.exp(-t / (2.0 * self.Q)) \
             / (1.0 - self.rho)
 
+    @classmethod
+    def envelope(cls, Q, k_plus, k_minus, mu, constants_mode="envelope",
+                 spectral=None):
+        """The budget of curvature ratio Q on a graph of degrees k_minus
+        to k_plus whose adjacency has second eigenvalue in magnitude at
+        most mu. rho bounds that eigenvalue of every walk whose weights
+        lie within a factor Q of each other; c and gamma scale the
+        variance and bias bounds."""
+        rho = Q * k_plus / k_minus - 1.0 + Q * mu / k_minus
+        c = math.sqrt(2.0 * k_plus) * Q / k_minus
+        gamma = c * (1.0 + c * math.sqrt(max(k_plus - 1, 0)))
+        return cls(k_plus, k_minus, float(mu), Q, rho, c, gamma,
+                   constants_mode, spectral)
+
+
+def _graph_budget(graph, Q, constants_mode="envelope"):
+    """The budget of curvature ratio Q on graph's degrees and mu."""
+    degs, mu = graph.degrees(), adjacency_slem(graph)
+    return ErrorBudget.envelope(Q, int(degs.max()), int(degs.min()), mu,
+                                constants_mode, mu.spectral)
+
 
 def budget_for(problem):
-    k_plus, k_minus, mu = _graph_triple(problem.graph)
-    Q = problem.bundle.Q
-    return ErrorBudget(k_plus, k_minus, float(mu), Q,
-                       *_envelope(Q, k_plus, k_minus, mu),
-                       _constants_mode(problem), mu.spectral)
+    """The error budget of problem's graph and curvature ratio Q."""
+    return _graph_budget(problem.graph, problem.bundle.Q,
+                         _constants_mode(problem))
 
 
 @dataclass
@@ -357,15 +360,31 @@ class TuneResult:
     ball_size_bound: float
 
 
+def _least(bound, eps):
+    """The least integer n >= 1 with bound(n) <= eps/2, for a bound that
+    falls as n grows, by doubling and bisection: a closed form's round-off
+    can miss it by one, and by far more as rho nears 1."""
+    lo, hi = 0, 1
+    while bound(hi) > eps / 2.0:
+        lo, hi = hi, 2 * hi
+    if not bound(hi) <= eps / 2.0:
+        raise LocalityError("tuner bound overflows at n = %d" % hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if bound(mid) <= eps / 2.0 else (mid, hi)
+    return hi
+
+
 def tune(family, eps):
     """Minimal radius and iteration count meeting an eps/2 budget split.
 
-    r and t come from the closed-form ceilings of the exponential bias and
-    variance envelopes; both are floored at 1. The predicted cost uses the
-    k^r bound on the ball size with a configurable exponent. A non-finite
-    Q or eps, an omega that is not finite and positive, or a negative z
-    is bad input (ValueError); a family the bounds cannot price raises
-    LocalityError.
+    r and t are the least integers >= 1 at which the family ErrorBudget's
+    bias_bound(p_norm, r - z) = nu_bias e^(-xi_bias r) and
+    variance_bound(p_norm, t) = nu_var e^(-xi_var t) meet eps/2. The
+    predicted cost uses the k^r bound on the ball size with a
+    configurable exponent. A non-finite Q or eps, an omega that is not
+    finite and positive, or a negative z is bad input (ValueError); a
+    family the bounds cannot price raises LocalityError.
     """
     Q, k, mu, z = family.Q, family.k, family.mu, family.z
     for name, value, need, ok in (
@@ -383,21 +402,21 @@ def tune(family, eps):
                       ("p_norm > 0", family.p_norm > 0)):
         if not ok:
             raise LocalityError("tuner family needs %s" % field)
-    rho, c, gamma = _envelope(Q, k, k, mu)
-    if rho <= 0.0:
+    budget = ErrorBudget.envelope(Q, k, k, mu)
+    if budget.rho <= 0.0:
         raise LocalityError("tuner family needs rho > 0: Q (1 + mu/k) > 1")
-    if rho >= 1.0:
-        raise LocalityError("budget invalid: rho = %.4f >= 1" % rho)
-    nu_bias = family.p_norm * gamma / ((1.0 - rho) ** 2 * rho ** z)
-    xi_bias = math.log(1.0 / rho)
-    nu_var = family.p_norm * c / (1.0 - rho)
+    if not budget.valid:
+        raise LocalityError("budget invalid: rho = %.4f >= 1" % budget.rho)
+    nu_bias = budget.bias_bound(family.p_norm, -z, False)
+    xi_bias = math.log(1.0 / budget.rho)
+    nu_var = budget.variance_bound(family.p_norm, 0)
     xi_var = 1.0 / (2.0 * Q)
-    r = max(1, math.ceil(math.log(2.0 * nu_bias / eps) / xi_bias))
-    t = max(1, math.ceil(2.0 * Q * math.log(2.0 * nu_var / eps)))
+    r = _least(lambda n: budget.bias_bound(family.p_norm, n - z, False), eps)
+    t = _least(lambda n: budget.variance_bound(family.p_norm, n), eps)
     try:
         ball = float(k) ** r
         cost = ball ** family.omega * t
     except OverflowError:
-        ball = math.inf
-        cost = math.inf
-    return TuneResult(r, t, cost, rho, nu_bias, xi_bias, nu_var, xi_var, ball)
+        ball = cost = math.inf
+    return TuneResult(r, t, cost, budget.rho, nu_bias, xi_bias, nu_var,
+                      xi_var, ball)

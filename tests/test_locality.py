@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from localflow import (DirectedGraph, EdgeCost, LocalityError,
+from localflow import (DirectedGraph, EdgeCost, ErrorBudget, LocalityError,
                        ObjectiveBundle, PerturbationSpec, SubgraphSpec,
                        TunerFamily, WeightedWalk, adjacency_slem,
                        ball_subgraph, bias_variance, budget_for,
@@ -16,7 +16,7 @@ from localflow import (DirectedGraph, EdgeCost, LocalityError,
 from conftest import (logcosh_bundle, quadratic_problem, random_balanced,
                       random_connected_graph, traced_peak_mb, triangle)
 from localflow import FlowProblem, SolverError
-from localflow import laplacian
+from localflow import laplacian, locality
 from localflow.laplacian import LANCZOS_STEPS, SPECTRAL_DELTA
 from localflow.locality import _set_constants
 
@@ -414,6 +414,20 @@ def test_bias_variance_refuses_a_foreign_subgraph_by_name():
             bias_variance(problem, pert, ball_subgraph(other, 0, 2), t=3)
 
 
+def test_bias_variance_refuses_support_outside_before_any_solve(
+        expander200, monkeypatch):
+    g = expander200
+    problem = quadratic_problem(g, np.zeros(g.n_vertices))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the support was checked")
+
+    monkeypatch.setattr(locality, "solve_exact", no_solve)
+    with pytest.raises(LocalityError, match="support not inside"):
+        bias_variance(problem, antipodal_perturbation(g),
+                      ball_subgraph(g, g.vertices[0], 1), t=3)
+
+
 def test_bias_variance_identity_and_support(expander200):
     g = expander200
     problem = quadratic_problem(g, np.zeros(g.n_vertices))
@@ -482,9 +496,9 @@ def test_envelope_constants_agree_across_entry_points(expander200, s):
     tuned = tune(TunerFamily(Q, 3, mu), 1e-3)
     walk = WeightedWalk(g, np.ones(g.n_edges))
     _, bound, _ = interlacing_bound(g, walk, 1.0, Q)
-    assert envelope_lambda(problem) == pytest.approx(budget.rho)
-    assert tuned.rho == pytest.approx(budget.rho)
-    assert bound == pytest.approx(budget.rho)
+    assert envelope_lambda(problem) == budget.rho
+    assert tuned.rho == budget.rho
+    assert bound == budget.rho
     assert tuned.nu_var * (1.0 - tuned.rho) == pytest.approx(budget.c)
 
 
@@ -506,6 +520,41 @@ def test_tune_closed_forms():
     assert nu_var * math.exp(-result.t / 2.0) <= eps / 2 + 1e-15
     assert result.predicted_cost == pytest.approx(
         (3.0 ** result.r) ** 3 * result.t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(3, 32), mu_frac=st.floats(0.0, 1.0, exclude_min=True),
+       q_frac=st.floats(0.0, 1.0, exclude_max=True), z=st.integers(0, 3),
+       p_norm=st.floats(1e-100, 1e100),
+       eps=st.floats(0.0, 1e300, exclude_min=True))
+# past the float range: rho^-z, and so nu_bias; then 2 nu / eps
+@example(k=3, mu_frac=1e-200, q_frac=0.0, z=2, p_norm=1.0, eps=1e-3)
+@example(k=3, mu_frac=0.99, q_frac=0.0, z=2, p_norm=1.0, eps=1e-310)
+def test_tune_inverts_the_budget_bounds(k, mu_frac, q_frac, z, p_norm, eps):
+    # a valid regular family: mu in (0, 2 sqrt(k - 1)], the Ramanujan
+    # bound, and Q from 1 up to where rho = Q (1 + mu/k) - 1 reaches 1;
+    # p_norm within 1e+-100 keeps p_norm gamma a finite float
+    mu = mu_frac * 2.0 * math.sqrt(k - 1)
+    Q = 1.0 + q_frac * (2.0 / (1.0 + mu / k) - 1.0)
+    budget = ErrorBudget.envelope(Q, k, k, mu)
+    assume(0.0 < budget.rho < 1.0)
+    result = tune(TunerFamily(Q, k, mu, z=z, p_norm=p_norm), eps)
+    # r and t are exactly the least integers >= 1 whose bounds meet eps/2
+    bias = [budget.bias_bound(p_norm, r - z, False)
+            for r in (result.r - 1, result.r)]
+    var = [budget.variance_bound(p_norm, t)
+           for t in (result.t - 1, result.t)]
+    assert bias[1] <= eps / 2.0 and var[1] <= eps / 2.0
+    assert result.r == 1 or bias[0] > eps / 2.0
+    assert result.t == 1 or var[0] > eps / 2.0
+    assert result.nu_bias == budget.bias_bound(p_norm, -z, False)
+    assert result.nu_var == budget.variance_bound(p_norm, 0)
+
+
+def test_tune_refuses_a_bound_that_overflows():
+    # p_norm gamma overflows, so no r has a finite bias bound
+    with pytest.raises(LocalityError, match="overflows"):
+        tune(TunerFamily(Q=1.0, k=3, mu=2.8, p_norm=1.7e308), 1e-3)
 
 
 def test_tune_floors_at_one():

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -426,17 +427,42 @@ def test_newton_solve_meets_dense_kkt_oracle(seed, n, kind, log10_b):
         else EdgeCost("log-cosh", a=a[e], s=s[e]) for e in range(m)])
     try:
         x = solve_exact(FlowProblem(g, bundle, b))
-    except (SensitivityError, LaplacianError, RuntimeWarning):
+    except (SensitivityError, LaplacianError):
         # a known defect: where quartic curvature 3 q x^2 dwarfs the
         # log-cosh edges' (|b| >~ 1e3), potentials of size |grad| cost
         # the flows their last digits, and the weighted CG can break
-        # down; such an instance is refused, never answered wrongly
+        # down (LaplacianError); such an instance is refused, never
+        # answered wrongly
         assert kind == "mixed" and log10_b > 2.0
         return
     assert np.abs(A @ x - b).max() <= FEAS_TOL * max(1.0, np.abs(b).max())
     grad = bundle.gradient(x)
     pg = grad - A.T @ (gram_pinv @ (A @ grad))
     assert np.abs(pg).max() <= STATIONARITY_TOL * max(1.0, np.abs(grad).max())
+
+
+def test_cg_breakdown_is_a_laplacian_error():
+    # quartic edges beside log-cosh ones at |b|_inf = 1e5: a Newton solve
+    # meets p^T L p = 0 in CG, which is refused with the documented error
+    # and no floating-point warning
+    rng = np.random.default_rng(3)
+    n = int(rng.choice([5, 12]))
+    g = random_connected_graph(rng, n, extra_edges=n)
+    costs = []
+    for _ in range(g.n_edges):
+        a = float(rng.uniform(0.5, 2.0))
+        if rng.random() < 0.5:
+            costs.append(EdgeCost("quartic", a=a, q=float(rng.uniform(0, 1)),
+                                  radius=1e7))
+        else:
+            costs.append(EdgeCost("log-cosh", a=a, s=float(rng.uniform(0, 1))))
+    b = rng.standard_normal(n)
+    b -= b.mean()
+    b *= 1e5 / np.abs(b).max()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LaplacianError, match="broke down"):
+            solve_exact(FlowProblem(g, ObjectiveBundle(costs), b))
 
 
 def test_newton_at_a_quadratic_optimum_takes_one_step(rng):
