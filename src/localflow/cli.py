@@ -122,21 +122,46 @@ def _load_perturbation(config, g):
         return PerturbationSpec.from_mapping(g, _load_json(path))
 
 
-def _index_map(g):
-    return {"vertices": {v: i for i, v in enumerate(g.vertices)},
-            "edges": {e[0]: k for k, e in enumerate(g.edges)}}
-
-
-def _out_dir(config):
+def _path(config, name):
+    """The file `name` in the --out directory, which is made if missing."""
     out = config.get("out") or "."
     os.makedirs(out, exist_ok=True)
-    return out
+    return os.path.join(out, name)
 
 
-def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _write_json(config, name, payload, g=None):
+    """Write payload, the resolved config and, given the graph g, its
+    id-to-index mapping to the report `name` as standard JSON: each
+    non-finite figure is written as null, and a top-level `non_finite` map
+    gives its value ("inf", "-inf" or "nan") under its dotted key path."""
+    payload = {**payload, "config": config}
+    if g is not None:
+        payload["index_map"] = {"vertices": g.vertex_index,
+                                "edges": g.edge_index}
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        non_finite = {}
+        payload = {**_nulled(payload, (), non_finite),
+                   "non_finite": non_finite}
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    with open(_path(config, name), "w") as fh:
+        fh.write(text + "\n")
+
+
+def _nulled(value, path, non_finite):
+    """value with each non-finite float, at the key path `path` below the
+    payload, replaced by None and recorded in non_finite."""
+    if isinstance(value, dict):
+        return {k: _nulled(v, path + (str(k),), non_finite)
+                for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_nulled(v, path + (str(i),), non_finite)
+                for i, v in enumerate(value)]
+    if isinstance(value, float) and not math.isfinite(value):
+        non_finite[".".join(path)] = str(float(value))
+        return None
+    return value
 
 
 def _write_csv(path, header, rows):
@@ -162,10 +187,8 @@ def cmd_solve(config):
         "residuals": {key: stats[key]
                       for key in ("feasibility_inf", "stationarity_inf")},
         "stats": stats,
-        "config": config,
-        "index_map": _index_map(g),
     }
-    _write_json(os.path.join(_out_dir(config), "solution.json"), payload)
+    _write_json(config, "solution.json", payload, g)
     return EXIT_OK
 
 
@@ -181,10 +204,8 @@ def cmd_sensitivity(config):
                          for v, i in g.vertex_index.items()},
         "derivative": {e[0]: float(val) for e, val in zip(g.edges, deriv)},
         "residuals": {"derivative_feasibility_inf": feas},
-        "config": config,
-        "index_map": _index_map(g),
     }
-    _write_json(os.path.join(_out_dir(config), "sensitivity.json"), payload)
+    _write_json(config, "sensitivity.json", payload, g)
     return EXIT_OK
 
 
@@ -196,14 +217,13 @@ def cmd_decay(config):
     report = locality.measure_decay(problem, pert,
                                     [[k] for k in range(g.n_edges)])
     mode = report.constants_mode
-    _write_csv(os.path.join(_out_dir(config), "decay.csv"),
+    _write_csv(_path(config, "decay.csv"),
                ["distance", "measured", "bound", "constants_mode", "edge"],
                [(r.distance, r.measured, r.bound, mode, r.edge_ids[0])
                 for r in report.rows])
-    _write_json(os.path.join(_out_dir(config), "decay.json"),
-                {"config": config, "index_map": _index_map(g),
-                 "constants_mode": mode, "lam": report.lam,
-                 "spectral": report.spectral})
+    _write_json(config, "decay.json", {"constants_mode": mode,
+                                       "lam": report.lam,
+                                       "spectral": report.spectral}, g)
     return EXIT_OK
 
 
@@ -240,14 +260,12 @@ def cmd_reopt(config):
              "local_s": time.perf_counter() - t1 - record_s[0]}
     if not rows:  # zero perturbation short-circuit
         record(final)
-    _write_csv(os.path.join(_out_dir(config), "reopt.csv"),
+    _write_csv(_path(config, "reopt.csv"),
                ["iteration", "error_l2", "feasibility_residual"], rows)
-    _write_json(os.path.join(_out_dir(config), "reopt.json"),
-                {"final_error_l2": rows[-1][1],
-                 "subgraph_vertices": sorted(g.vertices[v]
-                                             for v in sub.vertex_set),
-                 "stats": stats, "config": config,
-                 "index_map": _index_map(g)})
+    _write_json(config, "reopt.json", {
+        "final_error_l2": rows[-1][1],
+        "subgraph_vertices": sorted(g.vertices[v] for v in sub.vertex_set),
+        "stats": stats}, g)
     return EXIT_OK
 
 
@@ -282,9 +300,8 @@ def cmd_tune(config):
             "Q": family.Q, "k": family.k, "mu": family.mu, "z": family.z,
         },
         "spectral": spectral,
-        "config": config,
     }
-    _write_json(os.path.join(_out_dir(config), "tune.json"), payload)
+    _write_json(config, "tune.json", payload)
     return EXIT_OK
 
 
@@ -299,13 +316,11 @@ def cmd_interlace(config):
     w_minus, w_plus = float(walk.weights.min()), float(walk.weights.max())
     lam_prime, bound, spectral = locality.interlacing_bound(
         g, sub_walk, w_minus, w_plus)
-    _write_json(os.path.join(_out_dir(config), "interlace.json"), {
+    _write_json(config, "interlace.json", {
         "lambda_prime": lam_prime, "bound": bound,
         "w_minus": w_minus, "w_plus": w_plus,
         "constants_mode": locality._constants_mode(problem),
-        "spectral": spectral,
-        "config": config, "index_map": _index_map(g),
-    })
+        "spectral": spectral}, g)
     return EXIT_OK
 
 
@@ -315,11 +330,10 @@ def cmd_generate(config):
     params = {key: _integer(key, v)
               for key, v in zip(keys, _require(config, *keys))}
     g = graphmod.generate(kind, **params)
-    out = _out_dir(config)
-    g.save(os.path.join(out, "graph.json"))
-    _write_json(os.path.join(out, "generate.json"),
-                {"kind": kind, "params": params, "config": config,
-                 "n_vertices": g.n_vertices, "n_edges": g.n_edges})
+    g.save(_path(config, "graph.json"))
+    _write_json(config, "generate.json", {
+        "kind": kind, "params": params,
+        "n_vertices": g.n_vertices, "n_edges": g.n_edges})
     return EXIT_OK
 
 

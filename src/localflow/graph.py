@@ -1,12 +1,15 @@
 """Directed graphs, incidence products, distances, balls and boundaries.
 
-Vertex and edge ids are strings in files; internally everything is mapped
-to dense 0-based indices. The id <-> index mapping is part of the public
-surface so reports can embed it.
+A graph is index-native: its vertices are 0..n-1 and its edges the pairs
+(tails[k], heads[k]). Vertex and edge ids are strings that live at the
+file boundary. A graph built by `from_arrays` names its vertices v0, v1,
+... and its edges e0, e1, ...; one built from ids keeps them, and so does
+a subgraph's `induced` graph. The ids and the id -> index maps are built
+on first use, and reports embed them.
 """
 
 import json
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -24,7 +27,8 @@ class DirectedGraph:
     """Simple connected directed graph, immutable after construction.
 
     The checks run one class at a time: duplicate vertex ids, duplicate
-    edge ids, unknown endpoints, self-loops, repeated vertex pairs (either
+    edge ids, unknown endpoints (ids, or indices outside range(n) in
+    `from_arrays`), self-loops, repeated vertex pairs (either
     orientation), connectivity of the undirected skeleton. A GraphError
     reports the first fault of the first failing class. Queries take
     vertex or edge ids or indices, and raise GraphError for an unknown id
@@ -36,48 +40,76 @@ class DirectedGraph:
     """
 
     def __init__(self, vertices, edges):
-        self.vertices = list(vertices)
-        self.edges = [(str(eid), str(t), str(h)) for eid, t, h in edges]
-        self.vertex_index = {v: i for i, v in enumerate(self.vertices)}
-        if len(self.vertex_index) != len(self.vertices):
+        vertices = list(vertices)
+        edges = [(str(eid), str(t), str(h)) for eid, t, h in edges]
+        vertex_index = {v: i for i, v in enumerate(vertices)}
+        if len(vertex_index) != len(vertices):
             raise GraphError("duplicate vertex ids")
-        self.edge_index = {e[0]: k for k, e in enumerate(self.edges)}
-        if len(self.edge_index) != len(self.edges):
-            k = _first_repeat([e[0] for e in self.edges])
-            raise GraphError("duplicate edge id: %s" % self.edges[k][0])
+        edge_index = {e[0]: k for k, e in enumerate(edges)}
+        if len(edge_index) != len(edges):
+            k = _first_repeat([e[0] for e in edges])
+            raise GraphError("duplicate edge id: %s" % edges[k][0])
         try:
-            ends = np.array([self.vertex_index[v] for _, t, h in self.edges
+            ends = np.array([vertex_index[v] for _, t, h in edges
                              for v in (t, h)], dtype=np.intp)
         except KeyError as exc:
             raise GraphError("unknown endpoint id: %s" % exc.args[0]) from None
-        self.tails, self.heads = ends.reshape(-1, 2).T.copy()
-        self._set_adjacency(_simple_adjacency(self.tails, self.heads,
-                                              self.n_vertices,
-                                              self.vertices.__getitem__))
-        n = self.n_vertices
+        self.__dict__.update(vertices=vertices, edges=edges,
+                             vertex_index=vertex_index, edge_index=edge_index)
+        self._vertex_ids, self._edge_ids = vertices, list(edge_index)
+        self._check(len(vertices), *ends.reshape(-1, 2).T)
+
+    @classmethod
+    def from_arrays(cls, n, tails, heads):
+        """The graph on vertices 0..n-1 with edge k from tails[k] to
+        heads[k], after the constructor's checks; its ids are v0, v1, ...
+        and e0, e1, ..."""
+        g = cls.__new__(cls)
+        g._check(n, tails, heads)
+        return g
+
+    # the ids by index: lists, or None for v0, v1, ... and e0, e1, ...
+    _vertex_ids = _edge_ids = None
+
+    def _vertex_name(self, i):
+        return "v%d" % i if self._vertex_ids is None else self._vertex_ids[i]
+
+    def _edge_name(self, k):
+        return "e%d" % k if self._edge_ids is None else self._edge_ids[k]
+
+    def _check(self, n, tails, heads):
+        """Set n, the index arrays and the CSR; GraphError for an index
+        outside range(n), a self-loop or a repeated vertex pair (see
+        `_adjacency`), or a graph that is not connected."""
+        self.n_vertices = n = int(n)
+        t = self.tails = np.array(tails, dtype=np.intp)
+        h = self.heads = np.array(heads, dtype=np.intp)
+        if len(t) != len(h) or np.any((t < 0) | (t >= n) | (h < 0) | (h >= n)):
+            raise GraphError("tails and heads must be index arrays of one "
+                             "length, in range(n)")
+        self.adj, self.adj_edge = _adjacency(t, h, n, self._vertex_name)
+        self.indptr = np.concatenate(([0], np.cumsum(self.degrees())))
         if not n or len(_search(self, [0])[2]) < n:
             raise GraphError("graph is not connected")
 
-    @classmethod
-    def _of_arrays(cls, vertices, edges, tails, heads):
-        """A graph from the parts of a checked one, such as a subgraph with
-        its edges' ends relabelled: no id lookups and no checks."""
-        g = cls.__new__(cls)
-        g.vertices, g.edges, g.tails, g.heads = vertices, edges, tails, heads
-        g.vertex_index = {v: i for i, v in enumerate(vertices)}
-        g.edge_index = {e[0]: k for k, e in enumerate(edges)}
-        n = len(vertices)
-        g._set_adjacency(np.argsort(np.concatenate((tails * n + heads,
-                                                    heads * n + tails))))
-        return g
+    @cached_property
+    def vertices(self):
+        return [self._vertex_name(i) for i in range(self.n_vertices)]
 
-    def _set_adjacency(self, order):
-        """The CSR from `order`, which sorts the keys u * n + w of both
-        orientations of every edge: entry k < m of those keys is edge k
-        from its tail, entry m + k edge k from its head."""
-        self.adj = np.concatenate((self.heads, self.tails))[order]
-        self.adj_edge = order % self.n_edges
-        self.indptr = np.concatenate(([0], np.cumsum(self.degrees())))
+    @cached_property
+    def edges(self):
+        """(id, tail id, head id) of each edge."""
+        names = self.vertices
+        return [(self._edge_name(k), names[t], names[h]) for k, (t, h)
+                in enumerate(zip(self.tails.tolist(), self.heads.tolist()))]
+
+    @cached_property
+    def vertex_index(self):
+        return {v: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
+    def edge_index(self):
+        return {e[0]: k for k, e in enumerate(self.edges)}
 
     @cached_property
     def neighbors(self):
@@ -86,12 +118,8 @@ class DirectedGraph:
         return [adj[a:b] for a, b in zip(stops, stops[1:])]
 
     @property
-    def n_vertices(self):
-        return len(self.vertices)
-
-    @property
     def n_edges(self):
-        return len(self.edges)
+        return len(self.tails)
 
     def net_outflow(self, x, edges=slice(None)):
         """A x: flow leaving each vertex; x may hold the flows of `edges`
@@ -185,12 +213,13 @@ def _first_repeat(keys):
     return int(np.argmax(later))
 
 
-def _simple_adjacency(tails, heads, n, name=str):
-    """The order that sorts the keys u * n + w of both orientations of
-    every edge, after the simple-graph rule: GraphError at the first
-    self-loop, else at the first edge repeating an earlier vertex pair in
-    either orientation. `name` turns a vertex index into the id the
-    message shows."""
+def _adjacency(tails, heads, n, name):
+    """The CSR's `adj` and `adj_edge`, in the order that sorts the keys
+    u * n + w of both orientations of every edge (entry k < m of them is
+    edge k from its tail, entry m + k edge k from its head), after the
+    simple-graph rule: GraphError at the first self-loop, else at the
+    first edge repeating an earlier vertex pair in either orientation.
+    `name` turns a vertex index into the id the message shows."""
     keys = np.concatenate((tails * n + heads, heads * n + tails))
     ordered = np.sort(keys)  # cheaper than the order on rejected draws
     if (ordered[1:] == ordered[:-1]).any():  # a self-loop repeats its key
@@ -201,28 +230,28 @@ def _simple_adjacency(tails, heads, n, name=str):
                           + np.maximum(tails, heads))
         raise GraphError("multiple edges between vertices: %s, %s"
                          % (name(tails[k]), name(heads[k])))
-    return keys.argsort()
+    order = keys.argsort()
+    return np.concatenate((heads, tails))[order], order % len(tails)
 
 
-def _indices(index, ids, kind):
-    """Index array of ids, each an id (a key of index) or an integer index
-    in range(len(index)); GraphError for anything else."""
+def _indices(g, ids, kind):
+    """Index array of ids, each a vertex or edge id (kind "vertex" or
+    "edge") or an integer index into g's vertices or edges; GraphError for
+    anything else. The id -> index map is built only for an id."""
+    count = g.n_vertices if kind == "vertex" else g.n_edges
     try:
-        idx = [index[a] if isinstance(a, str) else a for a in ids]
+        idx = [getattr(g, kind + "_index")[a] if isinstance(a, str) else a
+               for a in ids]
     except KeyError as exc:
         raise GraphError("unknown %s id: %s" % (kind, exc.args[0])) from None
-    bad = [k for k in idx if not 0 <= k < len(index)]
+    bad = [k for k in idx if not 0 <= k < count]
     if bad:
         raise GraphError("%s index out of range: %d" % (kind, bad[0]))
     return np.array(idx, dtype=np.intp)
 
 
-def _vertex_indices(g, vs):
-    return _indices(g.vertex_index, vs, "vertex")
-
-
-def _edge_indices(g, es):
-    return _indices(g.edge_index, es, "edge")
+_vertex_indices = partial(_indices, kind="vertex")
+_edge_indices = partial(_indices, kind="edge")
 
 
 def geodesic_distance(g, U, Z):
@@ -261,8 +290,8 @@ class SubgraphSpec:
     such as ball_subgraph's, rooted at the ball's center. Without it a
     search from the lowest vertex through the set builds the tree, and a
     set it does not reach whole raises GraphError. `induced`, the subgraph
-    as a DirectedGraph with vertices and edges in index order, is built
-    from g's index arrays on first use.
+    as a DirectedGraph with vertices and edges in index order and g's ids,
+    is built from g's index arrays on first use.
     """
 
     def __init__(self, g, vertex_indices, tree=None):
@@ -313,9 +342,10 @@ class SubgraphSpec:
     @cached_property
     def induced(self):
         g = self.graph
-        return DirectedGraph._of_arrays(
-            [g.vertices[v] for v in self.v_in.tolist()],
-            [g.edges[k] for k in self.e_in.tolist()], *self.ends)
+        sub = DirectedGraph.from_arrays(len(self.v_in), *self.ends)
+        sub._vertex_ids = [g._vertex_name(v) for v in self.v_in.tolist()]
+        sub._edge_ids = [g._edge_name(k) for k in self.e_in.tolist()]
+        return sub
 
     @property
     def is_whole_graph(self):
@@ -403,25 +433,19 @@ def generate(kind, **params):
     return build(*(params[name] for name in names))
 
 
-def _vnames(n):
-    return ["v%d" % i for i in range(n)]
-
-
 def _complete(n):
     if n < 2:
         raise GraphError("complete graph needs n >= 2")
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            edges.append(("e%d_%d" % (i, j), "v%d" % i, "v%d" % j))
-    return DirectedGraph(_vnames(n), edges)
+    g = DirectedGraph.from_arrays(n, *np.triu_indices(n, 1))
+    g._edge_ids = ["e%d_%d" % ends for ends in zip(g.tails.tolist(),
+                                                   g.heads.tolist())]
+    return g
 
 
 def _cycle(n):
     if n < 3:
         raise GraphError("cycle needs n >= 3")
-    edges = [("e%d" % i, "v%d" % i, "v%d" % ((i + 1) % n)) for i in range(n)]
-    return DirectedGraph(_vnames(n), edges)
+    return DirectedGraph.from_arrays(n, np.arange(n), (np.arange(n) + 1) % n)
 
 
 def _grid(rows, cols):
@@ -451,13 +475,8 @@ def _random_regular(n, k, seed, max_tries=2000):
     for _ in range(max_tries):
         stubs = np.repeat(np.arange(n), k)
         rng.shuffle(stubs)
-        tails, heads = stubs.reshape(-1, 2).T
         try:
-            _simple_adjacency(tails, heads, n)
-            return DirectedGraph(_vnames(n), [
-                ("e%d" % i, "v%d" % u, "v%d" % v)
-                for i, (u, v) in enumerate(zip(tails.tolist(),
-                                               heads.tolist()))])
+            return DirectedGraph.from_arrays(n, *stubs.reshape(-1, 2).T)
         except GraphError:
             continue
     raise GraphError("failed to sample a connected simple %d-regular graph" % k)

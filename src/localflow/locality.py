@@ -408,7 +408,7 @@ def tune(family, eps):
     if not budget.valid:
         raise LocalityError("budget invalid: rho = %.4f >= 1" % budget.rho)
     nu_bias = budget.bias_bound(family.p_norm, -z, False)
-    xi_bias = math.log(1.0 / budget.rho)
+    xi_bias = -math.log(budget.rho)
     nu_var = budget.variance_bound(family.p_norm, 0)
     xi_var = 1.0 / (2.0 * Q)
     r = _least(lambda n: budget.bias_bound(family.p_norm, n - z, False), eps)

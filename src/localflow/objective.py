@@ -9,7 +9,7 @@ the same formula as a single edge.
 
 import math
 import struct
-from functools import partialmethod
+from functools import cached_property, partialmethod
 
 import numpy as np
 
@@ -29,8 +29,6 @@ def _sech2(x):
     return 4.0 * e / (1.0 + e) ** 2
 
 
-# a cost's entries in its bundle's parameter arrays, packed as 8 doubles
-_ROW = struct.Struct("8d").pack
 # a*x^2/2 + c*x and its first two derivatives
 _BASE = (lambda x, a, c: 0.5 * a * x * x + c * x, lambda x, a, c: a * x + c,
          lambda x, a, c: a * np.ones_like(x))
@@ -40,10 +38,37 @@ _KINDS = {"quadratic": (0, None, None),
           "quartic": (1, "q", (lambda x: 0.25 * x ** 4, lambda x: x ** 3,
                                lambda x: 3.0 * x * x)),
           "log-cosh": (2, "s", (_log_cosh, np.tanh, _sech2))}
+_NAMES = tuple(_KINDS)  # the kind of each code
+# a cost's entries in its bundle's parameter arrays, packed as 8 doubles
+_ROW = struct.Struct("8d").pack
+
+
+def _code(kind):
+    if kind not in _KINDS:
+        raise CostError("unknown cost kind: %s" % kind)
+    return _KINDS[kind][0]
+
+
+def _rules(quartic, a, c, q, s, r):
+    """beta = a + s + 3 q r^2 and the per-edge validity rules, in order, as
+    (fault, message) pairs, on one cost's floats (a fault is a bool) or on
+    a bundle's per-edge arrays (a fault is a mask) alike. A kind's unused
+    parameters are 0, r among them; a message takes the kind's name."""
+    beta = a + s + 3.0 * q * (r * r)
+    # a comparison with NaN is false; beta is not finite when a, q, r or s
+    # is not
+    return beta, (((a <= 0) | (q < 0) | (s < 0),
+                   "%s needs a > 0 and q, s >= 0"),
+                  (quartic > (r > 0),  # quartic, and not r > 0
+                   "%s needs a positive validity radius"),
+                  (np.logical_not((abs(beta) < math.inf)
+                                  & (abs(c) < math.inf)),
+                   "%s cost parameters must be finite"))
 
 
 class EdgeCost:
-    """One-dimensional cost for a single edge.
+    """One-dimensional cost for a single edge: the parser and validator of
+    one JSON cost entry, and the scalar reference for a bundle.
 
     Kinds:
       quadratic:  a*x^2/2 + c*x                  (alpha = beta = a)
@@ -52,27 +77,19 @@ class EdgeCost:
     """
 
     def __init__(self, kind, **params):
-        if kind not in _KINDS:
-            raise CostError("unknown cost kind: %s" % kind)
+        code = _code(kind)
         self.kind, self.params = kind, params
-        code = _KINDS[kind][0]
         a = self.a = self.alpha = float(params["a"])
         c = self.c = float(params.get("c", 0.0)) if code == 0 else 0.0
         q = self.q = float(params["q"]) if code == 1 else 0.0
         s = self.s = float(params["s"]) if code == 2 else 0.0
-        if a <= 0 or q < 0 or s < 0:
-            raise CostError("%s needs a > 0 and q, s >= 0" % kind)
-        self.interval, r = None, math.inf
-        if code == 1:
-            r = self.radius = float(params.get("radius", math.nan))
-            if not r > 0:
-                raise CostError("quartic needs a positive validity radius")
-            self.interval = (-r, r)
-        beta = self.beta = a + 3.0 * q * r ** 2 if code == 1 else a + s
-        # beta is not finite when a, q, R or s is not
-        if not (math.isfinite(beta) and math.isfinite(c)):
-            raise CostError("%s cost parameters must be finite" % kind)
-        self._row = _ROW(a, c, q, s, -r, r, beta, code)
+        r = float(params.get("radius", math.nan)) if code == 1 else 0.0
+        self.beta, faults = _rules(code == 1, a, c, q, s, r)
+        for fault, message in faults:
+            if fault:
+                raise CostError(message % kind)
+        hi = r if code == 1 else math.inf
+        self._row = _ROW(a, c, q, s, -hi, hi, self.beta, code)
 
     def _evaluate(self, order, x):
         out = _BASE[order](x, self.a, self.c)
@@ -98,13 +115,40 @@ class ObjectiveBundle:
 
     The parameters are per-edge arrays a, c, q, s, the domain bounds
     lo/hi (+-inf without an interval) and the kind masks quartic and
-    log_cosh; bundle[idx] is the bundle of the edges idx."""
+    log_cosh; bundle[idx] is the bundle of the edges idx. A bundle holds
+    no per-edge objects: `from_arrays` builds one from parameter arrays,
+    the constructor from EdgeCost objects, and `costs` rebuilds those on
+    first use."""
 
     def __init__(self, costs):
-        self.costs = list(costs)
-        # one pass over the costs; the arrays are the columns of its rows
-        rows = b"".join([c._row for c in self.costs])
+        # one pass over the costs; the arrays are the columns of their rows
+        rows = b"".join([c._row for c in costs])
         self._set_params(np.frombuffer(rows).reshape(-1, 8).T.copy())
+
+    @classmethod
+    def from_arrays(cls, kind, a, c=0.0, q=0.0, s=0.0, radius=math.nan):
+        """The bundle of the costs EdgeCost(kind[e], a=a[e], c=c[e], ...),
+        none of them built: `kind` and each parameter is one value or one
+        per edge. EdgeCost's rules hold; a CostError names the first edge
+        that breaks the first failing rule."""
+        code = (_code(kind) if isinstance(kind, str)
+                else np.array([_code(k) for k in kind], dtype=np.intp))
+        code, a, c, q, s, radius = np.broadcast_arrays(*np.atleast_1d(
+            code, *(np.asarray(v, dtype=float) for v in (a, c, q, s, radius))))
+        quartic = code == 1
+        c, q = np.where(code == 0, c, 0.0), np.where(quartic, q, 0.0)
+        s, r = np.where(code == 2, s, 0.0), np.where(quartic, radius, 0.0)
+        with np.errstate(all="ignore"):  # as in float arithmetic
+            beta, faults = _rules(quartic, a, c, q, s, r)
+        for fault, message in faults:
+            if fault.any():
+                k = int(np.argmax(fault))
+                raise CostError("edge %d: %s" % (k, message % _NAMES[code[k]]))
+        hi = np.where(quartic, r, math.inf)
+        bundle = object.__new__(cls)
+        bundle._set_params(np.array([a, c, q, s, -hi, hi, beta, code],
+                                    dtype=float))
+        return bundle
 
     def _set_params(self, params):
         if not params.size:
@@ -122,13 +166,22 @@ class ObjectiveBundle:
 
     def __getitem__(self, idx):
         sub = object.__new__(ObjectiveBundle)
-        sub.costs = [self.costs[e] for e in np.asarray(idx).tolist()]
         sub._set_params(self._params[:, idx])
         return sub
 
+    @cached_property
+    def costs(self):
+        """The edges' costs as EdgeCost objects, rebuilt from the arrays
+        with the parameters each kind reads."""
+        costs = []
+        for a, c, q, s, _, hi, _, code in self._params.T.tolist():
+            params = ({"c": c}, {"q": q, "radius": hi}, {"s": s})[int(code)]
+            costs.append(EdgeCost(_NAMES[int(code)], a=a, **params))
+        return costs
+
     @property
     def n_edges(self):
-        return len(self.costs)
+        return self._params.shape[1]
 
     def check_domain(self, x):
         """Raise CostError unless x has one entry per edge, each inside
@@ -139,7 +192,8 @@ class ObjectiveBundle:
             bad = np.flatnonzero((x < self.lo) | (x > self.hi))
             if len(bad):
                 raise CostError("flow on edge %d outside validity interval %s"
-                                % (bad[0], self.costs[bad[0]].interval))
+                                % (bad[0], (float(self.lo[bad[0]]),
+                                            float(self.hi[bad[0]]))))
 
     def _evaluate(self, order, x):
         x = np.asarray(x, dtype=float)
@@ -161,7 +215,7 @@ class ObjectiveBundle:
 
     @classmethod
     def uniform_quadratic(cls, n_edges, a=1.0, c=0.0):
-        return cls([EdgeCost("quadratic", a=a, c=c) for _ in range(n_edges)])
+        return cls.from_arrays("quadratic", np.full(n_edges, float(a)), c)
 
     @classmethod
     def from_spec(cls, spec, edge_ids):

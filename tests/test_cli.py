@@ -245,6 +245,33 @@ def test_tune_matches_closed_form(tmp_path):
         2.0 * math.log(2 * c / (1 - rho) / 1e-3))
 
 
+def _refuse_constant(name):
+    raise AssertionError("non-standard JSON constant: %s" % name)
+
+
+def test_tune_writes_standard_json_for_an_infinite_bound(tmp_path):
+    # rho ~ 3e-201: rho^-z, and so nu_bias, is past the float range
+    out = str(tmp_path / "tune")
+    assert main(["tune", "--Q", "1", "--k", "3", "--mu", "1e-200", "--z",
+                 "2", "--eps", "1e-3", "--out", out]) == 0
+    with open(os.path.join(out, "tune.json")) as fh:
+        report = json.loads(fh.read(), parse_constant=_refuse_constant)
+    assert report["constants"]["nu_bias"] is None
+    assert report["non_finite"] == {"constants.nu_bias": "inf"}
+    assert report["r"] >= 1 and report["t"] >= 1
+
+
+def test_reports_name_each_non_finite_figure(tmp_path):
+    config = {"out": str(tmp_path)}
+    cli._write_json(config, "report.json", {
+        "rows": [1.0, -math.inf], "stats": {"lam": math.nan, "k": 3}})
+    with open(tmp_path / "report.json") as fh:
+        report = json.loads(fh.read(), parse_constant=_refuse_constant)
+    assert report["rows"] == [1.0, None] and report["stats"]["lam"] is None
+    assert report["non_finite"] == {"rows.1": "-inf", "stats.lam": "nan"}
+    assert report["config"] == config
+
+
 def test_tune_invalid_family_exits_3(tmp_path, capsys):
     config = write_json(tmp_path / "family.json",
                         {"Q": 2.0, "k": 3, "mu": 2.9})

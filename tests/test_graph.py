@@ -4,7 +4,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from localflow import (DirectedGraph, GraphError, PerturbationSpec,
@@ -348,6 +348,68 @@ def test_sampler_draws_are_pinned(n, seed):
     g = generate("random-k-regular", n=n, k=3, seed=seed)
     digest = hashlib.sha256(json.dumps(g.edges).encode()).hexdigest()
     assert digest == SAMPLER_SHA256[n, seed]
+
+
+# sha256 of json.dumps(g.to_json_dict()) for one member of every family,
+# ids included
+GENERATOR_SHA256 = {
+    ("complete", (("n", 7),)):
+        "90bf171eed0df85b2f93cb5805a410aa2cf7b10debab1ff7bdcd5d9ba870806a",
+    ("cycle", (("n", 9),)):
+        "d2ac85566e32a13b38e1727dc0c59b4dd62dc66b37ec4c73449995b4414b58a4",
+    ("grid-2d", (("rows", 3), ("cols", 5))):
+        "75647349f2a2acbdbc7a6687efedc3ec1fa00fefb47bde831e4d1579e38802ad",
+    ("random-k-regular", (("n", 200), ("k", 3), ("seed", 1))):
+        "130074a7d38846065501991c44d516c85da433c5c5e285d3c02b26b1c5ea4c35",
+}
+
+
+@pytest.mark.parametrize("kind, params", sorted(GENERATOR_SHA256))
+def test_generator_output_is_pinned(kind, params):
+    g = generate(kind, **dict(params))
+    digest = hashlib.sha256(json.dumps(g.to_json_dict()).encode()).hexdigest()
+    assert digest == GENERATOR_SHA256[kind, params]
+
+
+def _refusal(build):
+    try:
+        build()
+    except GraphError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 8),
+       pairs=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
+                      max_size=12))
+@example(n=3, pairs=[(0, 1), (1, 1), (1, 2)])  # self-loop
+@example(n=3, pairs=[(0, 1), (1, 2), (2, 1)])  # pair repeated, reversed
+@example(n=3, pairs=[(0, 1), (0, 1), (1, 2)])  # pair repeated
+@example(n=4, pairs=[(0, 1), (2, 3)])  # disconnected
+def test_from_arrays_refuses_as_the_id_constructor(n, pairs):
+    """On index arrays and on the same graph with default ids, both
+    constructors refuse with the same message, or build the same graph."""
+    tails = [t % n for t, _ in pairs]
+    heads = [h % n for _, h in pairs]
+    ids = (["v%d" % i for i in range(n)],
+           [("e%d" % k, "v%d" % t, "v%d" % h)
+            for k, (t, h) in enumerate(zip(tails, heads))])
+    message = _refusal(lambda: DirectedGraph(*ids))
+    assert _refusal(lambda: DirectedGraph.from_arrays(n, tails, heads)) \
+        == message
+    if message is None:
+        g = DirectedGraph.from_arrays(n, tails, heads)
+        want = DirectedGraph(*ids)
+        assert (g.vertices, g.edges) == (want.vertices, want.edges)
+        assert g.neighbors == want.neighbors
+
+
+@pytest.mark.parametrize("tails, heads", [([0, 2], [1, 1]), ([0, -1], [1, 1]),
+                                          ([0, 1], [1])])
+def test_from_arrays_refuses_bad_index_arrays(tails, heads):
+    with pytest.raises(GraphError, match="one length, in range"):
+        DirectedGraph.from_arrays(2, tails, heads)
 
 
 def _resolver_callers(g):

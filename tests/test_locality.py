@@ -549,6 +549,7 @@ def test_tune_inverts_the_budget_bounds(k, mu_frac, q_frac, z, p_norm, eps):
     assert result.t == 1 or var[0] > eps / 2.0
     assert result.nu_bias == budget.bias_bound(p_norm, -z, False)
     assert result.nu_var == budget.variance_bound(p_norm, 0)
+    assert result.xi_bias == -math.log(result.rho)
 
 
 def test_tune_refuses_a_bound_that_overflows():

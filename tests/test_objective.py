@@ -173,14 +173,20 @@ def _cost(kind, a, c, coef):
                 min_size=1, max_size=30),
        st.randoms(use_true_random=False))
 def test_bundle_matches_edge_costs(edges, random):
-    """The array-backed bundle and its sub-bundles agree with the scalar
-    per-edge methods on mixed quadratic, quartic and log-cosh costs."""
+    """The array-backed bundle, from EdgeCost objects or from parameter
+    arrays, and its sub-bundles agree with the scalar per-edge methods on
+    mixed quadratic, quartic and log-cosh costs."""
     costs = [_cost(*params) for params, _ in edges]
     x = np.array([xe for _, xe in edges])
     m = len(costs)
     idx = sorted(random.sample(range(m), random.randint(1, m)))
     full = ObjectiveBundle(costs)
-    for bundle, sel in ((full, list(range(m))), (full[idx], idx)):
+    # each kind ignores the parameters it does not use
+    kind, a, c, coef = zip(*(params for params, _ in edges))
+    arrays = ObjectiveBundle.from_arrays(kind, a, c=c, q=coef, s=coef,
+                                         radius=50.0)
+    for bundle, sel in ((full, list(range(m))), (full[idx], idx),
+                        (arrays, list(range(m))), (arrays[idx], idx)):
         xs = x[sel]
         for order, method in enumerate(("value", "deriv", "second_deriv")):
             want = np.array([getattr(costs[e], method)(xe)
@@ -198,6 +204,26 @@ def test_bundle_matches_edge_costs(edges, random):
         assert bundle.all_quadratic == all(costs[e].kind == "quadratic"
                                            for e in sel)
         assert [c.kind for c in bundle.costs] == [costs[e].kind for e in sel]
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("quadratic", {"a": 0.0}), ("quartic", {"a": 1.0, "q": 1.0}),
+    ("log-cosh", {"a": 1.0, "s": -0.1}), ("cubic", {"a": 1.0}),
+    ("quadratic", {"a": 1.0, "c": math.nan}),
+    ("quartic", {"a": 1.0, "q": 1.0, "radius": math.inf}),
+    ("log-cosh", {"a": math.nan, "s": 0.1}),
+    ("log-cosh", {"a": 1.0, "s": math.inf})])
+def test_from_arrays_refuses_as_edge_cost(kind, params):
+    """The same rules refuse a bad cost on its own and as edge 1 of a
+    bundle built from arrays, with the same message."""
+    with pytest.raises(CostError) as want:
+        EdgeCost(kind, **params)
+    columns = {key: [1.0, params.get(key, default)] for key, default in
+               (("a", 1.0), ("c", 0.0), ("q", 0.0), ("s", 0.0),
+                ("radius", math.nan))}
+    with pytest.raises(CostError) as got:
+        ObjectiveBundle.from_arrays(["quadratic", kind], **columns)
+    assert str(got.value) in (str(want.value), "edge 1: %s" % want.value)
 
 
 def test_sub_bundle_checks_its_own_domain():

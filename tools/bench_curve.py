@@ -5,6 +5,8 @@
 
 For each n, on a random 3-regular graph with quadratic costs a ~ U[1, 1.02]
 and c ~ N(0, 1), the script times:
+- the setup (`setup_ms`, the median of three): `generate`, the draw of a
+  and c, and `ObjectiveBundle.from_arrays`;
 - the global `solve_exact`, the median of three solves;
 - the global `solve_exact` on log-cosh costs with the same a and
   s ~ U[0, 1] (`global_logcosh_ms`, the median of three), and the total
@@ -57,13 +59,18 @@ def _ms(start):
 
 
 def _instance(n, seed):
-    g = lf.generate("random-k-regular", n=n, k=3, seed=seed)
-    rng = np.random.default_rng([seed, n])
-    costs = [lf.EdgeCost("quadratic", a=float(a), c=float(c))
-             for a, c in zip(rng.uniform(1.0, 1.02, g.n_edges),
-                             rng.standard_normal(g.n_edges))]
+    """The quadratic instance, its random stream, and the median time in ms
+    of three builds of its graph and cost bundle."""
+    def build():
+        rng = np.random.default_rng([seed, n])
+        g = lf.generate("random-k-regular", n=n, k=3, seed=seed)
+        bundle = lf.ObjectiveBundle.from_arrays(
+            "quadratic", rng.uniform(1.0, 1.02, g.n_edges),
+            c=rng.standard_normal(g.n_edges))
+        return g, bundle, rng
+    (g, bundle, rng), setup_ms = _median_of_three(build)
     b = rng.standard_normal(n)
-    return lf.FlowProblem(g, lf.ObjectiveBundle(costs), b - b.mean()), rng
+    return lf.FlowProblem(g, bundle, b - b.mean()), rng, setup_ms
 
 
 def _logcosh(problem, seed):
@@ -71,9 +78,8 @@ def _logcosh(problem, seed):
     drawn from a stream of their own so the requests do not change."""
     s = np.random.default_rng([seed, problem.graph.n_vertices, 1]).uniform(
         0.0, 1.0, problem.graph.n_edges)
-    costs = [lf.EdgeCost("log-cosh", a=float(a), s=float(se))
-             for a, se in zip(problem.bundle.a, s)]
-    return lf.FlowProblem(problem.graph, lf.ObjectiveBundle(costs), problem.b)
+    bundle = lf.ObjectiveBundle.from_arrays("log-cosh", problem.bundle.a, s=s)
+    return lf.FlowProblem(problem.graph, bundle, problem.b)
 
 
 def _median_of_three(call):
@@ -146,14 +152,14 @@ def main(argv=None):
         parser.error("--requests must be at least 1")
     rows = []
     for n in args.sizes:
-        problem, rng = _instance(n, args.seed)
+        problem, rng, setup_ms = _instance(n, args.seed)
         x_star, solve_ms = _median_of_three(lambda: lf.solve_exact(problem))
         logcosh, stats = _logcosh(problem, args.seed), {}
         logcosh_ms = _median_of_three(
             lambda: lf.solve_exact(logcosh, stats=stats))[1]
         budget, constants_ms = _median_of_three(
             lambda: lf.budget_for(problem))
-        row = {"n": n, "m": problem.graph.n_edges,
+        row = {"n": n, "m": problem.graph.n_edges, "setup_ms": setup_ms,
                "global_solve_ms": solve_ms,
                "global_logcosh_ms": logcosh_ms,
                "logcosh_cg_iterations": sum(stats["cg_iterations"]),
