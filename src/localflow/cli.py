@@ -138,15 +138,13 @@ def _write_json(config, name, payload, g=None):
     if g is not None:
         payload["index_map"] = {"vertices": g.vertex_index,
                                 "edges": g.edge_index}
-    try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError:
-        non_finite = {}
-        payload = {**_nulled(payload, (), non_finite),
-                   "non_finite": non_finite}
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    non_finite = {}
+    payload = _nulled(payload, (), non_finite)
+    if non_finite:
+        payload["non_finite"] = non_finite
     with open(_path(config, name), "w") as fh:
-        fh.write(text + "\n")
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
 
 
 def _nulled(value, path, non_finite):

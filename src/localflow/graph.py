@@ -27,12 +27,13 @@ class DirectedGraph:
     """Simple connected directed graph, immutable after construction.
 
     The checks run one class at a time: duplicate vertex ids, duplicate
-    edge ids, unknown endpoints (ids, or indices outside range(n) in
-    `from_arrays`), self-loops, repeated vertex pairs (either
-    orientation), connectivity of the undirected skeleton. A GraphError
-    reports the first fault of the first failing class. Queries take
-    vertex or edge ids or indices, and raise GraphError for an unknown id
-    and for a negative or out-of-range index.
+    edge ids, unknown endpoints (ids; for `from_arrays`, tails and heads
+    that are not integer arrays of one length with entries in range(n)),
+    self-loops, repeated vertex pairs (either orientation), connectivity
+    of the undirected skeleton. A GraphError reports the first fault of
+    the first failing class. Queries take vertex or edge ids or indices,
+    and raise GraphError for an unknown id and for a negative or
+    out-of-range index.
 
     The undirected adjacency is an incident-edge CSR: the slots
     indptr[u]:indptr[u + 1] hold u's neighbors `adj`, ascending, and the
@@ -78,15 +79,19 @@ class DirectedGraph:
         return "e%d" % k if self._edge_ids is None else self._edge_ids[k]
 
     def _check(self, n, tails, heads):
-        """Set n, the index arrays and the CSR; GraphError for an index
-        outside range(n), a self-loop or a repeated vertex pair (see
-        `_adjacency`), or a graph that is not connected."""
+        """Set n, the index arrays and the CSR; GraphError for tails and
+        heads that are not integer arrays of one length, an index outside
+        range(n), a self-loop or a repeated vertex pair (see `_adjacency`),
+        or a graph that is not connected."""
         self.n_vertices = n = int(n)
-        t = self.tails = np.array(tails, dtype=np.intp)
-        h = self.heads = np.array(heads, dtype=np.intp)
-        if len(t) != len(h) or np.any((t < 0) | (t >= n) | (h < 0) | (h >= n)):
-            raise GraphError("tails and heads must be index arrays of one "
+        t, h = ends = [np.asarray(a) for a in (tails, heads)]
+        # an empty list is a float array
+        if (t.shape != h.shape or t.ndim != 1
+                or any(a.dtype.kind not in "iu" and a.size for a in ends)
+                or np.any((t < 0) | (t >= n) | (h < 0) | (h >= n))):
+            raise GraphError("tails and heads must be integer arrays of one "
                              "length, in range(n)")
+        t, h = self.tails, self.heads = t.astype(np.intp), h.astype(np.intp)
         self.adj, self.adj_edge = _adjacency(t, h, n, self._vertex_name)
         self.indptr = np.concatenate(([0], np.cumsum(self.degrees())))
         if not n or len(_search(self, [0])[2]) < n:

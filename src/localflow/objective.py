@@ -8,8 +8,8 @@ the same formula as a single edge.
 """
 
 import math
-import struct
 from functools import cached_property, partialmethod
+from itertools import chain
 
 import numpy as np
 
@@ -39,8 +39,6 @@ _KINDS = {"quadratic": (0, None, None),
                                lambda x: 3.0 * x * x)),
           "log-cosh": (2, "s", (_log_cosh, np.tanh, _sech2))}
 _NAMES = tuple(_KINDS)  # the kind of each code
-# a cost's entries in its bundle's parameter arrays, packed as 8 doubles
-_ROW = struct.Struct("8d").pack
 
 
 def _code(kind):
@@ -49,21 +47,43 @@ def _code(kind):
     return _KINDS[kind][0]
 
 
-def _rules(quartic, a, c, q, s, r):
-    """beta = a + s + 3 q r^2 and the per-edge validity rules, in order, as
-    (fault, message) pairs, on one cost's floats (a fault is a bool) or on
-    a bundle's per-edge arrays (a fault is a mask) alike. A kind's unused
-    parameters are 0, r among them; a message takes the kind's name."""
+# the per-edge validity rules, in order, by the message of a failure,
+# which takes the kind's name
+_RULES = ("%s needs a positive validity radius",
+          "%s cost parameters must be finite",
+          "%s needs a > 0 and q, s >= 0")
+
+
+def _rules(code, a, c, q, s, r):
+    """beta = a + s + 3 q r^2 and whether each of _RULES holds, on one
+    cost's floats or on a bundle's per-edge arrays. A kind's unused
+    parameters are 0, r among them."""
     beta = a + s + 3.0 * q * (r * r)
-    # a comparison with NaN is false; beta is not finite when a, q, r or s
-    # is not
-    return beta, (((a <= 0) | (q < 0) | (s < 0),
-                   "%s needs a > 0 and q, s >= 0"),
-                  (quartic > (r > 0),  # quartic, and not r > 0
-                   "%s needs a positive validity radius"),
-                  (np.logical_not((abs(beta) < math.inf)
-                                  & (abs(c) < math.inf)),
-                   "%s cost parameters must be finite"))
+    # NaN fails every comparison; beta is finite if a, q, r and s are
+    return beta, ((r > 0) | (code != 1),
+                  (abs(beta) < math.inf) & (abs(c) < math.inf),
+                  (a > 0) & (q >= 0) & (s >= 0))
+
+
+def _params(code, a, c, q, s, radius):
+    """The parameter rows (a, c, q, s, lo, hi, beta, code) of the costs
+    with kind codes `code`, each argument one value or one per edge, after
+    EdgeCost's rules: a CostError names the first edge that breaks the
+    first failing rule."""
+    code, a, c, q, s, radius = np.broadcast_arrays(*np.atleast_1d(
+        *(np.asarray(v, dtype=float) for v in (code, a, c, q, s, radius))))
+    quartic = code == 1
+    c, q = np.where(code == 0, c, 0.0), np.where(quartic, q, 0.0)
+    s, r = np.where(code == 2, s, 0.0), np.where(quartic, radius, 0.0)
+    with np.errstate(all="ignore"):  # as in float arithmetic
+        beta, held = _rules(code, a, c, q, s, r)
+    for ok, message in zip(held, _RULES):
+        if not ok.all():
+            k = int(np.argmin(ok))
+            raise CostError("edge %d: %s"
+                            % (k, message % _NAMES[int(code[k])]))
+    hi = np.where(quartic, r, math.inf)
+    return np.array([a, c, q, s, -hi, hi, beta, code])
 
 
 class EdgeCost:
@@ -77,19 +97,17 @@ class EdgeCost:
     """
 
     def __init__(self, kind, **params):
-        code = _code(kind)
+        code = self.code = _code(kind)
         self.kind, self.params = kind, params
         a = self.a = self.alpha = float(params["a"])
         c = self.c = float(params.get("c", 0.0)) if code == 0 else 0.0
         q = self.q = float(params["q"]) if code == 1 else 0.0
         s = self.s = float(params["s"]) if code == 2 else 0.0
-        r = float(params.get("radius", math.nan)) if code == 1 else 0.0
-        self.beta, faults = _rules(code == 1, a, c, q, s, r)
-        for fault, message in faults:
-            if fault:
-                raise CostError(message % kind)
-        hi = r if code == 1 else math.inf
-        self._row = _ROW(a, c, q, s, -hi, hi, self.beta, code)
+        r = self.radius = (float(params.get("radius", math.nan))
+                           if code == 1 else 0.0)
+        self.beta, held = _rules(code, a, c, q, s, r)
+        if not all(held):
+            raise CostError(_RULES[held.index(False)] % kind)
 
     def _evaluate(self, order, x):
         out = _BASE[order](x, self.a, self.c)
@@ -116,38 +134,23 @@ class ObjectiveBundle:
     The parameters are per-edge arrays a, c, q, s, the domain bounds
     lo/hi (+-inf without an interval) and the kind masks quartic and
     log_cosh; bundle[idx] is the bundle of the edges idx. A bundle holds
-    no per-edge objects: `from_arrays` builds one from parameter arrays,
-    the constructor from EdgeCost objects, and `costs` rebuilds those on
-    first use."""
+    no per-edge objects: the constructor reads the parameters off EdgeCost
+    objects, `from_arrays` takes them as arrays of one kind, and `costs`
+    rebuilds the objects on first use."""
 
     def __init__(self, costs):
-        # one pass over the costs; the arrays are the columns of their rows
-        rows = b"".join([c._row for c in costs])
-        self._set_params(np.frombuffer(rows).reshape(-1, 8).T.copy())
+        self._set_params(_params(*np.fromiter(chain.from_iterable(
+            (c.code, c.a, c.c, c.q, c.s, c.radius) for c in costs),
+            float).reshape(-1, 6).T))
 
     @classmethod
     def from_arrays(cls, kind, a, c=0.0, q=0.0, s=0.0, radius=math.nan):
-        """The bundle of the costs EdgeCost(kind[e], a=a[e], c=c[e], ...),
-        none of them built: `kind` and each parameter is one value or one
-        per edge. EdgeCost's rules hold; a CostError names the first edge
-        that breaks the first failing rule."""
-        code = (_code(kind) if isinstance(kind, str)
-                else np.array([_code(k) for k in kind], dtype=np.intp))
-        code, a, c, q, s, radius = np.broadcast_arrays(*np.atleast_1d(
-            code, *(np.asarray(v, dtype=float) for v in (a, c, q, s, radius))))
-        quartic = code == 1
-        c, q = np.where(code == 0, c, 0.0), np.where(quartic, q, 0.0)
-        s, r = np.where(code == 2, s, 0.0), np.where(quartic, radius, 0.0)
-        with np.errstate(all="ignore"):  # as in float arithmetic
-            beta, faults = _rules(quartic, a, c, q, s, r)
-        for fault, message in faults:
-            if fault.any():
-                k = int(np.argmax(fault))
-                raise CostError("edge %d: %s" % (k, message % _NAMES[code[k]]))
-        hi = np.where(quartic, r, math.inf)
+        """The bundle of the costs EdgeCost(kind, a=a[e], c=c[e], ...),
+        none of them built: each parameter is one value or one per edge.
+        EdgeCost's rules hold; a CostError names the first edge that
+        breaks the first failing rule."""
         bundle = object.__new__(cls)
-        bundle._set_params(np.array([a, c, q, s, -hi, hi, beta, code],
-                                    dtype=float))
+        bundle._set_params(_params(_code(kind), a, c, q, s, radius))
         return bundle
 
     def _set_params(self, params):

@@ -405,11 +405,14 @@ def test_from_arrays_refuses_as_the_id_constructor(n, pairs):
         assert g.neighbors == want.neighbors
 
 
-@pytest.mark.parametrize("tails, heads", [([0, 2], [1, 1]), ([0, -1], [1, 1]),
-                                          ([0, 1], [1])])
+@pytest.mark.parametrize("tails, heads", [
+    ([0, 3], [1, 1]), ([0, -1], [1, 1]), ([0, 1], [1]), ([0.0, 1.9], [1, 2]),
+    ([0, 1], [1.0, 2.0]), ([True, False], [1, 2]), ([[0, 1]], [[1, 2]])])
 def test_from_arrays_refuses_bad_index_arrays(tails, heads):
+    """Index arrays that are not integer, of unequal length or out of
+    range(n) are refused, never cast: 1.9 does not become 1."""
     with pytest.raises(GraphError, match="one length, in range"):
-        DirectedGraph.from_arrays(2, tails, heads)
+        DirectedGraph.from_arrays(3, tails, heads)
 
 
 def _resolver_callers(g):

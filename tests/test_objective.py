@@ -181,12 +181,21 @@ def test_bundle_matches_edge_costs(edges, random):
     m = len(costs)
     idx = sorted(random.sample(range(m), random.randint(1, m)))
     full = ObjectiveBundle(costs)
-    # each kind ignores the parameters it does not use
-    kind, a, c, coef = zip(*(params for params, _ in edges))
-    arrays = ObjectiveBundle.from_arrays(kind, a, c=c, q=coef, s=coef,
-                                         radius=50.0)
-    for bundle, sel in ((full, list(range(m))), (full[idx], idx),
-                        (arrays, list(range(m))), (arrays[idx], idx)):
+    cases = [(full, list(range(m))), (full[idx], idx)]
+    # one array bundle per kind, each kind ignoring the parameters it does
+    # not use
+    kinds, a, c, coef = (np.array(col) for col in zip(*(
+        params for params, _ in edges)))
+    for kind in set(kinds.tolist()):
+        of_kind = np.flatnonzero(kinds == kind)
+        arrays = ObjectiveBundle.from_arrays(
+            kind, a[of_kind], c=c[of_kind], q=coef[of_kind], s=coef[of_kind],
+            radius=50.0)
+        some = sorted(random.sample(range(len(of_kind)),
+                                    random.randint(1, len(of_kind))))
+        cases += [(arrays, of_kind.tolist()),
+                  (arrays[some], of_kind[some].tolist())]
+    for bundle, sel in cases:
         xs = x[sel]
         for order, method in enumerate(("value", "deriv", "second_deriv")):
             want = np.array([getattr(costs[e], method)(xe)
@@ -215,14 +224,15 @@ def test_bundle_matches_edge_costs(edges, random):
     ("log-cosh", {"a": 1.0, "s": math.inf})])
 def test_from_arrays_refuses_as_edge_cost(kind, params):
     """The same rules refuse a bad cost on its own and as edge 1 of a
-    bundle built from arrays, with the same message."""
+    bundle built from arrays, after a good edge 0, with the same
+    message."""
     with pytest.raises(CostError) as want:
         EdgeCost(kind, **params)
-    columns = {key: [1.0, params.get(key, default)] for key, default in
-               (("a", 1.0), ("c", 0.0), ("q", 0.0), ("s", 0.0),
-                ("radius", math.nan))}
+    columns = {key: [good, params.get(key, default)] for key, good, default
+               in (("a", 1.0, 1.0), ("c", 0.0, 0.0), ("q", 0.0, 0.0),
+                   ("s", 0.0, 0.0), ("radius", 1.0, math.nan))}
     with pytest.raises(CostError) as got:
-        ObjectiveBundle.from_arrays(["quadratic", kind], **columns)
+        ObjectiveBundle.from_arrays(kind, **columns)
     assert str(got.value) in (str(want.value), "edge 1: %s" % want.value)
 
 
