@@ -105,13 +105,11 @@ def _load_problem(config):
         g = graphmod.DirectedGraph.load(graph_path)
     with _reading(costs_path):
         bundle = ObjectiveBundle.from_spec(_load_json(costs_path),
-                                           [e[0] for e in g.edges])
+                                           list(g.edge_index))
     b = np.zeros(g.n_vertices)
     with _reading(flow_path):
-        for vid, val in _load_json(flow_path).items():
-            if vid not in g.vertex_index:
-                raise CliInputError("unknown vertex id in flow file: %s" % vid)
-            b[g.vertex_index[vid]] = float(val)
+        flow = _load_json(flow_path)
+        b[graphmod._vertex_indices(g, flow)] = list(map(float, flow.values()))
         problem = FlowProblem(g, bundle, b)
     return g, bundle, problem
 
@@ -181,7 +179,7 @@ def cmd_solve(config):
     stats = {}
     x = solve_exact(problem, tol=tol, stats=stats)
     payload = {
-        "solution": {e[0]: float(v) for e, v in zip(g.edges, x)},
+        "solution": dict(zip(g.edge_index, x.tolist())),
         "residuals": {key: stats[key]
                       for key in ("feasibility_inf", "stationarity_inf")},
         "stats": stats,
@@ -197,10 +195,9 @@ def cmd_sensitivity(config):
     deriv = op.apply(pert.p)
     feas = float(np.abs(g.net_outflow(deriv) - pert.p).max())
     payload = {
-        "base_b": {v: float(problem.b[i]) for v, i in g.vertex_index.items()},
-        "perturbation": {v: float(pert.p[i])
-                         for v, i in g.vertex_index.items()},
-        "derivative": {e[0]: float(val) for e, val in zip(g.edges, deriv)},
+        "base_b": dict(zip(g.vertices, problem.b.tolist())),
+        "perturbation": dict(zip(g.vertices, pert.p.tolist())),
+        "derivative": dict(zip(g.edge_index, deriv.tolist())),
         "residuals": {"derivative_feasibility_inf": feas},
     }
     _write_json(config, "sensitivity.json", payload, g)

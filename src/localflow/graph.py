@@ -4,8 +4,8 @@ A graph is index-native: its vertices are 0..n-1 and its edges the pairs
 (tails[k], heads[k]). Vertex and edge ids are strings that live at the
 file boundary. A graph built by `from_arrays` names its vertices v0, v1,
 ... and its edges e0, e1, ...; one built from ids keeps them, and so does
-a subgraph's `induced` graph. The ids and the id -> index maps are built
-on first use, and reports embed them.
+a subgraph's `induced` graph. The edge tuples and id -> index maps are
+derived from the id lists on first use, and reports embed them.
 """
 
 import json
@@ -41,23 +41,19 @@ class DirectedGraph:
     """
 
     def __init__(self, vertices, edges):
-        vertices = list(vertices)
-        edges = [(str(eid), str(t), str(h)) for eid, t, h in edges]
-        vertex_index = {v: i for i, v in enumerate(vertices)}
-        if len(vertex_index) != len(vertices):
+        self._vertex_ids = vertices = list(vertices)
+        self.vertex_index = index = {v: i for i, v in enumerate(vertices)}
+        if len(index) != len(vertices):
             raise GraphError("duplicate vertex ids")
-        edge_index = {e[0]: k for k, e in enumerate(edges)}
-        if len(edge_index) != len(edges):
-            k = _first_repeat([e[0] for e in edges])
-            raise GraphError("duplicate edge id: %s" % edges[k][0])
+        edges = list(edges)
+        self._edge_ids = ids = [str(eid) for eid, _, _ in edges]
+        if len(set(ids)) != len(ids):
+            raise GraphError("duplicate edge id: %s" % ids[_first_repeat(ids)])
         try:
-            ends = np.array([vertex_index[v] for _, t, h in edges
+            ends = np.array([index[str(v)] for _, t, h in edges
                              for v in (t, h)], dtype=np.intp)
         except KeyError as exc:
             raise GraphError("unknown endpoint id: %s" % exc.args[0]) from None
-        self.__dict__.update(vertices=vertices, edges=edges,
-                             vertex_index=vertex_index, edge_index=edge_index)
-        self._vertex_ids, self._edge_ids = vertices, list(edge_index)
         self._check(len(vertices), *ends.reshape(-1, 2).T)
 
     @classmethod
@@ -99,14 +95,14 @@ class DirectedGraph:
 
     @cached_property
     def vertices(self):
-        return [self._vertex_name(i) for i in range(self.n_vertices)]
+        return self._vertex_ids or ["v%d" % i for i in range(self.n_vertices)]
 
     @cached_property
     def edges(self):
         """(id, tail id, head id) of each edge."""
-        names = self.vertices
-        return [(self._edge_name(k), names[t], names[h]) for k, (t, h)
-                in enumerate(zip(self.tails.tolist(), self.heads.tolist()))]
+        name = self.vertices.__getitem__
+        return list(zip(self.edge_index, map(name, self.tails.tolist()),
+                        map(name, self.heads.tolist())))
 
     @cached_property
     def vertex_index(self):
@@ -114,7 +110,8 @@ class DirectedGraph:
 
     @cached_property
     def edge_index(self):
-        return {e[0]: k for k, e in enumerate(self.edges)}
+        ids = self._edge_ids or ("e%d" % k for k in range(self.n_edges))
+        return {e: k for k, e in enumerate(ids)}
 
     @cached_property
     def neighbors(self):

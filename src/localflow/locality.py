@@ -146,7 +146,7 @@ def measure_decay(problem, pert, F_sets):
         dist = int(dist_Z[U].min())
         measured = float(np.linalg.norm(deriv[idx]))
         bound = c * lam ** dist / (1.0 - lam) * p_norm
-        rows.append(DecayRow(tuple(g.edges[k][0] for k in idx),
+        rows.append(DecayRow(tuple(g._edge_name(k) for k in idx),
                              dist, measured, bound, c))
     return DecayReport(rows, lam, mode, p_norm, spectral)
 

@@ -222,13 +222,19 @@ class ObjectiveBundle:
 
     @classmethod
     def from_spec(cls, spec, edge_ids):
-        """Build from a cost-spec mapping: {"default": {...},
-        "per_edge": {edge-id: {...}}}."""
+        """Build from a cost-spec mapping {"default": {...}, "per_edge":
+        {edge-id: {...}}} over the list edge_ids, refusing a per-edge id
+        not in it; each distinct entry object is parsed once, in edge order."""
         default, per_edge = spec.get("default"), spec.get("per_edge", {})
-        costs = []
-        for eid in edge_ids:
-            entry = per_edge.get(eid, default)
+        unknown = per_edge.keys() - edge_ids
+        if unknown:
+            raise CostError("unknown edge id in cost spec: %s"
+                            % next(k for k in per_edge if k in unknown))
+        entries = [per_edge.get(eid, default) for eid in edge_ids]
+        parsed = {}
+        for key, entry in {id(e): e for e in entries}.items():
             if entry is None:
-                raise CostError("no cost for edge %s and no default" % eid)
-            costs.append(EdgeCost.from_json_dict(entry))
-        return cls(costs)
+                raise CostError("no cost for edge %s and no default"
+                                % edge_ids[entries.index(None)])
+            parsed[key] = EdgeCost.from_json_dict(entry)
+        return cls([parsed[id(e)] for e in entries])

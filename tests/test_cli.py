@@ -555,6 +555,30 @@ def test_malformed_file_exits_2(cycle6_files, tmp_path, capsys, role,
     assert "malformed file %s" % files[role] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("role, payload, message", [
+    ("costs", {"default": {"kind": "quadratic", "a": 1},
+               "per_edge": {"bogus": {"kind": "nonsense"}}},
+     "unknown edge id in cost spec: bogus"),
+    ("flow", {"v0": 1.0, "nope": -1.0}, "unknown vertex id: nope")])
+def test_unknown_id_in_an_input_file_exits_2(tmp_path, capsys, role,
+                                             payload, message):
+    assert main(["generate", "--kind", "cycle", "--n", "4",
+                 "--out", str(tmp_path)]) == 0
+    files = {"graph": str(tmp_path / "graph.json"),
+             "costs": write_json(tmp_path / "costs.json",
+                                 {"default": {"kind": "quadratic", "a": 1}}),
+             "flow": write_json(tmp_path / "flow.json",
+                                {"v0": 1.0, "v2": -1.0})}
+    files[role] = write_json(tmp_path / "bad.json", payload)
+    out = str(tmp_path / "out")
+    argv = ["solve", "--out", out]
+    for name, path in files.items():
+        argv += ["--" + name, path]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not os.path.exists(os.path.join(out, "solution.json"))
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--radius", "3"],
     ["sensitivity", "--iters", "3"],

@@ -54,6 +54,21 @@ def test_rejects_duplicate_edge_id():
                       [("e", "a", "b"), ("e", "b", "c")])
 
 
+def test_id_constructor_keeps_the_ids_it_was_given():
+    """The ids, which shuffle the names an array-built graph would get,
+    come back in the order given, as do their index maps."""
+    vertices = ["v2", "v0", "x", "v1"]
+    edges = [("e1", "v2", "v0"), ("e0", "x", "v0"), ("e7", "v1", "x"),
+             ("b", "v2", "v1")]
+    g = DirectedGraph(iter(vertices), iter(edges))
+    assert g.vertices == vertices
+    assert g.edges == edges
+    assert g.vertex_index == {v: i for i, v in enumerate(vertices)}
+    assert g.edge_index == {e[0]: k for k, e in enumerate(edges)}
+    assert g.tails.tolist() == [0, 2, 3, 0]
+    assert g.heads.tolist() == [1, 1, 2, 3]
+
+
 def test_rejects_disconnected():
     with pytest.raises(GraphError, match="not connected"):
         DirectedGraph(["a", "b", "c", "d"],

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak_mb
 from localflow import CostError, EdgeCost, ObjectiveBundle
 
 
@@ -135,6 +136,102 @@ def test_bundle_from_spec_default_and_override():
     assert bundle.costs[1].kind == "log-cosh"
     with pytest.raises(CostError, match="no cost for edge"):
         ObjectiveBundle.from_spec({"per_edge": {}}, ["e0"])
+
+
+def test_from_spec_refuses_an_unknown_edge_id():
+    """The first per-edge id the edges lack, in the spec's order, is
+    named, even when its entry is one no edge would use."""
+    spec = {"default": {"kind": "quadratic", "a": 1.0},
+            "per_edge": {"e1": {"kind": "quadratic", "a": 2.0},
+                         "bogus": {"kind": "nonsense"}, "also": {}}}
+    with pytest.raises(CostError,
+                       match="^unknown edge id in cost spec: bogus$"):
+        ObjectiveBundle.from_spec(spec, ["e0", "e1"])
+
+
+def _spec_reference(spec, edge_ids):
+    """from_spec edge by edge: one EdgeCost per edge."""
+    default, per_edge = spec.get("default"), spec.get("per_edge", {})
+    costs = []
+    for eid in edge_ids:
+        entry = per_edge.get(eid, default)
+        if entry is None:
+            raise CostError("no cost for edge %s and no default" % eid)
+        costs.append(EdgeCost.from_json_dict(entry))
+    return ObjectiveBundle(costs)
+
+
+def _outcome(build):
+    """The parameter bytes of build()'s bundle, or its error's type and
+    message."""
+    try:
+        return build()._params.tobytes()
+    except (CostError, KeyError) as exc:
+        return type(exc), str(exc)
+
+
+_valid_entries = st.one_of(
+    st.builds(lambda a, c: {"kind": "quadratic", "a": a, "c": c},
+              st.floats(0.1, 5.0), st.floats(-2.0, 2.0)),
+    st.builds(lambda a, q, r: {"kind": "quartic", "a": a, "q": q,
+                               "radius": r},
+              st.floats(0.1, 5.0), st.floats(0.0, 2.0), st.floats(0.5, 50.0)),
+    st.builds(lambda a, s: {"kind": "log-cosh", "a": a, "s": s},
+              st.floats(0.1, 5.0), st.floats(0.0, 2.0)))
+_invalid_entries = st.sampled_from([
+    {"kind": "nonsense", "a": 1.0}, {"kind": "quadratic", "a": 0.0},
+    {"kind": "quartic", "a": 1.0, "q": 1.0},
+    {"kind": "log-cosh", "a": 1.0, "s": -1.0},
+    {"kind": "quadratic", "a": math.nan}, {"kind": "log-cosh", "s": 1.0}])
+_entries = st.one_of(_valid_entries, _invalid_entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12), st.sampled_from(["absent", "valid", "invalid"]),
+       st.booleans(), st.data())
+def test_from_spec_matches_the_per_edge_reference(m, default, cover_all,
+                                                  data):
+    """Parsing each distinct entry object once gives the bundle of the
+    edge-by-edge build bit for bit, or its refusal with the same message:
+    with the default absent, valid or invalid (used by no edge when every
+    edge is overridden), and entries shared between edges or not."""
+    ids = ["e%d" % k for k in range(m)]
+    spec = {}
+    if default != "absent":
+        spec["default"] = data.draw(
+            _valid_entries if default == "valid" else _invalid_entries)
+    chosen = ids if cover_all else data.draw(
+        st.lists(st.sampled_from(ids), unique=True))
+    pool = data.draw(st.lists(_entries, min_size=1, max_size=3))
+    spec["per_edge"] = {
+        eid: data.draw(st.sampled_from(pool)) if data.draw(st.booleans())
+        else data.draw(_entries) for eid in chosen}
+    assert _outcome(lambda: ObjectiveBundle.from_spec(spec, ids)) \
+        == _outcome(lambda: _spec_reference(spec, ids))
+
+
+def test_from_spec_parses_each_distinct_entry_once(monkeypatch):
+    built = []
+    init = EdgeCost.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(EdgeCost, "__init__", counted)
+    ids = ["e%d" % k for k in range(1000)]
+    spec = {"default": {"kind": "quadratic", "a": 1.0},
+            "per_edge": {eid: {"kind": "log-cosh", "a": 1.0, "s": 0.5}
+                         for eid in ids[::400]}}
+    bundle = ObjectiveBundle.from_spec(spec, ids)
+    assert len(built) == 4
+    assert bundle.log_cosh.sum() == 3 and bundle.n_edges == 1000
+
+
+def test_from_spec_with_a_default_only_stays_small():
+    ids = ["e%d" % k for k in range(300_000)]
+    spec = {"default": {"kind": "quadratic", "a": 1.0}}
+    assert traced_peak_mb(lambda: ObjectiveBundle.from_spec(spec, ids)) < 80
 
 
 @pytest.mark.parametrize("x", [1e3, -1e3])

@@ -25,7 +25,7 @@ def test_bench_curve_writes_one_row_per_size(tmp_path):
     report = json.loads(out.read_text())
     assert [row["n"] for row in report["rows"]] == [20, 40]
     for row in report["rows"]:
-        assert row["setup_ms"] > 0
+        assert row["setup_ms"] > 0 and row["load_ms"] > 0
         assert row["global_solve_ms"] > 0
         # log-cosh costs are solved by Newton: a start, then per iteration
         # a direction and a trial point, each at least one CG iteration

@@ -7,6 +7,10 @@ For each n, on a random 3-regular graph with quadratic costs a ~ U[1, 1.02]
 and c ~ N(0, 1), the script times:
 - the setup (`setup_ms`, the median of three): `generate`, the draw of a
   and c, and `ObjectiveBundle.from_arrays`;
+- the file boundary (`load_ms`, the median of three): `DirectedGraph.load`
+  of the instance's saved graph, then `ObjectiveBundle.from_spec` over its
+  edge ids with a quadratic default and a log-cosh entry on every seventh
+  edge, as the CLI reads its graph and costs files;
 - the global `solve_exact`, the median of three solves;
 - the global `solve_exact` on log-cosh costs with the same a and
   s ~ U[0, 1] (`global_logcosh_ms`, the median of three), and the total
@@ -41,6 +45,7 @@ import os
 import platform
 import statistics
 import sys
+import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -71,6 +76,23 @@ def _instance(n, seed):
     (g, bundle, rng), setup_ms = _median_of_three(build)
     b = rng.standard_normal(n)
     return lf.FlowProblem(g, bundle, b - b.mean()), rng, setup_ms
+
+
+def _load_ms(g):
+    """The median time in ms of three reads of g's saved graph file, each
+    followed by `from_spec` over the read graph's edge ids."""
+    ids = list(g.edge_index)
+    spec = {"default": {"kind": "quadratic", "a": 1.0},
+            "per_edge": {e: {"kind": "log-cosh", "a": 1.0, "s": 0.5}
+                         for e in ids[::7]}}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "graph.json")
+        g.save(path)
+
+        def load():
+            read = lf.DirectedGraph.load(path)
+            lf.ObjectiveBundle.from_spec(spec, list(read.edge_index))
+        return _median_of_three(load)[1]
 
 
 def _logcosh(problem, seed):
@@ -160,6 +182,7 @@ def main(argv=None):
         budget, constants_ms = _median_of_three(
             lambda: lf.budget_for(problem))
         row = {"n": n, "m": problem.graph.n_edges, "setup_ms": setup_ms,
+               "load_ms": _load_ms(problem.graph),
                "global_solve_ms": solve_ms,
                "global_logcosh_ms": logcosh_ms,
                "logcosh_cg_iterations": sum(stats["cg_iterations"]),
