@@ -218,7 +218,8 @@ def cmd_decay(config):
                 for r in report.rows])
     _write_json(config, "decay.json", {"constants_mode": mode,
                                        "lam": report.lam,
-                                       "spectral": report.spectral}, g)
+                                       "spectral": report.spectral,
+                                       "stats": report.stats}, g)
     return EXIT_OK
 
 

@@ -268,16 +268,20 @@ def geodesic_distance(g, U, Z):
     return int(g.bfs_distances(U_idx)[Z_idx].min())
 
 
-def _edge_set(g, F):
-    """Edge indices of F (edge ids or indices) and the sorted array of the
-    vertices they touch."""
-    idx = _edge_indices(g, F)
-    return idx, np.unique(np.concatenate((g.tails[idx], g.heads[idx])))
+def _edge_sets(g, F_sets):
+    """(idx, sizes, verts, counts): the edge indices of all sets F_sets end
+    to end with each set's size, and each set's sorted vertices end to end
+    with each set's count. GraphError names the first bad entry."""
+    sizes = np.array([len(F) for F in F_sets], dtype=np.intp)
+    idx = _edge_indices(g, [e for F in F_sets for e in F])
+    n, owner = g.n_vertices, np.repeat(np.arange(len(sizes)), sizes)
+    keys = np.unique(owner * n + np.stack((g.tails[idx], g.heads[idx])))
+    return idx, sizes, keys % n, np.bincount(keys // n, minlength=len(sizes))
 
 
 def induced_vertex_set(g, F):
     """Vertex indices touched by the edge set F (edge ids or indices)."""
-    return set(_edge_set(g, F)[1].tolist())
+    return set(_edge_sets(g, [F])[2].tolist())
 
 
 class SubgraphSpec:

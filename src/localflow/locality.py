@@ -9,11 +9,14 @@ provenance labeled on every report.
 """
 
 import math
+import time
+from collections import namedtuple
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .graph import _edge_indices, _edge_set, _slots, geodesic_distance
+from .graph import _edge_indices, _edge_sets, _slots, geodesic_distance
 from .laplacian import norm_bound
 from .sensitivity import (PerturbationSpec, _project, sensitivity_operator,
                           solve_exact)
@@ -53,8 +56,7 @@ def _decay_rate(problem, walk, mode):
     interlacing envelope otherwise; spectral records the Lanczos run the
     bound rests on."""
     if mode == "exact":
-        lam = walk.slem_bound
-        spectral = lam.spectral
+        lam, spectral = walk.slem_bound, walk.slem_bound.spectral
     else:
         budget = budget_for(problem)
         lam, spectral = budget.rho, budget.spectral
@@ -65,9 +67,10 @@ def _decay_rate(problem, walk, mode):
     return float(lam), spectral
 
 
-def _set_constants(problem, walk, Us, mode):
-    """Arrays (c, sqrt(2 max inner degree), min degree) over the sorted
-    vertex arrays Us, each holding a vertex with an edge.
+def _set_constants(problem, walk, verts, counts, mode):
+    """Arrays (c, sqrt(2 max inner degree), min degree) over vertex sets
+    given end to end in verts, counts[j] sorted vertices for set j, each
+    vertex with an edge.
 
     c is the set-to-point constant. The inner edges of a set, both ends in
     it, come from the graph's CSR in one pass over all sets: each edge at
@@ -77,10 +80,8 @@ def _set_constants(problem, walk, Us, mode):
     curvature ratio Q in their place.
     """
     g = problem.graph
-    sizes = np.array([len(U) for U in Us])
-    starts = np.cumsum(sizes) - sizes
-    verts = np.concatenate(Us)
-    keys = np.repeat(np.arange(len(Us)), sizes) * g.n_vertices + verts
+    starts = np.cumsum(counts) - counts
+    keys = np.repeat(np.arange(len(counts)), counts) * g.n_vertices + verts
     slots, degree = _slots(g, verts)
     pair = np.repeat(np.arange(len(verts)), degree)
     # (set, other end) of each edge, looked up among the set's keys
@@ -99,24 +100,21 @@ def _set_constants(problem, walk, Us, mode):
     return maxsq * problem.bundle.Q / min_d, maxsq, min_d
 
 
-@dataclass
-class DecayRow:
-    edge_ids: tuple
-    distance: int
-    measured: float
-    bound: float
-    c: float
+DecayRow = namedtuple("DecayRow", "edge_ids distance measured bound c")
 
 
 @dataclass
 class DecayReport:
     """Rows of a decay sweep, the decay rate lam and, in `spectral`, the
-    record of the Lanczos run that certifies it (None with no rows)."""
+    record of the Lanczos run that certifies it (None with no rows).
+    `stats`: the solve's record `solve`, `lanczos_steps` and the phase
+    wall times in s, `solve_s` (with the apply), `rate_s`, `rows_s`."""
     rows: list
     lam: float
     constants_mode: str
     p_norm_Z: float
     spectral: dict = None
+    stats: dict = None
 
 
 def measure_decay(problem, pert, F_sets):
@@ -125,38 +123,52 @@ def measure_decay(problem, pert, F_sets):
     The measured value is the localized l2-norm of the optimal-flow
     derivative for the perturbation; the bound is c * lam^d / (1 - lam)
     times the perturbation norm on its support. One operator apply, one
-    BFS from the support and one decay rate serve every F.
+    BFS from the support and one decay rate serve every F, and all sets
+    are resolved and measured in one array pass.
     """
-    g = problem.graph
-    sets = [_edge_set(g, F) for F in F_sets]
-    if not all(len(idx) for idx, _ in sets):
+    g, start = problem.graph, time.perf_counter()
+    idx, sizes, verts, counts = _edge_sets(g, F_sets)
+    if not sizes.all():
         raise LocalityError("empty edge set in decay sweep")
-    mode = _constants_mode(problem)
-    op = sensitivity_operator(problem)
+    mode, solve, t0 = _constants_mode(problem), {}, time.perf_counter()
+    op = sensitivity_operator(problem, solve_exact(problem, stats=solve))
     deriv = op.apply(pert.p)
     Z = sorted(pert.support)
     p_norm = float(np.linalg.norm(pert.p[Z])) if Z else 0.0
-    lam, spectral = _decay_rate(problem, op.walk, mode) if sets \
-        else (None, None)
+    t1 = time.perf_counter()
+    stats = {"solve": solve, "lanczos_steps": None, "solve_s": t1 - t0,
+             "rate_s": 0.0, "rows_s": t0 - start}
+    if not len(sizes):
+        return DecayReport([], None, mode, p_norm, None, stats)
+    lam, spectral = _decay_rate(problem, op.walk, mode)
+    t2 = time.perf_counter()
     dist_Z = g.bfs_distances(Z) if Z else np.zeros(g.n_vertices, dtype=int)
-    cs = _set_constants(problem, op.walk, [U for _, U in sets], mode)[0] \
-        if sets else np.zeros(0)
-    rows = []
-    for (idx, U), c in zip(sets, cs.tolist()):
-        dist = int(dist_Z[U].min())
-        measured = float(np.linalg.norm(deriv[idx]))
-        bound = c * lam ** dist / (1.0 - lam) * p_norm
-        rows.append(DecayRow(tuple(g._edge_name(k) for k in idx),
-                             dist, measured, bound, c))
-    return DecayReport(rows, lam, mode, p_norm, spectral)
+    dist = np.minimum.reduceat(dist_Z[verts], np.cumsum(counts) - counts)
+    c = _set_constants(problem, op.walk, verts, counts, mode)[0]
+    # lam ** d as Python's float power takes it, which np.power need not
+    decay = np.array([lam ** d for d in range(dist.max() + 1)])
+    bound = c * decay[dist] / (1.0 - lam) * p_norm
+    measured, first = np.empty(len(sizes)), np.cumsum(sizes) - sizes
+    for size in np.unique(sizes).tolist():
+        sel = np.flatnonzero(sizes == size)
+        M = deriv[idx[first[sel, None] + np.arange(size)]]
+        # bit for bit np.linalg.norm's sqrt(dot) per row; a sum is not
+        measured[sel] = np.sqrt(M[:, None, :] @ M[:, :, None])[:, 0, 0]
+    names = map(g._edge_name, idx.tolist())
+    rows = list(map(DecayRow, [tuple(islice(names, k))
+                               for k in sizes.tolist()],
+                    dist.tolist(), measured.tolist(), bound.tolist(),
+                    c.tolist()))
+    stats.update(lanczos_steps=spectral["steps"], rate_s=t2 - t1,
+                 rows_s=stats["rows_s"] + time.perf_counter() - t2)
+    return DecayReport(rows, lam, mode, p_norm, spectral, stats)
 
 
 def _edge_perturbation(problem, e):
     g = problem.graph
     k = _edge_indices(g, [e])[0]
     p = np.zeros(g.n_vertices)
-    p[g.tails[k]] = 1.0
-    p[g.heads[k]] = -1.0
+    p[[g.tails[k], g.heads[k]]] = 1.0, -1.0
     return k, p
 
 
@@ -171,21 +183,20 @@ def set_to_point(problem, e, F):
 def point_to_set(problem, f, F):
     """Aggregate effect of perturbations along every edge in F on the
     single edge f, with the symmetric bound."""
-    mode = _constants_mode(problem)
-    g = problem.graph
+    mode, g = _constants_mode(problem), problem.graph
     kf, p = _edge_perturbation(problem, f)
-    ends = np.array([g.tails[kf], g.heads[kf]])
     op = sensitivity_operator(problem)
     # derivative at edge f under the perturbation of edge e equals
     # W_wz (e_u - e_v)^T L^+ (e_w - e_z), symmetric in the L^+ kernel
     pot = _project(g, op.walk.weights, 0.0, p)[1]
     w_f = op.walk.weights[kf]
-    idx, U = _edge_set(g, F)
+    # F's edges and vertices U, then f and its sorted ends
+    idx, _, verts, counts = _edge_sets(g, [F, [kf]])
     measured = float(np.linalg.norm(
-        w_f * g.potential_difference(pot)[idx]))
-
+        w_f * g.potential_difference(pot)[idx[:-1]]))
+    U, ends = verts[:counts[0]], verts[counts[0]:]
     _, (maxsq, _), (min_U, min_f) = _set_constants(
-        problem, op.walk, [U, np.sort(ends)], mode)
+        problem, op.walk, verts, counts, mode)
     if mode == "exact":
         c_prime = w_f * maxsq / math.sqrt(min_f) / math.sqrt(min_U)
     else:
@@ -286,15 +297,9 @@ def budget_for(problem):
                          _constants_mode(problem))
 
 
-@dataclass
-class BiasVarianceResult:
-    bias: np.ndarray
-    variance: np.ndarray
-    error: np.ndarray
-    boundary_distance: int
-    bias_bound: float
-    variance_bound: float
-    budget: ErrorBudget
+BiasVarianceResult = namedtuple("BiasVarianceResult", (
+    "bias variance error boundary_distance bias_bound variance_bound "
+    "budget"))
 
 
 def bias_variance(problem, pert, sub, t, x_star_base=None):
@@ -326,10 +331,8 @@ def bias_variance(problem, pert, sub, t, x_star_base=None):
     variance = limit - iterate
     error = bias + variance
 
-    if sub.boundary and pert.support:
-        dist = geodesic_distance(problem.graph, sub.boundary, pert.support)
-    else:
-        dist = 0
+    dist = geodesic_distance(problem.graph, sub.boundary, pert.support) \
+        if sub.boundary and pert.support else 0
     return BiasVarianceResult(
         bias, variance, error, dist,
         budget.bias_bound(p_norm, dist, sub.is_whole_graph),
@@ -347,17 +350,8 @@ class TunerFamily:
     omega: float = 3.0
 
 
-@dataclass
-class TuneResult:
-    r: int
-    t: int
-    predicted_cost: float
-    rho: float
-    nu_bias: float
-    xi_bias: float
-    nu_var: float
-    xi_var: float
-    ball_size_bound: float
+TuneResult = namedtuple("TuneResult", (
+    "r t predicted_cost rho nu_bias xi_bias nu_var xi_var ball_size_bound"))
 
 
 def _least(bound, eps):

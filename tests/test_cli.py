@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import traced_peak_mb
-from localflow import cli, generate
+from localflow import (DirectedGraph, FlowProblem, ObjectiveBundle,
+                       PerturbationSpec, cli, generate, measure_decay)
 from localflow.cli import main
 
 
@@ -164,13 +165,42 @@ def test_decay_deterministic_output(tmp_path, triangle_files):
     assert outs[0] == outs[1]
 
 
-def test_decay_respects_thread_cap(tmp_path, triangle_files, monkeypatch):
-    graph, costs, flow, pert = triangle_files
-    monkeypatch.setenv("LOCALFLOW_THREADS", "1")
-    out = str(tmp_path / "single")
+@pytest.mark.parametrize("cost", [
+    {"kind": "quadratic", "a": 1.0},
+    # Q = 1.01 keeps the envelope rate below 1
+    {"kind": "log-cosh", "a": 1.0, "s": 0.01}],
+    ids=["quadratic", "log-cosh"])
+def test_decay_rows_match_one_set_at_a_time(tmp_path, cost):
+    gen_out = str(tmp_path / "gen")
+    assert main(["generate", "--kind", "random-k-regular", "--n", "40",
+                 "--k", "3", "--seed", "5", "--out", gen_out]) == 0
+    graph = os.path.join(gen_out, "graph.json")
+    costs = write_json(tmp_path / "costs.json", {"default": cost})
+    flow = write_json(tmp_path / "flow.json", {})
+    pert = write_json(tmp_path / "pert.json", {"v0": 1.0, "v1": -1.0})
+    out = str(tmp_path / "decay")
     assert main(["decay", "--graph", graph, "--costs", costs,
                  "--flow", flow, "--perturbation", pert, "--out", out]) == 0
-    assert os.path.exists(os.path.join(out, "decay.csv"))
+    g = DirectedGraph.load(graph)
+    problem = FlowProblem(g, ObjectiveBundle.from_spec(
+        {"default": cost}, list(g.edge_index)), np.zeros(g.n_vertices))
+    spec = PerturbationSpec.from_mapping(g, {"v0": 1.0, "v1": -1.0})
+    with open(os.path.join(out, "decay.csv")) as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == g.n_edges
+    for k, (dist, measured, bound, mode, edge) in enumerate(rows):
+        one = measure_decay(problem, spec, [[k]])
+        row = one.rows[0]
+        # 17 significant digits read back to the same double
+        assert (int(dist), float(measured), float(bound), mode, edge) == (
+            row.distance, row.measured, row.bound, one.constants_mode,
+            row.edge_ids[0])
+    report = json.load(open(os.path.join(out, "decay.json")))
+    stats = report["stats"]
+    assert stats["solve"]["method"] == ("closed-form" if cost["kind"]
+                                        == "quadratic" else "newton")
+    assert stats["lanczos_steps"] == report["spectral"]["steps"]
+    assert all(stats[t] >= 0 for t in ("solve_s", "rate_s", "rows_s"))
 
 
 def test_reopt_whole_graph_zero_perturbation(triangle_files, tmp_path):

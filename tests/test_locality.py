@@ -5,14 +5,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from localflow import (DirectedGraph, EdgeCost, ErrorBudget, LocalityError,
-                       ObjectiveBundle, PerturbationSpec, SubgraphSpec,
-                       TunerFamily, WeightedWalk, adjacency_slem,
-                       ball_subgraph, bias_variance, budget_for,
-                       envelope_lambda, generate, geodesic_distance,
-                       induced_vertex_set, interlacing_bound, measure_decay,
-                       point_to_set, sensitivity_operator, set_to_point,
-                       solve_exact, tune)
+from localflow import (DirectedGraph, EdgeCost, ErrorBudget, GraphError,
+                       LocalityError, ObjectiveBundle, PerturbationSpec,
+                       SubgraphSpec, TunerFamily, WeightedWalk,
+                       adjacency_slem, ball_subgraph, bias_variance,
+                       budget_for, envelope_lambda, generate,
+                       geodesic_distance, induced_vertex_set,
+                       interlacing_bound, measure_decay, point_to_set,
+                       sensitivity_operator, set_to_point, solve_exact, tune)
 from conftest import (logcosh_bundle, quadratic_problem, random_balanced,
                       random_connected_graph, traced_peak_mb, triangle)
 from localflow import FlowProblem, SolverError
@@ -191,7 +191,7 @@ def reference_decay(problem, pert, F_sets, lam):
     rows = []
     for F in F_sets:
         idx = [g.edge_index[e] if isinstance(e, str) else int(e) for e in F]
-        U = induced_vertex_set(g, idx)
+        U = {int(v) for k in idx for v in (g.tails[k], g.heads[k])}
         dist = geodesic_distance(g, U, Z) if Z else 0
         maxsq = math.sqrt(2.0 * max(sum(1 for w in g.neighbors[v] if w in U)
                                     for v in U))
@@ -239,6 +239,40 @@ def test_measure_decay_matches_reference(kind):
             for r in report.rows] == rows
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(4, 16),
+       n_sets=st.integers(1, 10), kind=st.sampled_from(["quadratic",
+                                                         "log-cosh"]))
+def test_measure_decay_resolves_many_sets_as_the_reference(seed, n, n_sets,
+                                                           kind):
+    rng = np.random.default_rng(seed)
+    # dense enough that a decay rate below 1 usually exists
+    g = random_connected_graph(rng, n, extra_edges=2 * n)
+    a = rng.uniform(1.0, 1.01, g.n_edges)
+    if kind == "quadratic":
+        bundle = ObjectiveBundle.from_arrays(
+            kind, a, c=rng.standard_normal(g.n_edges))
+    else:
+        bundle = ObjectiveBundle.from_arrays(
+            kind, a, s=rng.uniform(0.0, 0.01, g.n_edges))
+    problem = FlowProblem(g, bundle, random_balanced(rng, n))
+    pert = PerturbationSpec(g, random_balanced(rng, n))
+    # drawn with replacement, so an edge can repeat inside a set and sets
+    # overlap; each entry an id or an index
+    F_sets = [[g.edges[k][0] if rng.random() < 0.5 else int(k)
+               for k in rng.integers(0, g.n_edges, size=size)]
+              for size in rng.integers(1, 9, size=n_sets)]
+    F_sets[0] += F_sets[0][:1]
+    try:
+        report = measure_decay(problem, pert, F_sets)
+    except LocalityError as exc:
+        assume("spectral gap" not in str(exc))
+        raise
+    assert [(r.edge_ids, r.distance, r.measured, r.bound, r.c)
+            for r in report.rows] == reference_decay(problem, pert, F_sets,
+                                                     report.lam)
+
+
 def test_measure_decay_checks_sets_before_rate():
     g = generate("cycle", n=6)  # bipartite: no rate below 1 exists
     problem = quadratic_problem(g, np.zeros(6))
@@ -253,8 +287,11 @@ def test_measure_decay_rejects_empty_edge_set():
     g = triangle()
     problem = quadratic_problem(g, np.zeros(3))
     pert = PerturbationSpec(g, np.array([1.0, -1.0, 0.0]))
-    with pytest.raises(LocalityError, match="empty"):
+    with pytest.raises(LocalityError, match="empty edge set"):
         measure_decay(problem, pert, [[]])
+    # every id is resolved first: one unknown after an empty set is named
+    with pytest.raises(GraphError, match="unknown edge id: nope"):
+        measure_decay(problem, pert, [[], ["e12"], ["nope"]])
 
 
 def test_measure_decay_bipartite_errors():
@@ -593,7 +630,8 @@ def test_set_constants_match_a_loop_over_the_edges(seed, n, extra, n_sets):
     Us = [np.sort(rng.choice(n, size=size, replace=False))
           for size in rng.integers(1, n + 1, size=n_sets)] + [np.arange(n)]
     for mode in ("exact", "envelope"):
-        got = _set_constants(problem, walk, Us, mode)
+        got = _set_constants(problem, walk, np.concatenate(Us),
+                             np.array([len(U) for U in Us]), mode)
         for j, U in enumerate(Us):
             ids = {g.vertices[v] for v in U.tolist()}
             inner_degree = dict.fromkeys(ids, 0)

@@ -19,6 +19,9 @@ and c ~ N(0, 1), the script times:
 - the error budget's spectral constants, `budget_for` (median of three), and
   records the certified bound `mu_bound` on the adjacency's second
   eigenvalue in magnitude that it computes;
+- the decay sweep (`decay_ms`, three runs): `measure_decay` over every
+  single edge for a unit perturbation across edge 0, as `localflow decay`
+  makes it;
 - at each radius r, a request as the benchmark's reopt-local workload makes
   it: `ball_subgraph`, then `warm_start_reoptimize` with 30 steps from the
   base optimum, for a unit perturbation across a random edge (median over
@@ -104,6 +107,20 @@ def _logcosh(problem, seed):
     return lf.FlowProblem(problem.graph, bundle, problem.b)
 
 
+def _decay_ms(problem):
+    """The quartiles in ms of three single-edge decay sweeps."""
+    g = problem.graph
+    p = np.zeros(g.n_vertices)
+    p[[g.tails[0], g.heads[0]]] = 1.0, -1.0
+    pert, sets = lf.PerturbationSpec(g, p), [[k] for k in range(g.n_edges)]
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        lf.measure_decay(problem, pert, sets)
+        times.append(_ms(start))
+    return percentiles("decay_ms", times)
+
+
 def _median_of_three(call):
     """call()'s result and the median time of three calls, in ms."""
     times = []
@@ -187,7 +204,7 @@ def main(argv=None):
                "global_logcosh_ms": logcosh_ms,
                "logcosh_cg_iterations": sum(stats["cg_iterations"]),
                "constants_ms": constants_ms,
-               "mu_bound": budget.mu,
+               "mu_bound": budget.mu, **_decay_ms(problem),
                "radius": {str(r): _radius_row(problem, x_star, rng, r,
                                               args.requests)
                           for r in args.radii}}
