@@ -15,6 +15,7 @@ vertex/edge index mapping; CSV values use 17 significant digits.
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -45,10 +46,6 @@ class CliInputError(ValueError):
     pass
 
 
-def _fmt(x):
-    return "%.17g" % float(x)
-
-
 def _load_json(path):
     with open(path) as fh:
         return json.load(fh)
@@ -74,10 +71,10 @@ def _require(config, *keys):
 
 def _integer(key, value):
     """value as an int; CliInputError naming --key unless it is integral,
-    so a config-file 3.9 is refused rather than truncated."""
+    so a config-file 3.9 or true is refused rather than truncated."""
     try:
         number = int(value)
-        integral = number == float(value)
+        integral = number == float(value) and not isinstance(value, bool)
     except (TypeError, ValueError, OverflowError):
         integral = False
     if not integral:
@@ -131,18 +128,18 @@ def _write_json(config, name, payload, g=None):
     """Write payload, the resolved config and, given the graph g, its
     id-to-index mapping to the report `name` as standard JSON: each
     non-finite figure is written as null, and a top-level `non_finite` map
-    gives its value ("inf", "-inf" or "nan") under its dotted key path."""
-    payload = {**payload, "config": config}
-    if g is not None:
+    gives its value ("inf", "-inf" or "nan") under its dotted key path.
+    A report that cannot be serialised leaves no file."""
+    non_finite = {}
+    payload = _nulled({**payload, "config": config}, (), non_finite)
+    if g is not None:  # ids and indices: nothing to null
         payload["index_map"] = {"vertices": g.vertex_index,
                                 "edges": g.edge_index}
-    non_finite = {}
-    payload = _nulled(payload, (), non_finite)
     if non_finite:
         payload["non_finite"] = non_finite
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(_path(config, name), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _nulled(value, path, non_finite):
@@ -161,12 +158,16 @@ def _nulled(value, path, non_finite):
 
 
 def _write_csv(path, header, rows):
+    """Write the header and the nonempty iterable of tuples `rows`, a
+    string cell as it is and a number with 17 significant digits. A column
+    holds strings or numbers throughout: the first row fixes the format."""
+    rows = iter(rows)
+    first = next(rows)
+    fmt = ",".join("%s" if isinstance(cell, str) else "%.17g"
+                   for cell in first) + "\n"
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(
-                cell if isinstance(cell, str) else _fmt(cell)
-                for cell in row) + "\n")
+        fh.write(",".join(header) + "\n" + fmt % first)
+        fh.writelines(map(fmt.__mod__, rows))
 
 
 def cmd_solve(config):
@@ -191,14 +192,17 @@ def cmd_solve(config):
 def cmd_sensitivity(config):
     g, _, problem = _load_problem(config)
     pert = _load_perturbation(config, g)
-    op = sensitivity_operator(problem)
-    deriv = op.apply(pert.p)
+    solve, t0 = {}, time.perf_counter()
+    op = sensitivity_operator(problem, solve_exact(problem, stats=solve))
+    t1 = time.perf_counter()
+    deriv, t2 = op.apply(pert.p), time.perf_counter()
     feas = float(np.abs(g.net_outflow(deriv) - pert.p).max())
     payload = {
         "base_b": dict(zip(g.vertices, problem.b.tolist())),
         "perturbation": dict(zip(g.vertices, pert.p.tolist())),
         "derivative": dict(zip(g.edge_index, deriv.tolist())),
         "residuals": {"derivative_feasibility_inf": feas},
+        "stats": {"solve": solve, "solve_s": t1 - t0, "apply_s": t2 - t1},
     }
     _write_json(config, "sensitivity.json", payload, g)
     return EXIT_OK
@@ -212,10 +216,11 @@ def cmd_decay(config):
     report = locality.measure_decay(problem, pert,
                                     [[k] for k in range(g.n_edges)])
     mode = report.constants_mode
+    edge_ids, distance, measured, bound, _ = zip(*report.rows)
     _write_csv(_path(config, "decay.csv"),
                ["distance", "measured", "bound", "constants_mode", "edge"],
-               [(r.distance, r.measured, r.bound, mode, r.edge_ids[0])
-                for r in report.rows])
+               zip(distance, measured, bound, (mode,) * len(bound),
+                   [edge for edge, in edge_ids]))
     _write_json(config, "decay.json", {"constants_mode": mode,
                                        "lam": report.lam,
                                        "spectral": report.spectral,
@@ -360,6 +365,7 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="localflow",
@@ -379,13 +385,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](_resolve_config(args))
-    # LaplacianError and LinAlgError are ValueErrors too, so runtime first
-    except RUNTIME_ERRORS as exc:
+    except RUNTIME_ERRORS + INPUT_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return EXIT_RUNTIME
-    except INPUT_ERRORS as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
+        # LaplacianError and LinAlgError are ValueErrors too: runtime first
+        return EXIT_RUNTIME if isinstance(exc, RUNTIME_ERRORS) else EXIT_INPUT
 
 
 if __name__ == "__main__":

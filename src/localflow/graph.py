@@ -162,8 +162,9 @@ class DirectedGraph:
         return cls(data["vertices"], edges)
 
     def save(self, path):
+        text = json.dumps(self.to_json_dict(), indent=2)
         with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
+            fh.write(text)
 
     @classmethod
     def load(cls, path):
@@ -375,10 +376,11 @@ def ball_subgraph(g, center, r):
 
 
 def _nonnegative_int(value, error, name):
-    """value as an int if it is a nonnegative integer (2.0 included);
-    else `error`, naming the value `name`."""
+    """value as an int if it is a nonnegative integer (2.0 included, a
+    bool not); else `error`, naming the value `name`."""
     try:
-        if value >= 0 and float(value).is_integer():
+        if (not isinstance(value, (bool, np.bool_)) and value >= 0
+                and float(value).is_integer()):
             return int(value)
     except (TypeError, ValueError):
         pass

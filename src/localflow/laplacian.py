@@ -145,7 +145,7 @@ def norm_bound(graph, weights, scale, deflate):
 
     basis = np.empty((min(LANCZOS_STEPS, n), n))
     start = np.random.default_rng(0).standard_normal(n)
-    basis[0] = start / np.linalg.norm(start)
+    basis[0] = start / np.sqrt(start @ start)
     alpha, beta = [], []
     for k in range(1, len(basis) + 1):
         q = basis[k - 1]
@@ -156,9 +156,9 @@ def norm_bound(graph, weights, scale, deflate):
         # 1 - 1/sqrt(2) of the norm (Daniel, Gragg, Kaufman and Stewart)
         r -= alpha[-1] * q + (beta[-1] * basis[k - 2] if beta else 0.0)
         for _ in range(2):
-            norm = np.linalg.norm(r)
+            norm = np.sqrt(r @ r)
             r -= (basis[:k] @ r) @ basis[:k]
-            res = np.linalg.norm(r)
+            res = np.sqrt(r @ r)
             if res * np.sqrt(2.0) >= norm:
                 break
         # a residual at round-off level: the Krylov space is invariant

@@ -376,8 +376,8 @@ def tune(family, eps):
     bias_bound(p_norm, r - z) = nu_bias e^(-xi_bias r) and
     variance_bound(p_norm, t) = nu_var e^(-xi_var t) meet eps/2. The
     predicted cost uses the k^r bound on the ball size with a
-    configurable exponent. A non-finite Q or eps, an omega that is not
-    finite and positive, or a negative z is bad input (ValueError); a
+    configurable exponent. A non-finite Q, eps or p_norm, an omega that
+    is not finite and positive, or a negative z is bad input (ValueError); a
     family the bounds cannot price raises LocalityError.
     """
     Q, k, mu, z = family.Q, family.k, family.mu, family.z
@@ -386,6 +386,7 @@ def tune(family, eps):
             ("eps", eps, "finite", math.isfinite(eps)),
             ("omega", family.omega, "finite and positive",
              0.0 < family.omega < math.inf),
+            ("p_norm", family.p_norm, "finite", math.isfinite(family.p_norm)),
             ("z", z, "nonnegative", z >= 0)):
         if not ok:
             raise ValueError("tuner %s must be %s, got %r" % (name, need,

@@ -86,6 +86,16 @@ def _params(code, a, c, q, s, radius):
     return np.array([a, c, q, s, -hi, hi, beta, code])
 
 
+def _parse(kind, params):
+    """The row (code, a, c, q, s, radius) of one cost entry, unused ones 0."""
+    code = _code(kind)
+    return (code, float(params["a"]),
+            float(params.get("c", 0.0)) if code == 0 else 0.0,
+            float(params["q"]) if code == 1 else 0.0,
+            float(params["s"]) if code == 2 else 0.0,
+            float(params.get("radius", math.nan)) if code == 1 else 0.0)
+
+
 class EdgeCost:
     """One-dimensional cost for a single edge: the parser and validator of
     one JSON cost entry, and the scalar reference for a bundle.
@@ -96,16 +106,12 @@ class EdgeCost:
       log-cosh:   a*x^2/2 + s*log(cosh(x))       (alpha = a, beta = a + s)
     """
 
-    def __init__(self, kind, **params):
-        code = self.code = _code(kind)
+    def __init__(self, kind, /, **params):
         self.kind, self.params = kind, params
-        a = self.a = self.alpha = float(params["a"])
-        c = self.c = float(params.get("c", 0.0)) if code == 0 else 0.0
-        q = self.q = float(params["q"]) if code == 1 else 0.0
-        s = self.s = float(params["s"]) if code == 2 else 0.0
-        r = self.radius = (float(params.get("radius", math.nan))
-                           if code == 1 else 0.0)
-        self.beta, held = _rules(code, a, c, q, s, r)
+        self.code, a, self.c, self.q, self.s, self.radius = row = \
+            _parse(kind, params)
+        self.a = self.alpha = a
+        self.beta, held = _rules(*row)
         if not all(held):
             raise CostError(_RULES[held.index(False)] % kind)
 
@@ -123,8 +129,7 @@ class EdgeCost:
 
     @classmethod
     def from_json_dict(cls, data):
-        return cls(data["kind"],
-                   **{k: v for k, v in data.items() if k != "kind"})
+        return cls(data["kind"], **data)
 
 
 class ObjectiveBundle:
@@ -149,9 +154,8 @@ class ObjectiveBundle:
         none of them built: each parameter is one value or one per edge.
         EdgeCost's rules hold; a CostError names the first edge that
         breaks the first failing rule."""
-        bundle = object.__new__(cls)
-        bundle._set_params(_params(_code(kind), a, c, q, s, radius))
-        return bundle
+        return object.__new__(cls)._set_params(
+            _params(_code(kind), a, c, q, s, radius))
 
     def _set_params(self, params):
         if not params.size:
@@ -166,11 +170,11 @@ class ObjectiveBundle:
         self._terms = [(mask, coef[mask], _KINDS[kind][2]) for mask, coef, kind
                        in ((self.quartic, self.q, "quartic"),
                            (self.log_cosh, self.s, "log-cosh")) if mask.any()]
+        return self
 
     def __getitem__(self, idx):
-        sub = object.__new__(ObjectiveBundle)
-        sub._set_params(self._params[:, idx])
-        return sub
+        return object.__new__(ObjectiveBundle)._set_params(
+            self._params[:, idx])
 
     @cached_property
     def costs(self):
@@ -224,17 +228,27 @@ class ObjectiveBundle:
     def from_spec(cls, spec, edge_ids):
         """Build from a cost-spec mapping {"default": {...}, "per_edge":
         {edge-id: {...}}} over the list edge_ids, refusing a per-edge id
-        not in it; each distinct entry object is parsed once, in edge order."""
+        not in it. Each distinct entry object is parsed once, and the
+        edges' rows are checked together; only on a fault are the distinct
+        entries built as EdgeCost objects, in edge order, so a refusal is
+        the first faulty entry's, as EdgeCost words it."""
         default, per_edge = spec.get("default"), spec.get("per_edge", {})
         unknown = per_edge.keys() - edge_ids
         if unknown:
             raise CostError("unknown edge id in cost spec: %s"
                             % next(k for k in per_edge if k in unknown))
         entries = [per_edge.get(eid, default) for eid in edge_ids]
-        parsed = {}
-        for key, entry in {id(e): e for e in entries}.items():
-            if entry is None:
-                raise CostError("no cost for edge %s and no default"
-                                % edge_ids[entries.index(None)])
-            parsed[key] = EdgeCost.from_json_dict(entry)
-        return cls([parsed[id(e)] for e in entries])
+        distinct = {id(e): e for e in entries}
+        slot = {key: k for k, key in enumerate(distinct)}
+        try:
+            rows = np.array([_parse(e["kind"], e) for e in distinct.values()],
+                            dtype=float).reshape(-1, 6)
+            return object.__new__(cls)._set_params(
+                _params(*rows[[slot[id(e)] for e in entries]].T))
+        except (KeyError, OverflowError, TypeError, ValueError):
+            for entry in distinct.values():
+                if entry is None:
+                    raise CostError("no cost for edge %s and no default"
+                                    % edge_ids[entries.index(None)]) from None
+                EdgeCost.from_json_dict(entry)
+            raise

@@ -1,10 +1,16 @@
 import csv
+import io
 import json
 import math
 import os
+import subprocess
+import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import traced_peak_mb
 from localflow import (DirectedGraph, FlowProblem, ObjectiveBundle,
@@ -337,6 +343,8 @@ def test_tune_unpriceable_family_exits_3(tmp_path, capsys, family, field):
     (["--Q", "inf"], "Q"),
     (["--eps", "nan"], "eps"),
     (["--eps", "inf"], "eps"),
+    (["--p-norm", "nan"], "p_norm"),
+    (["--p-norm", "inf"], "p_norm"),
 ])
 def test_tune_non_finite_or_out_of_range_input_exits_2(tmp_path, capsys,
                                                        flags, field):
@@ -508,6 +516,27 @@ def test_solve_reports_its_stats(cycle6_files, tmp_path, cost, method):
     assert stats["cg_iterations"][-1] == 0
     assert report["residuals"] == {
         key: stats[key] for key in ("feasibility_inf", "stationarity_inf")}
+
+
+@pytest.mark.parametrize("cost, method", [
+    ({"kind": "quadratic", "a": 1.0}, "closed-form"),
+    ({"kind": "log-cosh", "a": 1.0, "s": 0.5}, "newton")])
+def test_sensitivity_reports_its_stats(cycle6_files, tmp_path, cost, method):
+    graph, _, flow = cycle6_files
+    costs = write_json(tmp_path / "costs.json", {"default": cost})
+    pert = write_json(tmp_path / "pert.json", {"v1": 1.0, "v2": -1.0})
+    out = str(tmp_path / "out")
+    assert main(["sensitivity", "--graph", graph, "--costs", costs,
+                 "--flow", flow, "--perturbation", pert, "--out", out]) == 0
+    assert main(["solve", "--graph", graph, "--costs", costs,
+                 "--flow", flow, "--out", out]) == 0
+    stats = json.load(open(os.path.join(out, "sensitivity.json")))["stats"]
+    assert stats["solve"]["method"] == method
+    assert stats["solve"]["cg_iterations"][-1] == 0
+    # the solve's record is solution.json's for the same problem
+    assert stats["solve"] == json.load(
+        open(os.path.join(out, "solution.json")))["stats"]
+    assert stats["solve_s"] > 0 and stats["apply_s"] > 0
 
 
 def test_solve_nan_flow_exits_2(cycle6_files, tmp_path, capsys):
@@ -749,7 +778,9 @@ def test_exact_decay_on_bipartite_graph_exits_3(tmp_path, capsys, kind,
 @pytest.mark.parametrize("command, field, value", [
     ("tune", "k", 3.9), ("tune", "z", 0.7), ("reopt", "radius", 1.5),
     ("reopt", "iters", 2.5), ("interlace", "radius", 0.7),
-    ("generate", "n", 12.5)])
+    ("generate", "n", 12.5), ("tune", "k", True), ("tune", "z", False),
+    ("reopt", "radius", True), ("reopt", "iters", True),
+    ("generate", "n", True)])
 def test_fractional_integer_field_in_config_exits_2(
         cycle6_files, tmp_path, capsys, command, field, value):
     graph, costs, flow = cycle6_files
@@ -764,7 +795,8 @@ def test_fractional_integer_field_in_config_exits_2(
         "generate": {"kind": "cycle", "n": 12},
     }[command]
     out = str(tmp_path / "out")
-    # the integral value runs; the fractional one is refused, not truncated
+    # the integral value runs; a fractional or boolean one is refused, not
+    # taken as the integer it converts to
     assert main([command, "--config", write_json(tmp_path / "ok.json",
                                                  config), "--out", out]) == 0
     config[field] = value
@@ -809,3 +841,132 @@ def test_tune_on_an_irregular_graph_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "regular" in err and "k- = 1" in err and "k+ = 4" in err
     assert not os.path.exists(os.path.join(out, "tune.json"))
+
+
+# a report's values: finite and non-finite floats at any depth, ints,
+# unicode and escaped strings, and empty containers
+_json_leaves = st.one_of(
+    st.floats(), st.integers(-2 ** 70, 2 ** 70), st.booleans(), st.none(),
+    st.text(), st.sampled_from(['"', "\\", "\n", "\u00e9", "\u2603"]))
+_json_values = st.recursive(
+    _json_leaves, lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=20)
+_ids = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1,
+               max_size=6)
+
+
+def _reference_json(config, payload, g):
+    """The report as written before: every entry, the id maps included,
+    walked by _nulled, then streamed by json.dump."""
+    payload = {**payload, "config": config}
+    if g is not None:
+        payload["index_map"] = {"vertices": g.vertex_index,
+                                "edges": g.edge_index}
+    non_finite = {}
+    payload = cli._nulled(payload, (), non_finite)
+    if non_finite:
+        payload["non_finite"] = non_finite
+    fh = io.StringIO()
+    json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
+    return fh.getvalue() + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.text(max_size=6), _json_values, max_size=5),
+       st.dictionaries(st.text(max_size=6), _json_values, max_size=3),
+       st.one_of(st.none(), st.lists(_ids, min_size=1, max_size=6,
+                                     unique=True)))
+def test_write_json_writes_the_reference_bytes(payload, extra, vertices):
+    """One json.dumps of a payload whose id maps skip _nulled writes the
+    bytes of the streamed, fully walked report."""
+    g = None
+    if vertices is not None:  # a path over the drawn ids, edges named too
+        g = DirectedGraph(vertices, [(vertices[i] + "\u2192" + str(i),
+                                      vertices[i], vertices[i + 1])
+                                     for i in range(len(vertices) - 1)])
+    with tempfile.TemporaryDirectory() as out:
+        config = {**extra, "out": out}
+        cli._write_json(config, "report.json", payload, g)
+        with open(os.path.join(out, "report.json"), "rb") as fh:
+            written = fh.read()
+    assert written == _reference_json(config, payload, g).encode()
+
+
+def test_unserialisable_report_leaves_no_file(tmp_path):
+    out = str(tmp_path / "out")
+    with pytest.raises(TypeError):
+        cli._write_json({"out": out}, "report.json", {"x": object()})
+    assert not os.path.exists(out)
+
+
+def _reference_csv(header, rows):
+    """The CSV as written before: one _fmt call per number cell."""
+    def fmt(cell):
+        return cell if isinstance(cell, str) else "%.17g" % float(cell)
+    return "".join(",".join(map(fmt, row)) + "\n" for row in [header, *rows])
+
+
+_numbers = st.one_of(
+    st.integers(-2 ** 80, 2 ** 80), st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from([-0.0, 1e-300, 1e300, np.float64(-0.0), 5e-324]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.booleans(), min_size=1, max_size=5), st.data())
+def test_write_csv_writes_the_reference_bytes(text_columns, data):
+    """A format read off the first row writes the per-cell bytes when each
+    column holds strings or numbers throughout."""
+    header = ["c%d" % k for k in range(len(text_columns))]
+    rows = data.draw(st.lists(st.tuples(*(
+        st.text(st.characters(blacklist_categories=("Cs",)))
+        if text else _numbers for text in text_columns)), min_size=1,
+        max_size=8))
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "rows.csv")
+        cli._write_csv(path, header, iter(rows))
+        with open(path, "rb") as fh:
+            written = fh.read()
+    assert written == _reference_csv(header, rows).encode()
+
+
+def test_main_runs_again_as_a_fresh_process_does(tmp_path):
+    """One process running main with different subcommands and flags, the
+    parser built once, writes what a fresh process writes for each call:
+    say, a solve without --tolerance after one with it."""
+    gen = str(tmp_path / "gen")
+    assert main(["generate", "--kind", "random-k-regular", "--n", "40",
+                 "--k", "3", "--seed", "5", "--out", gen]) == 0
+    costs = write_json(tmp_path / "costs.json",
+                       {"default": {"kind": "quadratic", "a": 1.0}})
+    flow = write_json(tmp_path / "flow.json", {"v0": 1.0, "v1": -1.0})
+    problem = ["--graph", os.path.join(gen, "graph.json"), "--costs", costs,
+               "--flow", flow]
+    calls = [["solve", *problem, "--tolerance", "1e-9"],
+             ["solve", *problem],
+             ["tune", "--Q", "1", "--k", "3", "--mu", "2.8", "--z", "2",
+              "--eps", "1e-3"],
+             ["tune", "--Q", "1", "--k", "4", "--mu", "2.8", "--eps", "0.1"],
+             ["generate", "--kind", "cycle", "--n", "7"],
+             ["decay", *problem, "--perturbation", flow]]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for k, argv in enumerate(calls):
+        out = str(tmp_path / ("call%d" % k))
+        assert main([*argv, "--out", out]) == 0
+        here = {name: open(os.path.join(out, name), "rb").read()
+                for name in os.listdir(out)}
+        subprocess.run([sys.executable, "-m", "localflow.cli", *argv,
+                        "--out", out], env=env, check=True, timeout=120)
+        fresh = {name: open(os.path.join(out, name), "rb").read()
+                 for name in os.listdir(out)}
+        if "decay.json" in here:  # wall times differ from run to run
+            for files in (here, fresh):
+                report = json.loads(files["decay.json"])
+                for key in ("solve_s", "rate_s", "rows_s"):
+                    report["stats"].pop(key)
+                files["decay.json"] = report
+        assert here == fresh

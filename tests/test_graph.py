@@ -335,7 +335,7 @@ def test_array_bfs_ball_and_tree(seed, shape):
 
 
 @pytest.mark.parametrize("radius", [2.5, float("nan"), -1, float("inf"),
-                                    "2", None])
+                                    "2", None, True, False, np.True_])
 def test_ball_radius_must_be_a_nonnegative_integer(radius):
     with pytest.raises(GraphError, match="radius must be a nonnegative"):
         ball_subgraph(path(4), "1", radius)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import traced_peak_mb
-from localflow import CostError, EdgeCost, ObjectiveBundle
+from localflow import CostError, EdgeCost, ObjectiveBundle, objective
 
 
 def test_quadratic_eval_zero():
@@ -212,13 +212,13 @@ def test_from_spec_matches_the_per_edge_reference(m, default, cover_all,
 
 def test_from_spec_parses_each_distinct_entry_once(monkeypatch):
     built = []
-    init = EdgeCost.__init__
+    parse = objective._parse
 
-    def counted(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
+    def counted(kind, params):
+        built.append(params)
+        return parse(kind, params)
 
-    monkeypatch.setattr(EdgeCost, "__init__", counted)
+    monkeypatch.setattr(objective, "_parse", counted)
     ids = ["e%d" % k for k in range(1000)]
     spec = {"default": {"kind": "quadratic", "a": 1.0},
             "per_edge": {eid: {"kind": "log-cosh", "a": 1.0, "s": 0.5}

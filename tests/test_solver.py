@@ -198,7 +198,7 @@ def test_warm_start_quadratic_one_step_exact(rng):
 
 
 @pytest.mark.parametrize("t", [2.7, -3, -1.0, float("nan"), float("inf"),
-                               "3", None])
+                               "3", None, True])
 def test_iteration_count_must_be_a_nonnegative_integer(t):
     g = generate("cycle", n=8)
     problem = quadratic_problem(g, np.zeros(8))

@@ -36,6 +36,7 @@ def test_bench_curve_writes_one_row_per_size(tmp_path):
         assert row["constants_ms"] > 0 and 0 < row["mu_bound"] <= 3.0 + 1e-9
         assert 0 < row["decay_ms_p25"] <= row["decay_ms_p50"] \
             <= row["decay_ms_p75"]
+        assert row["decay_cli_ms"] > 0
         assert set(row["radius"]) == {"1", "4"}
         for entry in row["radius"].values():
             assert entry["request_ms_p50"] > 0 and entry["requests"] == 2

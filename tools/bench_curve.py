@@ -22,6 +22,11 @@ and c ~ N(0, 1), the script times:
 - the decay sweep (`decay_ms`, three runs): `measure_decay` over every
   single edge for a unit perturbation across edge 0, as `localflow decay`
   makes it;
+- the whole `localflow decay` call (`decay_cli_ms`, the median of three
+  in-process `cli.main` calls) on the instance's saved files: its graph,
+  its costs with one entry per edge, its demands and that perturbation.
+  Its excess over `decay_ms_p50` is the file boundary: parsing the
+  arguments, reading the files and writing the reports;
 - at each radius r, a request as the benchmark's reopt-local workload makes
   it: `ball_subgraph`, then `warm_start_reoptimize` with 30 steps from the
   base optimum, for a unit perturbation across a random edge (median over
@@ -57,6 +62,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 import numpy as np  # noqa: E402
 
 import localflow as lf  # noqa: E402
+from localflow import cli  # noqa: E402
 
 STEPS = 30
 QUARTILES = (25, 50, 75)
@@ -81,21 +87,51 @@ def _instance(n, seed):
     return lf.FlowProblem(g, bundle, b - b.mean()), rng, setup_ms
 
 
-def _load_ms(g):
-    """The median time in ms of three reads of g's saved graph file, each
+def _load_ms(g, path):
+    """The median time in ms of three reads of g's graph file `path`, each
     followed by `from_spec` over the read graph's edge ids."""
-    ids = list(g.edge_index)
     spec = {"default": {"kind": "quadratic", "a": 1.0},
             "per_edge": {e: {"kind": "log-cosh", "a": 1.0, "s": 0.5}
-                         for e in ids[::7]}}
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "graph.json")
-        g.save(path)
+                         for e in list(g.edge_index)[::7]}}
 
-        def load():
-            read = lf.DirectedGraph.load(path)
-            lf.ObjectiveBundle.from_spec(spec, list(read.edge_index))
-        return _median_of_three(load)[1]
+    def load():
+        read = lf.DirectedGraph.load(path)
+        lf.ObjectiveBundle.from_spec(spec, list(read.edge_index))
+    return _median_of_three(load)[1]
+
+
+def _save(problem, folder):
+    """The paths of the files `localflow decay` reads, written to folder:
+    the graph, its quadratic costs with one entry per edge, its demands
+    and a unit perturbation across edge 0."""
+    g, bundle, names = problem.graph, problem.bundle, problem.graph.vertices
+    paths = {key: os.path.join(folder, key + ".json")
+             for key in ("graph", "costs", "flow", "perturbation")}
+    g.save(paths["graph"])
+    for key, payload in (
+            ("costs", {"per_edge": {
+                e: {"kind": "quadratic", "a": a, "c": c} for e, a, c in zip(
+                    g.edge_index, bundle.a.tolist(), bundle.c.tolist())}}),
+            ("flow", dict(zip(names, problem.b.tolist()))),
+            ("perturbation", {names[g.tails[0]]: 1.0,
+                              names[g.heads[0]]: -1.0})):
+        with open(paths[key], "w") as fh:
+            json.dump(payload, fh)
+    return paths
+
+
+def _decay_cli_ms(paths):
+    """The median time in ms of three in-process `localflow decay` calls
+    on the saved files."""
+    argv = ["decay", "--out", os.path.join(os.path.dirname(paths["graph"]),
+                                           "out")]
+    for key, path in paths.items():
+        argv += ["--" + key, path]
+
+    def call():
+        if cli.main(argv) != 0:
+            raise RuntimeError("localflow decay failed")
+    return _median_of_three(call)[1]
 
 
 def _logcosh(problem, seed):
@@ -198,13 +234,17 @@ def main(argv=None):
             lambda: lf.solve_exact(logcosh, stats=stats))[1]
         budget, constants_ms = _median_of_three(
             lambda: lf.budget_for(problem))
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = _save(problem, tmp)
+            load_ms = _load_ms(problem.graph, paths["graph"])
+            decay_cli_ms = _decay_cli_ms(paths)
         row = {"n": n, "m": problem.graph.n_edges, "setup_ms": setup_ms,
-               "load_ms": _load_ms(problem.graph),
-               "global_solve_ms": solve_ms,
+               "load_ms": load_ms, "global_solve_ms": solve_ms,
                "global_logcosh_ms": logcosh_ms,
                "logcosh_cg_iterations": sum(stats["cg_iterations"]),
                "constants_ms": constants_ms,
                "mu_bound": budget.mu, **_decay_ms(problem),
+               "decay_cli_ms": decay_cli_ms,
                "radius": {str(r): _radius_row(problem, x_star, rng, r,
                                               args.requests)
                           for r in args.radii}}
