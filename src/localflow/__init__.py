@@ -20,7 +20,7 @@ from .sensitivity import (FlowProblem, PerturbationSpec, SensitivityError,
                           directional_derivative, gaussian_identity_check,
                           generic_sensitivity_matrix, integrate_sensitivity,
                           sensitivity_operator, solve_exact)
-from .solver import (LocalizedSolver, PgdConfig, SolverError, pgd_run,
+from .solver import (PGD_MAX_ITER, LocalizedSolver, SolverError, pgd_run,
                      pgd_step, warm_start_reoptimize)
 from .locality import (BiasVarianceResult, DecayReport, DecayRow,
                        ErrorBudget, LocalityError, TuneResult, TunerFamily,
@@ -44,7 +44,7 @@ __all__ = [
     "directional_derivative", "gaussian_identity_check",
     "generic_sensitivity_matrix", "integrate_sensitivity",
     "sensitivity_operator", "solve_exact",
-    "LocalizedSolver", "PgdConfig", "SolverError", "pgd_run", "pgd_step",
+    "PGD_MAX_ITER", "LocalizedSolver", "SolverError", "pgd_run", "pgd_step",
     "warm_start_reoptimize",
     "BiasVarianceResult", "DecayReport", "DecayRow", "ErrorBudget",
     "LocalityError", "TuneResult", "TunerFamily", "adjacency_slem",

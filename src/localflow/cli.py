@@ -5,12 +5,14 @@ solve --graph --costs --flow --tolerance; sensitivity and decay --graph
 --costs --flow --perturbation; reopt those and --subgraph-center --radius
 --iters; interlace --graph --costs --flow --subgraph-center --radius;
 tune --eps --z --omega --p-norm and either the family --Q --k --mu or
---graph --costs --flow; generate --kind and that kind's --n, --k, --rows,
---cols, --seed. A JSON config file may supply these and any other keys
-(all echoed in the report); flags win. A flag that the subcommand does
-not take is a usage error. Exit codes: 0 success, 2 input or usage error,
-3 runtime or numerical error. Reports embed the resolved config and the
-vertex/edge index mapping; CSV values use 17 significant digits.
+--graph --costs --flow; generate --kind and the parameters that
+graph.GENERATORS names: --n, --rows, --cols, --k, --seed. A JSON config
+file may supply these and any other keys (all echoed in the report);
+flags win. A flag that the subcommand does not take is a usage error.
+Exit codes: 0 success, 2 input or usage error, 3 runtime or numerical
+error (its message on stderr; stdout is the caller's, never written).
+Reports embed the resolved config and the vertex/edge index mapping;
+CSV values use 17 significant digits.
 """
 
 import argparse
@@ -350,8 +352,9 @@ OPTIONS = {
     "tune": {**_PROBLEM, "eps": float, "Q": float, "k": int, "mu": float,
              "z": int, "omega": float, "p-norm": float},
     "interlace": {**_PROBLEM, "subgraph-center": str, "radius": int},
-    "generate": {"kind": str, "n": int, "k": int, "rows": int, "cols": int,
-                 "seed": int},
+    "generate": {"kind": str, **{name: int for _, names in
+                                 graphmod.GENERATORS.values()
+                                 for name in names}},
 }
 
 COMMANDS = {

@@ -459,17 +459,19 @@ def _cycle(n):
 def _grid(rows, cols):
     if rows < 1 or cols < 1 or rows * cols < 2:
         raise GraphError("grid needs at least 2 vertices")
-    def name(i, j):
-        return "v%d_%d" % (i, j)
-    vertices = [name(i, j) for i in range(rows) for j in range(cols)]
-    edges = []
-    for i in range(rows):
-        for j in range(cols):
-            if j + 1 < cols:
-                edges.append(("eh%d_%d" % (i, j), name(i, j), name(i, j + 1)))
-            if i + 1 < rows:
-                edges.append(("ev%d_%d" % (i, j), name(i, j), name(i + 1, j)))
-    return DirectedGraph(vertices, edges)
+    n = rows * cols
+    v = np.arange(n)
+    i, j = np.divmod(v, cols)
+    # each vertex's edge to its right (eh), then the one below (ev)
+    keep = np.stack((j + 1 < cols, i + 1 < rows), axis=1).ravel()
+    tails = np.repeat(v, 2)[keep]
+    g = DirectedGraph.from_arrays(
+        n, tails, np.stack((v + 1, v + cols), axis=1).ravel()[keep])
+    names = ["%d_%d" % ij for ij in zip(i.tolist(), j.tolist())]
+    g._vertex_ids = ["v" + name for name in names]
+    g._edge_ids = [kind + names[t] for kind, t in zip(
+        np.tile(["eh", "ev"], n)[keep].tolist(), tails.tolist())]
+    return g
 
 
 def _random_regular(n, k, seed, max_tries=2000):

@@ -5,58 +5,46 @@ complement edges act as boundary conditions and must already satisfy the
 conservation constraints outside the subgraph.
 """
 
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .graph import _feasible, _nonnegative_int
 from .sensitivity import FlowProblem, solve_exact
 
+PGD_MAX_ITER = 10_000  # before pgd_run stops
+
 
 class SolverError(RuntimeError):
     """Infeasible input or inconsistent boundary data."""
 
 
-@dataclass
-class PgdConfig:
-    eta: float = None          # defaults to 1/beta of the problem's bundle
-    max_iter: int = 10_000
-    tol: float = 1e-10
-    trace: bool = False
-
-    def __post_init__(self):
-        if self.eta is not None and self.eta <= 0:
-            raise SolverError("step size must be positive")
-        if self.tol <= 0:
-            raise SolverError("tolerance must be positive")
-
-
-def pgd_step(problem, x, eta=None):
-    """One projected-gradient iteration at a feasible point."""
-    if eta is None:
-        eta = 1.0 / problem.bundle.beta
+def pgd_step(problem, x):
+    """One projected-gradient iteration at a feasible point, with the step
+    1/beta that the error budget's contraction rate certifies."""
     b = problem.b
     _feasible(problem.graph.net_outflow(x) - b, b, SolverError,
               "infeasible iterate: |Ax-b| = %.3e")
-    return problem.project(x - eta * problem.bundle.gradient(x), b)
+    return problem.project(
+        x - (1.0 / problem.bundle.beta) * problem.bundle.gradient(x), b)
 
 
-def pgd_run(problem, x0, config=None):
-    """Iterate the projected gradient map until the projected gradient is
-    small or the iteration cap is hit. Returns (x, trace)."""
-    config = config or PgdConfig()
-    eta = config.eta or 1.0 / problem.bundle.beta
+def pgd_run(problem, x0, tol=1e-10, trace=False):
+    """Iterate `pgd_step`, at most PGD_MAX_ITER times, until the projected
+    gradient's largest entry is at most tol. Returns (x, norms), norms the
+    projected gradient's norm before each step if trace is set."""
+    if not tol > 0:
+        raise SolverError("tolerance must be positive")
     x = np.asarray(x0, dtype=float).copy()
-    trace = []
-    for _ in range(config.max_iter):
-        grad = problem.bundle.gradient(x)
-        pg = problem.project_gradient(grad)
-        if config.trace:
-            trace.append(float(np.linalg.norm(pg)))
-        if np.abs(pg).max() <= config.tol:
+    norms = []
+    for _ in range(PGD_MAX_ITER):
+        pg = problem.project_gradient(problem.bundle.gradient(x))
+        if trace:
+            norms.append(float(np.linalg.norm(pg)))
+        if np.abs(pg).max() <= tol:
             break
-        x = pgd_step(problem, x, eta)
-    return x, trace
+        x = pgd_step(problem, x)
+    return x, norms
 
 
 def _check_owner(problem, sub):
@@ -90,7 +78,6 @@ class LocalizedSolver:
         self.e_in = sub.e_in
         if not len(self.e_in):
             raise SolverError("subgraph has no edges to update")
-        self.bundle = problem.bundle[self.e_in]
         tails, heads = sub.ends
         edge, depth = sub.tree_edge, sub.depth
         vertex = np.arange(len(edge))
@@ -123,6 +110,12 @@ class LocalizedSolver:
                            np.concatenate((np.ones(c), vals)))
             self.gram_inverse = np.linalg.inv(_gram(*self.cycles, c))
 
+    @cached_property
+    def bundle(self):
+        """The subgraph's costs, sliced on first use: a tree never reads
+        them."""
+        return self.problem.bundle[self.e_in]
+
     def restricted_b(self, x, b_target):
         """b_target on the subgraph minus the frozen flows' outflow there,
         after checking that the frozen flows meet b_target outside it;
@@ -134,17 +127,17 @@ class LocalizedSolver:
                   "boundary flows violate constraints: max residual %.3e")
         return b_target[v_in] - g.net_outflow(x[cut], cut)[v_in]
 
-    def step(self, x, b_target, eta=None):
+    def step(self, x, b_target):
         """One localized iteration; complement components pass through."""
-        return self.run(x, b_target, 1, eta)
+        return self.run(x, b_target, 1)
 
-    def run(self, x, b_target, t, eta=None, collect=None):
-        """t localized iterations from x, returned as a new full vector;
-        collect, if given, receives one after every iteration. t must be
-        a nonnegative integer; t = 0 returns a copy of x."""
+    def run(self, x, b_target, t, collect=None):
+        """t localized iterations from x with the step 1/beta of the whole
+        problem's bundle, returned as a new full vector; collect, if given,
+        receives one after every iteration. t must be a nonnegative
+        integer; t = 0 returns a copy of x."""
         t = _nonnegative_int(t, SolverError, "iteration count")
-        if eta is None:
-            eta = 1.0 / self.problem.bundle.beta
+        beta = self.problem.bundle.beta
         x = np.asarray(x, dtype=float)
         x0 = self._route(self.restricted_b(x, b_target))
         self.problem.bundle.check_domain(x)
@@ -154,7 +147,7 @@ class LocalizedSolver:
         xi = x[self.e_in]
         for _ in range(t):
             if c:
-                v = xi - eta * self.bundle.gradient(xi)
+                v = xi - (1.0 / beta) * self.bundle.gradient(xi)
                 y = np.bincount(cols, vals * (v - x0)[rows], c)
                 xi = x0 + np.bincount(rows, vals * (inverse @ y)[cols],
                                       len(xi))
@@ -226,8 +219,7 @@ def _gram(rows, cols, vals, c):
                        c * c).reshape(c, c)
 
 
-def warm_start_reoptimize(problem, pert, sub, t, x_star=None, eta=None,
-                          collect=None):
+def warm_start_reoptimize(problem, pert, sub, t, x_star=None, collect=None):
     """Run t localized iterations toward x*(b + p) from the warm start
     x*(b), freezing the complement flows as boundary conditions. t must be
     a nonnegative integer (SolverError otherwise); t = 0 and a one-vertex
@@ -241,4 +233,4 @@ def warm_start_reoptimize(problem, pert, sub, t, x_star=None, eta=None,
     if not len(sub.e_in):
         return np.asarray(x_star, dtype=float).copy()
     return LocalizedSolver(problem, sub).run(x_star, problem.b + pert.p, t,
-                                             eta, collect)
+                                             collect)

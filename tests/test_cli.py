@@ -970,3 +970,50 @@ def test_main_runs_again_as_a_fresh_process_does(tmp_path):
                     report["stats"].pop(key)
                 files["decay.json"] = report
         assert here == fresh
+
+
+def test_subcommands_write_nothing_to_stdout(tmp_path, capfd):
+    """stdout belongs to the caller, which may run main in-process and
+    read its own output there: every subcommand's success path writes
+    nothing to it, and an error goes to stderr alone."""
+    gen = str(tmp_path / "gen")
+    assert main(["generate", "--kind", "random-k-regular", "--n", "40",
+                 "--k", "3", "--seed", "5", "--out", gen]) == 0
+    graph = os.path.join(gen, "graph.json")
+    edge = json.load(open(graph))["edges"][0]
+    costs = write_json(tmp_path / "costs.json",
+                       {"default": {"kind": "quadratic", "a": 1.0}})
+    flow = write_json(tmp_path / "flow.json", {"v0": 1.0, "v1": -1.0})
+    pert = write_json(tmp_path / "pert.json",
+                      {edge["tail"]: 0.5, edge["head"]: -0.5})
+    problem = ["--graph", graph, "--costs", costs, "--flow", flow]
+    calls = [["solve", *problem],
+             ["sensitivity", *problem, "--perturbation", pert],
+             ["decay", *problem, "--perturbation", pert],
+             ["reopt", *problem, "--perturbation", pert,
+              "--subgraph-center", edge["tail"], "--radius", "2",
+              "--iters", "5"],
+             ["tune", "--Q", "1", "--k", "3", "--mu", "2.8", "--eps", "1e-3"],
+             ["tune", *problem, "--eps", "1e-3"],
+             ["interlace", *problem, "--subgraph-center", "v0",
+              "--radius", "10"],
+             ["generate", "--kind", "grid-2d", "--rows", "3", "--cols", "4"]]
+    assert {argv[0] for argv in calls} == set(cli.COMMANDS)
+    capfd.readouterr()
+    for k, argv in enumerate(calls):
+        out = str(tmp_path / ("call%d" % k))
+        assert main([*argv, "--out", out]) == 0, argv
+        assert capfd.readouterr() == ("", ""), argv
+        assert os.listdir(out)
+    # a missing option (exit 2), a numerical refusal (exit 3) and a usage
+    # error that argparse reports
+    for argv, code in [*[([name], 2) for name in cli.COMMANDS],
+                       (["interlace", *problem, "--subgraph-center", "v0",
+                         "--radius", "0"], 3)]:
+        assert main([*argv, "--out", str(tmp_path / "refused")]) == code
+        stdout, stderr = capfd.readouterr()
+        assert stdout == "" and stderr.startswith("error: "), argv
+    with pytest.raises(SystemExit):
+        main(["solve", "--radius", "3"])
+    stdout, stderr = capfd.readouterr()
+    assert stdout == "" and "unrecognized arguments" in stderr

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localflow import (CostError, EdgeCost, FlowProblem, LocalizedSolver,
-                       ObjectiveBundle, PerturbationSpec, PgdConfig,
-                       SolverError, SubgraphSpec, ball_subgraph,
-                       build_incidence, generate, pgd_run, pgd_step,
-                       pseudoinverse, solve_exact, warm_start_reoptimize)
+                       ObjectiveBundle, PerturbationSpec, SolverError,
+                       SubgraphSpec, ball_subgraph, build_incidence,
+                       generate, pgd_run, pgd_step, pseudoinverse,
+                       solve_exact, warm_start_reoptimize)
 from conftest import (logcosh_bundle, path, quadratic_problem,
                       random_balanced, random_connected_graph, triangle)
 
@@ -20,6 +20,14 @@ def feasible_point(problem, rng=None):
             - A.T @ (pseudoinverse(A @ A.T) @ A)
         x = x + null @ rng.standard_normal(problem.graph.n_edges)
     return x
+
+
+def quadratic_bundle(rng, n_edges):
+    """Quadratic costs with curvatures a ~ U[0.5, 2] and linear terms
+    c ~ N(0, 1)."""
+    return ObjectiveBundle.from_arrays("quadratic",
+                                       a=rng.uniform(0.5, 2.0, n_edges),
+                                       c=rng.standard_normal(n_edges))
 
 
 def test_pgd_isotropic_quadratic_one_step(rng):
@@ -61,17 +69,16 @@ def test_pgd_run_converges(rng):
     g = random_connected_graph(rng, 12, extra_edges=6)
     problem = FlowProblem(g, logcosh_bundle(rng, g.n_edges),
                           random_balanced(rng, g.n_vertices))
-    x, trace = pgd_run(problem, feasible_point(problem, rng),
-                       PgdConfig(tol=1e-11, trace=True))
+    x, trace = pgd_run(problem, feasible_point(problem, rng), tol=1e-11,
+                       trace=True)
     assert np.allclose(x, solve_exact(problem), atol=1e-8)
     assert trace[-1] <= trace[0]
 
 
 def test_pgd_config_validation():
-    with pytest.raises(SolverError):
-        PgdConfig(eta=-1.0)
-    with pytest.raises(SolverError):
-        PgdConfig(tol=0.0)
+    problem = quadratic_problem(triangle(), np.array([1.0, -1.0, 0.0]))
+    with pytest.raises(SolverError, match="tolerance"):
+        pgd_run(problem, solve_exact(problem), tol=0.0)
 
 
 def test_localized_whole_graph_matches_pgd(rng):
@@ -260,9 +267,9 @@ def test_warm_start_feasibility_every_iterate(rng):
         assert np.abs(A_rows @ x - b_target[verts]).max() < 1e-9
 
 
-def _reference_iterates(problem, sub, x, b_target, t, eta):
-    """t localized steps on the full vector, with the dense projector of
-    the subgraph's incidence matrix."""
+def _reference_iterates(problem, sub, x, b_target, t):
+    """t localized steps of size 1/beta on the full vector, with the dense
+    projector of the subgraph's incidence matrix."""
     e_in, v_in = sub.e_in, sub.v_in
     e_out = np.setdiff1d(np.arange(problem.graph.n_edges), e_in)
     A_sub = build_incidence(sub.induced)
@@ -273,7 +280,8 @@ def _reference_iterates(problem, sub, x, b_target, t, eta):
     for _ in range(t):
         grads = problem.bundle.gradient(x)[e_in]
         x = x.copy()
-        x[e_in] = Pi @ (x[e_in] - eta * grads) + lift @ b_in
+        x[e_in] = Pi @ (x[e_in] - (1.0 / problem.bundle.beta) * grads) \
+            + lift @ b_in
         iterates.append(x)
     return iterates
 
@@ -284,8 +292,10 @@ def test_localized_run_matches_full_vector_reference(seed, quadratic, radius):
     rng = np.random.default_rng(seed)
     g = random_connected_graph(rng, int(rng.integers(4, 30)),
                                extra_edges=int(rng.integers(0, 20)))
-    bundle = (ObjectiveBundle.uniform_quadratic(g.n_edges, a=1.5, c=0.3)
-              if quadratic else logcosh_bundle(rng, g.n_edges))
+    # unequal curvatures: with equal ones the first step of size 1/beta
+    # lands on the ball's optimum and leaves the later steps untested
+    bundle = (quadratic_bundle(rng, g.n_edges) if quadratic
+              else logcosh_bundle(rng, g.n_edges))
     problem = FlowProblem(g, bundle, random_balanced(rng, g.n_vertices))
     sub = ball_subgraph(g, int(rng.integers(g.n_vertices)), radius)
     if not len(sub.e_in):
@@ -296,8 +306,7 @@ def test_localized_run_matches_full_vector_reference(seed, quadratic, radius):
     b_target = problem.b.copy()
     b_target[verts[0]] += 1.0
     b_target[verts[-1]] -= 1.0
-    eta = 0.9 / bundle.beta
-    ref = _reference_iterates(problem, sub, x, b_target, 7, eta)
+    ref = _reference_iterates(problem, sub, x, b_target, 7)
     seen = []
     local = LocalizedSolver(problem, sub)
     # the cut edges give the frozen outflow of all complement edges bit
@@ -305,8 +314,8 @@ def test_localized_run_matches_full_vector_reference(seed, quadratic, radius):
     e_out = np.setdiff1d(np.arange(g.n_edges), sub.e_in)
     b_in = b_target[verts] - g.net_outflow(x[e_out], e_out)[verts]
     assert np.array_equal(local.restricted_b(x, b_target), b_in)
-    collected = local.run(x, b_target, 7, eta, collect=seen.append)
-    plain = local.run(x, b_target, 7, eta)
+    collected = local.run(x, b_target, 7, collect=seen.append)
+    plain = local.run(x, b_target, 7)
     scale = max(np.abs(r).max() for r in ref)
     assert len(seen) == 7
     for got, want in zip(seen, ref):
@@ -381,30 +390,64 @@ def test_localized_run_matches_reference_on_trees_grids_and_whole_graphs(
     else:
         sub = ball_subgraph(g, int(rng.integers(g.n_vertices)),
                             int(rng.integers(1, 5)))
-    if quadratic:
-        bundle = ObjectiveBundle([
-            EdgeCost("quadratic", a=float(a), c=float(c))
-            for a, c in zip(rng.uniform(0.5, 2.0, g.n_edges),
-                            rng.standard_normal(g.n_edges))])
-    else:
-        bundle = logcosh_bundle(rng, g.n_edges)
+    bundle = (quadratic_bundle(rng, g.n_edges) if quadratic
+              else logcosh_bundle(rng, g.n_edges))
     problem = FlowProblem(g, bundle, random_balanced(rng, g.n_vertices))
     x = solve_exact(problem)
     b_target = problem.b.copy()
     b_target[sub.v_in[0]] += 1.0
     b_target[sub.v_in[-1]] -= 1.0
-    eta = 0.9 / bundle.beta
     local = LocalizedSolver(problem, sub)
     _check_cycle_matrix(local)
-    ref = _reference_iterates(problem, sub, x, b_target, 7, eta)
+    ref = _reference_iterates(problem, sub, x, b_target, 7)
     seen = []
-    local.run(x, b_target, 7, eta, collect=seen.append)
+    local.run(x, b_target, 7, collect=seen.append)
     scale = max(np.abs(r).max() for r in ref)
     for got, want in zip(seen, ref):
         assert np.abs(got - want).max() <= 1e-12 * scale
     if shape == "tree":  # one feasible flow, whatever the costs
         assert sub.cycle_rank == 0
         assert all(np.array_equal(got, seen[0]) for got in seen)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(["quadratic", "quartic",
+                                               "log-cosh"]))
+def test_localized_run_contracts_at_the_budget_rate(seed, kind):
+    """From the warm start x*(b), every localized iterate toward b + p
+    meets the variance bound's rate: |x_t - x_lim| <= exp(-t / (2 Q))
+    |x_0 - x_lim| for t = 1..40, with x_lim the subgraph's restricted
+    optimum and Q the whole problem's curvature ratio, whose 1/beta is the
+    step."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 25))
+    g = random_connected_graph(rng, n, extra_edges=int(rng.integers(0, 25)))
+    m = g.n_edges
+    if kind == "quadratic":
+        bundle = quadratic_bundle(rng, m)
+    elif kind == "quartic":
+        # the flows of this b stay well inside [-R, R]
+        bundle = ObjectiveBundle.from_arrays(
+            "quartic", a=rng.uniform(0.5, 2.0, m),
+            q=rng.uniform(0.01, 0.3, m), radius=4.0)
+    else:
+        bundle = logcosh_bundle(rng, m)
+    problem = FlowProblem(g, bundle, random_balanced(rng, n, 0.3))
+    sub = ball_subgraph(g, int(rng.integers(n)), int(rng.integers(1, 4)))
+    if not len(sub.e_in):
+        return
+    x = solve_exact(problem)
+    b_target = problem.b.copy()
+    b_target[sub.v_in[0]] += 0.5
+    b_target[sub.v_in[-1]] -= 0.5
+    local = LocalizedSolver(problem, sub)
+    limit = local.restricted_optimum(x, b_target)
+    seen = []
+    local.run(x, b_target, 40, collect=seen.append)
+    err0 = np.linalg.norm(x - limit)
+    for t, x_t in enumerate(seen, 1):
+        bound = np.exp(-t / (2.0 * bundle.Q)) * err0
+        assert np.linalg.norm(x_t - limit) <= bound + 1e-9 * max(1.0, err0)
 
 
 def test_localized_run_checks_frozen_flows_once(rng):
