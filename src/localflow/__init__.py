@@ -11,15 +11,12 @@ from .graph import (DirectedGraph, GraphError, SubgraphSpec, ball_subgraph,
                     build_incidence, generate, geodesic_distance,
                     induced_vertex_set, radius_max)
 from .objective import CostError, EdgeCost, ObjectiveBundle
-from .laplacian import (LaplacianError, RestrictedLaplacian, WeightedWalk,
-                        green_difference, green_series_apply, killed_green,
-                        killed_green_series, laplacian_solve,
-                        pseudoinverse, restricted_vs_full)
+from .laplacian import (LaplacianError, WeightedWalk, green_series_apply,
+                        laplacian_solve, pseudoinverse)
 from .sensitivity import (FlowProblem, PerturbationSpec, SensitivityError,
-                          SensitivityOperator, boundary_sensitivity_check,
-                          directional_derivative, gaussian_identity_check,
-                          generic_sensitivity_matrix, integrate_sensitivity,
-                          sensitivity_operator, solve_exact)
+                          SensitivityOperator, directional_derivative,
+                          integrate_sensitivity, sensitivity_operator,
+                          solve_exact)
 from .solver import (PGD_MAX_ITER, LocalizedSolver, SolverError, pgd_run,
                      pgd_step, warm_start_reoptimize)
 from .locality import (BiasVarianceResult, DecayReport, DecayRow,
@@ -35,15 +32,11 @@ __all__ = [
     "build_incidence", "generate", "geodesic_distance",
     "induced_vertex_set", "radius_max",
     "CostError", "EdgeCost", "ObjectiveBundle",
-    "LaplacianError", "RestrictedLaplacian", "WeightedWalk",
-    "green_difference", "green_series_apply", "killed_green",
-    "killed_green_series", "laplacian_solve", "pseudoinverse",
-    "restricted_vs_full",
+    "LaplacianError", "WeightedWalk", "green_series_apply",
+    "laplacian_solve", "pseudoinverse",
     "FlowProblem", "PerturbationSpec", "SensitivityError",
-    "SensitivityOperator", "boundary_sensitivity_check",
-    "directional_derivative", "gaussian_identity_check",
-    "generic_sensitivity_matrix", "integrate_sensitivity",
-    "sensitivity_operator", "solve_exact",
+    "SensitivityOperator", "directional_derivative",
+    "integrate_sensitivity", "sensitivity_operator", "solve_exact",
     "PGD_MAX_ITER", "LocalizedSolver", "SolverError", "pgd_run", "pgd_step",
     "warm_start_reoptimize",
     "BiasVarianceResult", "DecayReport", "DecayRow", "ErrorBudget",

@@ -146,8 +146,13 @@ def _write_json(config, name, payload, g=None):
 
 def _nulled(value, path, non_finite):
     """value with each non-finite float, at the key path `path` below the
-    payload, replaced by None and recorded in non_finite."""
+    payload, replaced by None and recorded in non_finite. A map whose
+    values are all finite numbers, such as a per-edge map, is checked in
+    one pass and kept as it is."""
     if isinstance(value, dict):
+        with contextlib.suppress(TypeError, OverflowError):  # not numbers
+            if all(map(math.isfinite, value.values())):
+                return value
         return {k: _nulled(v, path + (str(k),), non_finite)
                 for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -274,10 +279,13 @@ def cmd_reopt(config):
 
 def cmd_tune(config):
     (eps,) = _require(config, "eps")
+    budget_s = 0.0
     if config.get("graph"):
         if any(config.get(key) is not None for key in ("Q", "k", "mu")):
             raise CliInputError("--Q, --k and --mu do not apply with --graph")
-        budget = locality.budget_for(_load_problem(config)[2])
+        problem, t0 = _load_problem(config)[2], time.perf_counter()
+        budget = locality.budget_for(problem)
+        budget_s = time.perf_counter() - t0
         if budget.k_minus != budget.k_plus:  # regular families only
             raise locality.LocalityError(
                 "tune --graph needs a regular graph, got k- = %d, k+ = %d"
@@ -291,7 +299,9 @@ def cmd_tune(config):
         Q=Q, k=k, mu=float(mu), z=_integer("z", config.get("z", 1)),
         p_norm=float(config.get("p-norm", 1.0)),
         omega=float(config.get("omega", 3.0)))
+    t0 = time.perf_counter()
     result = locality.tune(family, float(eps))
+    tune_s = time.perf_counter() - t0
     payload = {
         "r": result.r, "t": result.t,
         "predicted_cost": result.predicted_cost,
@@ -303,6 +313,7 @@ def cmd_tune(config):
             "Q": family.Q, "k": family.k, "mu": family.mu, "z": family.z,
         },
         "spectral": spectral,
+        "stats": {"budget_s": budget_s, "tune_s": tune_s},
     }
     _write_json(config, "tune.json", payload)
     return EXIT_OK
@@ -314,16 +325,21 @@ def cmd_interlace(config):
     sub = graphmod.ball_subgraph(g, center, _integer("radius", radius))
     if not len(sub.e_in):
         raise SolverError("subgraph has no edges to update")
-    walk = problem.walk_at(solve_exact(problem))
+    solve, t0 = {}, time.perf_counter()
+    walk = problem.walk_at(solve_exact(problem, stats=solve))
+    t1 = time.perf_counter()
     sub_walk = WeightedWalk(sub.induced, walk.weights[sub.e_in])
     w_minus, w_plus = float(walk.weights.min()), float(walk.weights.max())
     lam_prime, bound, spectral = locality.interlacing_bound(
         g, sub_walk, w_minus, w_plus)
+    t2 = time.perf_counter()
     _write_json(config, "interlace.json", {
         "lambda_prime": lam_prime, "bound": bound,
         "w_minus": w_minus, "w_plus": w_plus,
         "constants_mode": locality._constants_mode(problem),
-        "spectral": spectral}, g)
+        "spectral": spectral,
+        "stats": {"solve": solve, "solve_s": t1 - t0, "bound_s": t2 - t1}},
+        g)
     return EXIT_OK
 
 

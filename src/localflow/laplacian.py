@@ -1,19 +1,18 @@
-"""Weighted Laplacians, pseudoinverses and killed-walk Green's functions.
+"""Weighted Laplacians, pseudoinverses and walk-series Green's functions.
 
 The weight of an edge is the reciprocal of the cost curvature at the
 current flow, so the Laplacian here is exactly the constraint-side matrix
 appearing in the sensitivity operator. Products with L^+ are matrix-free
 conjugate-gradient solves (laplacian_solve). Spectral norms behind the
 error bounds are certified upper bounds from a matrix-free Lanczos run
-(norm_bound); dense matrices serve spectra, killed walks and the
-small-graph oracles.
+(norm_bound); dense matrices serve spectra and the pseudoinverse.
 """
 
 from functools import cached_property
 
 import numpy as np
 
-from .graph import _balanced, _vertex_indices
+from .graph import _balanced
 
 # eigenvalues below this fraction of the largest are treated as kernel
 KERNEL_RTOL = 1e-12
@@ -41,8 +40,8 @@ class WeightedWalk:
         self.weights = np.asarray(weights, dtype=float)
         if self.weights.shape != (graph.n_edges,):
             raise LaplacianError("need one weight per edge")
-        if np.any(self.weights <= 0):
-            raise LaplacianError("edge weights must be positive")
+        if not np.all(np.isfinite(self.weights) & (self.weights > 0)):
+            raise LaplacianError("edge weights must be finite and positive")
         self.d = _weighted_degrees(graph, self.weights)
         self.pi = self.d / self.d.sum()
 
@@ -81,9 +80,6 @@ class WeightedWalk:
         # connected: periodic iff bipartite iff no edge joins equal depths
         g, d = self.graph, self.graph.bfs_distances([0])
         return bool(np.any(d[g.tails] == d[g.heads]))
-
-    def restricted(self, kill):
-        return RestrictedLaplacian(self, kill)
 
 
 class Spectrum:
@@ -266,51 +262,6 @@ def laplacian_solve(graph, weights, rhs, x0=None, stats=None):
                          "relative residual %.3e" % (res / scale))
 
 
-class RestrictedLaplacian:
-    """Laplacian with one vertex removed; the killed walk's machinery.
-
-    The kill vertex acts as a cemetery: the restricted transition matrix
-    is strictly sub-stochastic on every component, so the restricted
-    Laplacian is invertible.
-    """
-
-    def __init__(self, walk, kill):
-        self.walk = walk
-        self.kill = int(_vertex_indices(walk.graph, [kill])[0])
-        keep = [v for v in range(walk.n) if v != self.kill]
-        self.kept = keep
-        self.Lbar = walk.L[np.ix_(keep, keep)]
-        self.Wbar = walk.W[np.ix_(keep, keep)]
-        self.dbar = walk.d[keep]
-        self.Pbar = self.Wbar / self.dbar[:, None]
-        try:
-            self.Lbar_inv = np.linalg.inv(self.Lbar)
-        except np.linalg.LinAlgError as exc:
-            raise LaplacianError("restricted Laplacian is singular") from exc
-
-
-def killed_green(rl):
-    """Green's function of the killed walk: sum_t Pbar^t = Lbar^{-1} Dbar."""
-    return rl.Lbar_inv * rl.dbar[None, :]
-
-
-def killed_green_series(rl, max_terms=1_000_000):
-    """Truncated Neumann series for the killed Green's function, with the
-    truncation point chosen from the killed walk's spectral radius."""
-    s = np.sqrt(rl.dbar)
-    sym = rl.Wbar / np.outer(s, s)
-    rad = float(np.abs(np.linalg.eigvalsh(sym)).max())
-    if rad >= 1.0:
-        raise LaplacianError("killed walk spectral radius is not below 1")
-    T = _truncation_point(rad, max_terms)
-    G = np.eye(len(rl.dbar))
-    term = np.eye(len(rl.dbar))
-    for _ in range(T):
-        term = term @ rl.Pbar
-        G += term
-    return G, T
-
-
 def _truncation_point(lam, max_terms=1_000_000):
     if lam >= 1.0:
         raise LaplacianError("walk decay bound %.6f is not below 1; use the "
@@ -324,36 +275,6 @@ def _truncation_point(lam, max_terms=1_000_000):
             "series needs %d terms to reach tail %.1e but max_terms is %d"
             % (T, SERIES_TAIL, max_terms))
     return T
-
-
-def restricted_vs_full(rl, Lplus):
-    """Max deviation between Lbar^{-1} and the pseudoinverse expression
-    (e_v - e_kill)^T L^+ (e_w - e_kill)."""
-    z = rl.kill
-    keep = rl.kept
-    M = (Lplus[np.ix_(keep, keep)] - Lplus[keep, z][:, None]
-         - Lplus[z, keep][None, :] + Lplus[z, z])
-    return float(np.abs(rl.Lbar_inv - M).max())
-
-
-def green_difference(walk, u, v, w, z, form="pinv"):
-    """(e_u - e_v)^T L^+ (e_w - e_z), exactly via the pseudoinverse or via
-    the truncated walk series (aperiodic instances only).
-
-    The series form returns (value, truncation point).
-    """
-    u, v, w, z = _vertex_indices(walk.graph, (u, v, w, z))
-    if form == "pinv":
-        Lp = walk.pinv()
-        return float(Lp[u, w] - Lp[u, z] - Lp[v, w] + Lp[v, z])
-    if form != "series":
-        raise LaplacianError("unknown form: %s" % form)
-    f = np.zeros(walk.n)
-    f[w] += 1.0
-    f[z] -= 1.0
-    pot = green_series_apply(walk, f)
-    return (float(pot[u] - pot[v]),
-            _truncation_point(walk.slem_bound))
 
 
 def green_series_apply(walk, f):

@@ -2,10 +2,8 @@
 
 The derivative of the optimal flow with respect to a balanced constraint
 perturbation p is sigma * A^T L^+ p, where sigma holds the inverse cost
-curvatures at the optimum and L is the induced weighted Laplacian. The
-same operator is exposed generically for full-row-rank constraint
-matrices, where the pseudoinverse becomes a plain inverse. Products with
-L^+ are conjugate-gradient solves; dense matrices are small-graph helpers.
+curvatures at the optimum and L is the induced weighted Laplacian.
+Products with L^+ are conjugate-gradient solves.
 """
 
 from functools import cached_property
@@ -21,10 +19,6 @@ from .objective import CostError
 # relative to max(1, |grad|_inf); feasibility and balance are graph.py's
 STATIONARITY_TOL = 1e-8
 NEWTON_MAX_ITER = 200  # before solve_exact gives up
-FD_STEP = 1e-6  # boundary_sensitivity_check's central differences
-
-# materialize the dense edges-by-vertices operator only for small graphs
-DENSE_OPERATOR_MAX_VERTICES = 512
 
 
 class SensitivityError(RuntimeError):
@@ -198,8 +192,7 @@ def _check_solution(problem, x, stat, scale):
 
 
 class SensitivityOperator:
-    """sigma * A^T L^+ at a base point, exposed as products; the dense
-    matrix is materialized on demand for small graphs only."""
+    """sigma * A^T L^+ at a base point, exposed as products."""
 
     def __init__(self, problem, x_star):
         self.problem = problem
@@ -216,32 +209,11 @@ class SensitivityOperator:
         return self.sigma * self.problem.graph.potential_difference(
             green_series_apply(self.walk, p))
 
-    @cached_property
-    def matrix(self):
-        n = self.problem.graph.n_vertices
-        if n > DENSE_OPERATOR_MAX_VERTICES:
-            raise SensitivityError(
-                "dense operator disabled for %d vertices; use apply()" % n)
-        return self.sigma[:, None] * (self.problem.A.T @ self.walk.pinv())
-
 
 def sensitivity_operator(problem, x_star=None):
     if x_star is None:
         x_star = solve_exact(problem)
     return SensitivityOperator(problem, x_star)
-
-
-def generic_sensitivity_matrix(hessian_diag, A):
-    """Sigma A^T (A Sigma A^T)^{+} for an arbitrary constraint matrix,
-    using the inverse when A has full row rank."""
-    A = np.asarray(A, dtype=float)
-    sigma = 1.0 / np.asarray(hessian_diag, dtype=float)
-    M = (A * sigma[None, :]) @ A.T
-    if np.linalg.matrix_rank(A) == A.shape[0]:
-        Minv = np.linalg.inv(M)
-    else:
-        Minv = pseudoinverse(M)
-    return sigma[:, None] * (A.T @ Minv)
 
 
 def directional_derivative(problem, pert, eps=0.0):
@@ -275,50 +247,3 @@ def integrate_sensitivity(problem, b_from, b_to, n_steps=8):
         op = sensitivity_operator(problem.with_b(b_from + theta * delta))
         out += wgt * op.apply(delta)
     return out
-
-
-def gaussian_identity_check(Sigma, A):
-    """Deviation between Sigma A^T (A Sigma A^T)^{-1} and the conditional
-    mean derivative computed through the stacked-covariance block formula."""
-    Sigma = np.asarray(Sigma, dtype=float)
-    A = np.asarray(A, dtype=float)
-    if np.linalg.matrix_rank(A) < A.shape[0]:
-        raise SensitivityError("constraint matrix is not full row rank")
-    direct = Sigma @ A.T @ np.linalg.inv(A @ Sigma @ A.T)
-    # covariance of the stacked vector (X, AX)
-    cross = Sigma @ A.T
-    ff = A @ Sigma @ A.T
-    block = cross @ np.linalg.pinv(ff)
-    return float(np.abs(direct - block).max())
-
-
-def boundary_sensitivity_check(H, I_set, B_set):
-    """Deviation between Sigma_IB Sigma_BB^{-1} and -H_II^{-1} H_IB, plus a
-    finite-difference check on the partially-minimized quadratic."""
-    H = np.asarray(H, dtype=float)
-    I_set = list(I_set)
-    B_set = list(B_set)
-    n = H.shape[0]
-    if sorted(I_set + B_set) != list(range(n)):
-        raise SensitivityError("index sets must partition the coordinates")
-    Sigma = np.linalg.inv(H)
-    lhs = Sigma[np.ix_(I_set, B_set)] @ np.linalg.inv(
-        Sigma[np.ix_(B_set, B_set)])
-    H_II = H[np.ix_(I_set, I_set)]
-    H_IB = H[np.ix_(I_set, B_set)]
-    rhs = -np.linalg.solve(H_II, H_IB)
-    block_dev = float(np.abs(lhs - rhs).max())
-
-    def argmin_I(x_B):
-        return np.linalg.solve(H_II, -H_IB @ x_B)
-
-    rng = np.random.default_rng(0)
-    x_B = rng.standard_normal(len(B_set))
-    fd = np.empty((len(I_set), len(B_set)))
-    for j in range(len(B_set)):
-        step = np.zeros(len(B_set))
-        step[j] = FD_STEP
-        fd[:, j] = (argmin_I(x_B + step)
-                    - argmin_I(x_B - step)) / (2 * FD_STEP)
-    fd_dev = float(np.abs(fd - lhs).max())
-    return block_dev, fd_dev

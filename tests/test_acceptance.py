@@ -12,15 +12,17 @@ import pytest
 
 from localflow import (DirectedGraph, EdgeCost, FlowProblem, ObjectiveBundle,
                        PerturbationSpec, TunerFamily, WeightedWalk,
-                       ball_subgraph, bias_variance, boundary_sensitivity_check,
-                       budget_for, gaussian_identity_check, generate,
-                       geodesic_distance, green_difference, induced_vertex_set,
-                       interlacing_bound, killed_green, killed_green_series,
-                       measure_decay, pgd_step, point_to_set, pseudoinverse,
-                       radius_max, restricted_vs_full, sensitivity_operator,
-                       set_to_point, solve_exact, tune, warm_start_reoptimize)
+                       ball_subgraph, bias_variance, budget_for, generate,
+                       geodesic_distance, induced_vertex_set,
+                       interlacing_bound, measure_decay, pgd_step,
+                       point_to_set, pseudoinverse, radius_max,
+                       sensitivity_operator, set_to_point, solve_exact, tune,
+                       warm_start_reoptimize)
 from conftest import (logcosh_bundle, quadratic_problem, random_balanced,
                       random_connected_graph, triangle)
+from oracles import (RestrictedLaplacian, boundary_sensitivity_check,
+                     gaussian_identity_check, green_difference, killed_green,
+                     killed_green_series, restricted_vs_full)
 
 
 def report(num, label, ok, detail=""):
@@ -88,7 +90,7 @@ def test_criterion_2_killed_walk_identity_suite():
         walk = WeightedWalk(g, rng.uniform(0.2, 2.5, g.n_edges))
         Lp = walk.pinv()
         for kill in range(walk.n):
-            rl = walk.restricted(kill)
+            rl = RestrictedLaplacian(walk, kill)
             worst_restricted = max(worst_restricted,
                                    restricted_vs_full(rl, Lp))
     worst_series = 0.0
@@ -98,7 +100,7 @@ def test_criterion_2_killed_walk_identity_suite():
     while done < 10:
         g = random_connected_graph(rng, 12, extra_edges=8)
         walk = WeightedWalk(g, rng.uniform(0.4, 1.8, g.n_edges))
-        rl = walk.restricted(0)
+        rl = RestrictedLaplacian(walk, 0)
         G, _ = killed_green_series(rl)
         worst_series = max(worst_series,
                            float(np.abs(killed_green(rl) - G).max()))

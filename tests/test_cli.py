@@ -24,6 +24,14 @@ def write_json(path, payload):
     return str(path)
 
 
+def read_report(*parts, raw=False):
+    """The file at os.path.join(*parts): its bytes when raw, else its
+    JSON. The file is closed before this returns."""
+    with open(os.path.join(*parts), "rb") as fh:
+        data = fh.read()
+    return data if raw else json.loads(data)
+
+
 @pytest.fixture
 def two_path_files(tmp_path):
     graph = write_json(tmp_path / "graph.json", {
@@ -57,7 +65,7 @@ def test_solve_two_path(two_path_files, tmp_path):
     code = main(["solve", "--graph", graph, "--costs", costs,
                  "--flow", flow, "--out", out])
     assert code == 0
-    report = json.load(open(os.path.join(out, "solution.json")))
+    report = read_report(out, "solution.json")
     assert set(report["solution"]) == {"e1"}
     assert report["solution"]["e1"] == pytest.approx(1.0, abs=1e-12)
     assert report["residuals"]["feasibility_inf"] <= 1e-9
@@ -95,7 +103,7 @@ def test_sensitivity_report(triangle_files, tmp_path):
     code = main(["sensitivity", "--graph", graph, "--costs", costs,
                  "--flow", flow, "--perturbation", pert, "--out", out])
     assert code == 0
-    report = json.load(open(os.path.join(out, "sensitivity.json")))
+    report = read_report(out, "sensitivity.json")
     assert report["derivative"]["e12"] == pytest.approx(2.0 / 3.0)
     assert report["derivative"]["e23"] == pytest.approx(-1.0 / 3.0)
     assert report["residuals"]["derivative_feasibility_inf"] <= 1e-8
@@ -133,7 +141,7 @@ def test_solve_reads_tolerance_from_config(triangle_files, tmp_path,
     assert main(["solve", "--config", config, "--tolerance", "1e-9",
                  "--out", out]) == 0
     assert seen == [1e-7, 1e-9]
-    report = json.load(open(os.path.join(out, "solution.json")))
+    report = read_report(out, "solution.json")
     assert report["config"]["tolerance"] == 1e-9
 
 def test_decay_csv_columns_and_bounds(tmp_path):
@@ -167,7 +175,7 @@ def test_decay_deterministic_output(tmp_path, triangle_files):
         assert main(["decay", "--graph", graph, "--costs", costs,
                      "--flow", flow, "--perturbation", pert,
                      "--out", out]) == 0
-        outs.append(open(os.path.join(out, "decay.csv"), "rb").read())
+        outs.append(read_report(out, "decay.csv", raw=True))
     assert outs[0] == outs[1]
 
 
@@ -201,7 +209,7 @@ def test_decay_rows_match_one_set_at_a_time(tmp_path, cost):
         assert (int(dist), float(measured), float(bound), mode, edge) == (
             row.distance, row.measured, row.bound, one.constants_mode,
             row.edge_ids[0])
-    report = json.load(open(os.path.join(out, "decay.json")))
+    report = read_report(out, "decay.json")
     stats = report["stats"]
     assert stats["solve"]["method"] == ("closed-form" if cost["kind"]
                                         == "quadratic" else "newton")
@@ -220,7 +228,7 @@ def test_reopt_whole_graph_zero_perturbation(triangle_files, tmp_path):
     with open(os.path.join(out, "reopt.csv")) as fh:
         rows = list(csv.DictReader(fh))
     assert float(rows[-1]["error_l2"]) <= 1e-9
-    report = json.load(open(os.path.join(out, "reopt.json")))
+    report = read_report(out, "reopt.json")
     assert report["final_error_l2"] <= 1e-9
 
 
@@ -238,7 +246,7 @@ def test_reopt_converges_on_whole_graph(triangle_files, tmp_path):
     assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
     for r in rows:
         assert float(r["feasibility_residual"]) <= 1e-9
-    stats = json.load(open(os.path.join(out, "reopt.json")))["stats"]
+    stats = read_report(out, "reopt.json")["stats"]
     assert stats["cycle_rank"] == 1
 
 
@@ -255,7 +263,7 @@ def test_reopt_reports_ball_stats(tmp_path):
     assert main(["reopt", "--graph", graph, "--costs", costs, "--flow", flow,
                  "--perturbation", pert, "--subgraph-center", "v0",
                  "--radius", "2", "--iters", "6", "--out", out]) == 0
-    stats = json.load(open(os.path.join(out, "reopt.json")))["stats"]
+    stats = read_report(out, "reopt.json")["stats"]
     assert {k: stats[k] for k in ("ball_vertices", "ball_edges",
                                   "cycle_rank", "iterations")} == {
         "ball_vertices": 5, "ball_edges": 4, "cycle_rank": 0,
@@ -269,7 +277,7 @@ def test_tune_matches_closed_form(tmp_path):
                         {"Q": 1.0, "k": 3, "mu": 2.8, "z": 1})
     code = main(["tune", "--config", config, "--eps", "1e-3", "--out", out])
     assert code == 0
-    report = json.load(open(os.path.join(out, "tune.json")))
+    report = read_report(out, "tune.json")
     rho = 2.8 / 3.0
     c = math.sqrt(2.0 / 3.0)
     gamma = c * (1.0 + c * math.sqrt(2.0))
@@ -306,6 +314,38 @@ def test_reports_name_each_non_finite_figure(tmp_path):
     assert report["rows"] == [1.0, None] and report["stats"]["lam"] is None
     assert report["non_finite"] == {"rows.1": "-inf", "stats.lam": "nan"}
     assert report["config"] == config
+
+
+def _per_edge_map(n):
+    return {"e%d" % k: float(k) for k in range(n)}
+
+
+def test_nulled_finds_a_nan_inside_a_per_edge_map():
+    derivative = _per_edge_map(10_000)
+    derivative["e5000"] = math.nan
+    non_finite = {}
+    out = cli._nulled({"derivative": derivative, "k": 3}, (), non_finite)
+    assert non_finite == {"derivative.e5000": "nan"}
+    assert out["derivative"]["e5000"] is None
+    assert out["derivative"]["e4999"] == 4999.0 and out["k"] == 3
+    assert len(out["derivative"]) == 10_000
+
+
+def test_nulled_checks_a_finite_per_edge_map_in_one_pass(monkeypatch):
+    calls = []
+    nulled = cli._nulled
+
+    def spy(value, path, non_finite):
+        calls.append(path)
+        return nulled(value, path, non_finite)
+
+    monkeypatch.setattr(cli, "_nulled", spy)
+    non_finite = {}
+    out = cli._nulled({"solution": _per_edge_map(10_000),
+                       "stats": {"method": "closed-form"}}, (), non_finite)
+    assert non_finite == {} and out["solution"] == _per_edge_map(10_000)
+    # the payload, its two maps and the one string: no call per edge
+    assert len(calls) <= 4
 
 
 def test_tune_invalid_family_exits_3(tmp_path, capsys):
@@ -365,7 +405,7 @@ def test_tune_flag_overrides_family_file(tmp_path):
     out = str(tmp_path / "tune")
     assert main(["tune", "--config", config, "--k", "4", "--eps", "1e-3",
                  "--out", out]) == 0
-    report = json.load(open(os.path.join(out, "tune.json")))
+    report = read_report(out, "tune.json")
     assert report["constants"]["k"] == 4
 
 
@@ -377,8 +417,9 @@ def test_tune_family_from_flags_matches_config_file(tmp_path):
                        ("flags", ["--Q", "1", "--k", "3", "--mu", "2.8"])):
         out = str(tmp_path / name)
         assert main(["tune", *argv, "--eps", "1e-3", "--out", out]) == 0
-        report = json.load(open(os.path.join(out, "tune.json")))
+        report = read_report(out, "tune.json")
         del report["config"]["out"]
+        assert report.pop("stats")["budget_s"] == 0.0  # no --graph
         reports.append(report)
     assert reports[0] == reports[1]
 
@@ -411,9 +452,16 @@ def test_interlace_report(tmp_path):
                  "--flow", flow, "--subgraph-center", "v0",
                  "--radius", "30", "--out", out])
     assert code == 0
-    report = json.load(open(os.path.join(out, "interlace.json")))
+    report = read_report(out, "interlace.json")
     assert report["lambda_prime"] <= report["bound"] + 1e-10
     assert report["constants_mode"] == "exact"
+    stats = report["stats"]
+    assert stats["solve"]["method"] == "closed-form"
+    assert stats["solve_s"] > 0 and stats["bound_s"] > 0
+    # the solve's record is solution.json's for the same problem
+    assert main(["solve", "--graph", graph, "--costs", costs,
+                 "--flow", flow, "--out", out]) == 0
+    assert stats["solve"] == read_report(out, "solution.json")["stats"]
 
 
 def test_interlace_degree_deficient_ball_exits_3(tmp_path, capsys):
@@ -451,7 +499,7 @@ def test_generate_deterministic(tmp_path):
         out = str(tmp_path / name)
         assert main(["generate", "--kind", "random-k-regular", "--n", "20",
                      "--k", "3", "--seed", "9", "--out", out]) == 0
-        payloads.append(open(os.path.join(out, "graph.json"), "rb").read())
+        payloads.append(read_report(out, "graph.json", raw=True))
     assert payloads[0] == payloads[1]
 
 
@@ -496,7 +544,7 @@ def test_solve_large_flow_exits_0(cycle6_files, tmp_path):
     out = str(tmp_path / "out")
     assert main(["solve", "--graph", graph, "--costs", costs,
                  "--flow", flow, "--out", out]) == 0
-    report = json.load(open(os.path.join(out, "solution.json")))
+    report = read_report(out, "solution.json")
     assert report["solution"]["e0"] == pytest.approx(5e8)
     assert report["residuals"]["feasibility_inf"] <= 1e-9 * 1e9
 
@@ -510,7 +558,7 @@ def test_solve_reports_its_stats(cycle6_files, tmp_path, cost, method):
     out = str(tmp_path / "out")
     assert main(["solve", "--graph", graph, "--costs", costs,
                  "--flow", flow, "--out", out]) == 0
-    report = json.load(open(os.path.join(out, "solution.json")))
+    report = read_report(out, "solution.json")
     stats = report["stats"]
     assert stats["method"] == method
     assert stats["cg_iterations"][-1] == 0
@@ -530,12 +578,11 @@ def test_sensitivity_reports_its_stats(cycle6_files, tmp_path, cost, method):
                  "--flow", flow, "--perturbation", pert, "--out", out]) == 0
     assert main(["solve", "--graph", graph, "--costs", costs,
                  "--flow", flow, "--out", out]) == 0
-    stats = json.load(open(os.path.join(out, "sensitivity.json")))["stats"]
+    stats = read_report(out, "sensitivity.json")["stats"]
     assert stats["solve"]["method"] == method
     assert stats["solve"]["cg_iterations"][-1] == 0
     # the solve's record is solution.json's for the same problem
-    assert stats["solve"] == json.load(
-        open(os.path.join(out, "solution.json")))["stats"]
+    assert stats["solve"] == read_report(out, "solution.json")["stats"]
     assert stats["solve_s"] > 0 and stats["apply_s"] > 0
 
 
@@ -732,27 +779,27 @@ def test_reports_carry_the_spectral_record(expander_files, tmp_path):
     out = str(tmp_path / "out")
     assert main(["decay", *problem, "--perturbation", pert,
                  "--out", out]) == 0
-    report = json.load(open(os.path.join(out, "decay.json")))
+    report = read_report(out, "decay.json")
     # exact mode: the record is the walk's, and certifies the rate itself
     check_spectral(report["spectral"], report["lam"])
     assert report["spectral"]["delta"] > 0.0  # n = 200 > LANCZOS_STEPS
     assert main(["tune", *problem, "--eps", "1e-3", "--out", out]) == 0
-    report = json.load(open(os.path.join(out, "tune.json")))
+    report = read_report(out, "tune.json")
     check_spectral(report["spectral"], report["constants"]["mu"])
+    assert report["stats"]["budget_s"] > 0 and report["stats"]["tune_s"] > 0
     assert main(["interlace", *problem, "--subgraph-center", "v0",
                  "--radius", "30", "--out", out]) == 0
-    report = json.load(open(os.path.join(out, "interlace.json")))
+    report = read_report(out, "interlace.json")
     check_spectral(report["spectral"], report["spectral"]["bound"])
-    assert report["spectral"] == json.load(open(os.path.join(
-        out, "tune.json")))["spectral"]  # both certify the adjacency's mu
+    assert report["spectral"] == read_report(
+        out, "tune.json")["spectral"]  # both certify the adjacency's mu
 
 
 def test_tune_family_from_flags_has_no_spectral_record(tmp_path):
     out = str(tmp_path / "tune")
     assert main(["tune", "--Q", "1", "--k", "3", "--mu", "2.8",
                  "--eps", "1e-3", "--out", out]) == 0
-    assert json.load(open(os.path.join(out, "tune.json")))["spectral"] \
-        is None
+    assert read_report(out, "tune.json")["spectral"] is None
 
 
 @pytest.mark.parametrize("kind, size", [
@@ -764,7 +811,7 @@ def test_exact_decay_on_bipartite_graph_exits_3(tmp_path, capsys, kind,
     costs = write_json(tmp_path / "costs.json",
                        {"default": {"kind": "quadratic", "a": 1.0}})
     flow = write_json(tmp_path / "flow.json", {})
-    first, second = json.load(open(os.path.join(gen, "graph.json")))[
+    first, second = read_report(gen, "graph.json")[
         "vertices"][:2]
     pert = write_json(tmp_path / "pert.json", {first: 1.0, second: -1.0})
     assert main(["decay", "--graph", os.path.join(gen, "graph.json"),
@@ -820,7 +867,7 @@ def test_tune_with_graph_forms_no_n_by_n_array(tmp_path):
             "--out", str(tmp_path / "out")]
     # an n x n float array at n = 2e4 is 3.2 GB
     assert traced_peak_mb(lambda: main(argv)) < 64
-    report = json.load(open(os.path.join(tmp_path, "out", "tune.json")))
+    report = read_report(tmp_path, "out", "tune.json")
     assert report["spectral"]["steps"] == 120
 
 
@@ -957,18 +1004,21 @@ def test_main_runs_again_as_a_fresh_process_does(tmp_path):
     for k, argv in enumerate(calls):
         out = str(tmp_path / ("call%d" % k))
         assert main([*argv, "--out", out]) == 0
-        here = {name: open(os.path.join(out, name), "rb").read()
+        here = {name: read_report(out, name, raw=True)
                 for name in os.listdir(out)}
         subprocess.run([sys.executable, "-m", "localflow.cli", *argv,
                         "--out", out], env=env, check=True, timeout=120)
-        fresh = {name: open(os.path.join(out, name), "rb").read()
+        fresh = {name: read_report(out, name, raw=True)
                  for name in os.listdir(out)}
-        if "decay.json" in here:  # wall times differ from run to run
-            for files in (here, fresh):
-                report = json.loads(files["decay.json"])
-                for key in ("solve_s", "rate_s", "rows_s"):
-                    report["stats"].pop(key)
-                files["decay.json"] = report
+        # wall times differ from run to run
+        for name, keys in (("decay.json", ("solve_s", "rate_s", "rows_s")),
+                           ("tune.json", ("budget_s", "tune_s"))):
+            if name in here:
+                for files in (here, fresh):
+                    report = json.loads(files[name])
+                    for key in keys:
+                        report["stats"].pop(key)
+                    files[name] = report
         assert here == fresh
 
 
@@ -980,7 +1030,7 @@ def test_subcommands_write_nothing_to_stdout(tmp_path, capfd):
     assert main(["generate", "--kind", "random-k-regular", "--n", "40",
                  "--k", "3", "--seed", "5", "--out", gen]) == 0
     graph = os.path.join(gen, "graph.json")
-    edge = json.load(open(graph))["edges"][0]
+    edge = read_report(graph)["edges"][0]
     costs = write_json(tmp_path / "costs.json",
                        {"default": {"kind": "quadratic", "a": 1.0}})
     flow = write_json(tmp_path / "flow.json", {"v0": 1.0, "v1": -1.0})

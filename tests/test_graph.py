@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from localflow import (DirectedGraph, GraphError, PerturbationSpec,
                        SubgraphSpec, WeightedWalk, ball_subgraph,
                        build_incidence, generate, geodesic_distance,
-                       green_difference, induced_vertex_set, measure_decay,
-                       point_to_set, radius_max, set_to_point)
+                       induced_vertex_set, measure_decay, point_to_set,
+                       radius_max, set_to_point)
 from conftest import path, quadratic_problem, random_connected_graph, triangle
+from oracles import RestrictedLaplacian, green_difference
 
 
 def test_incidence_two_vertices():
@@ -448,7 +449,10 @@ def _resolver_callers(g):
                                                         [[0], [e]])),
         "set_to_point": (True, lambda e: set_to_point(problem, e, [0])),
         "point_to_set": (True, lambda e: point_to_set(problem, 0, [e])),
-        "WeightedWalk.restricted": (False, lambda v: walk.restricted(v)),
+        # the killed walk of a WeightedWalk, built by tests/oracles.py;
+        # the key names what the test ids have always named
+        "WeightedWalk.restricted": (False,
+                                    lambda v: RestrictedLaplacian(walk, v)),
         "green_difference": (False, lambda v: green_difference(walk, 0, v,
                                                                1, 2)),
         "PerturbationSpec.from_mapping": (

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localflow import (LaplacianError, WeightedWalk, generate,
-                       green_difference, green_series_apply, killed_green,
-                       killed_green_series, laplacian_solve, pseudoinverse,
-                       restricted_vs_full, sensitivity_operator)
+                       green_series_apply, laplacian_solve, pseudoinverse,
+                       sensitivity_operator)
 from conftest import path, quadratic_problem, random_connected_graph, triangle
+from oracles import (RestrictedLaplacian, green_difference, killed_green,
+                     killed_green_series, restricted_vs_full)
 
 
 def unit_walk(g):
@@ -43,6 +44,15 @@ def test_rejects_nonpositive_weight():
     g = path(3)
     with pytest.raises(LaplacianError, match="positive"):
         WeightedWalk(g, np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rejects_non_finite_weight(bad):
+    # refused up front, before the stationary distribution or the Lanczos
+    # bound meets it
+    with pytest.raises(LaplacianError,
+                       match="edge weights must be finite and positive"):
+        WeightedWalk(path(3), np.array([1.0, bad]))
 
 
 def test_pinv_two_path():
@@ -89,13 +99,13 @@ def test_bipartite_walk_is_periodic():
 
 
 def test_killed_inverse_path_three():
-    rl = unit_walk(path(3)).restricted("3")
+    rl = RestrictedLaplacian(unit_walk(path(3)), "3")
     assert np.allclose(rl.Lbar_inv, np.array([[2.0, 1.0], [1.0, 1.0]]),
                        atol=1e-12)
 
 
 def test_killed_green_equals_inverse_times_degrees():
-    rl = unit_walk(path(3)).restricted("3")
+    rl = RestrictedLaplacian(unit_walk(path(3)), "3")
     G = killed_green(rl)
     assert np.allclose(G, rl.Lbar_inv * rl.dbar[None, :], atol=1e-14)
 
@@ -104,7 +114,7 @@ def test_killed_green_series_agreement(rng):
     for _ in range(5):
         g = random_connected_graph(rng, 10, extra_edges=5)
         walk = WeightedWalk(g, rng.uniform(0.3, 2.0, g.n_edges))
-        rl = walk.restricted(int(rng.integers(0, walk.n)))
+        rl = RestrictedLaplacian(walk, int(rng.integers(0, walk.n)))
         G = killed_green(rl)
         G_series, T = killed_green_series(rl)
         assert T >= 1
@@ -151,7 +161,7 @@ def test_killed_inverse_monte_carlo_hitting_probability():
     rng = np.random.default_rng(7)
     _, hit = _simulate_walk_visits(walk.P, 0, 1, 2, rng, 20_000)
     assert hit.all()
-    rl = walk.restricted(2)
+    rl = RestrictedLaplacian(walk, 2)
     assert rl.Lbar_inv[0, 1] == pytest.approx(rl.Lbar_inv[1, 1] * 1.0)
 
 
@@ -161,7 +171,7 @@ def test_killed_inverse_hitting_probability_identity(rng):
     g = random_connected_graph(rng, 8, extra_edges=4)
     walk = WeightedWalk(g, rng.uniform(0.4, 1.6, g.n_edges))
     kill = 0
-    rl = walk.restricted(kill)
+    rl = RestrictedLaplacian(walk, kill)
     for w_pos, w in enumerate(rl.kept):
         # hit probability h with h[w]=1, h[kill]=0, harmonic elsewhere
         n = walk.n
@@ -182,12 +192,13 @@ def test_restricted_vs_full_small_cases(rng):
         walk = unit_walk(g)
         Lp = walk.pinv()
         for kill in range(walk.n):
-            assert restricted_vs_full(walk.restricted(kill), Lp) < 1e-10
+            rl = RestrictedLaplacian(walk, kill)
+            assert restricted_vs_full(rl, Lp) < 1e-10
 
 
 def test_restricted_vs_full_two_path():
     walk = unit_walk(path(2))
-    rl = walk.restricted(1)
+    rl = RestrictedLaplacian(walk, 1)
     assert np.allclose(rl.Lbar_inv, [[1.0]], atol=1e-12)
     Lp = walk.pinv()
     e = np.array([1.0, -1.0])
@@ -203,7 +214,8 @@ def test_restricted_vs_full_random_sweep():
         walk = WeightedWalk(g, rng.uniform(0.2, 2.5, g.n_edges))
         Lp = walk.pinv()
         for kill in range(walk.n):
-            assert restricted_vs_full(walk.restricted(kill), Lp) < 1e-9
+            rl = RestrictedLaplacian(walk, kill)
+            assert restricted_vs_full(rl, Lp) < 1e-9
 
 
 def test_green_difference_triangle():
@@ -272,7 +284,7 @@ def test_green_series_apply_rejects_unbalanced():
 
 def test_killed_green_series_refuses_clamped_truncation(rng):
     g = random_connected_graph(rng, 10, extra_edges=5)
-    rl = unit_walk(g).restricted(0)
+    rl = RestrictedLaplacian(unit_walk(g), 0)
     with pytest.raises(LaplacianError, match="max_terms"):
         killed_green_series(rl, max_terms=1)
 

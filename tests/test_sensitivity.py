@@ -7,10 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localflow import (DirectedGraph, EdgeCost, FlowProblem, ObjectiveBundle,
-                       PerturbationSpec, SensitivityError,
-                       boundary_sensitivity_check, build_incidence,
-                       directional_derivative, gaussian_identity_check,
-                       generate, generic_sensitivity_matrix,
+                       PerturbationSpec, SensitivityError, build_incidence,
+                       directional_derivative, generate,
                        integrate_sensitivity, pseudoinverse,
                        sensitivity_operator, solve_exact)
 from localflow.graph import FEAS_TOL
@@ -18,6 +16,8 @@ from localflow.laplacian import LaplacianError
 from localflow.sensitivity import STATIONARITY_TOL, _project
 from conftest import (logcosh_bundle, path, quadratic_problem,
                       random_balanced, random_connected_graph, triangle)
+from oracles import (boundary_sensitivity_check, gaussian_identity_check,
+                     generic_sensitivity_matrix, sensitivity_matrix)
 
 
 def test_flow_problem_rejects_unbalanced():
@@ -86,7 +86,7 @@ def test_operator_quadratic_is_unweighted_pinv_form():
     op = sensitivity_operator(problem)
     A = problem.A
     expected = A.T @ pseudoinverse(A @ A.T)
-    assert np.allclose(op.matrix, expected, atol=1e-10)
+    assert np.allclose(sensitivity_matrix(op), expected, atol=1e-10)
 
 
 def test_operator_derivative_is_feasible(rng):
@@ -235,14 +235,6 @@ def test_boundary_sensitivity_rejects_bad_partition():
         boundary_sensitivity_check(np.eye(3), [0], [1])
 
 
-def test_operator_dense_matrix_guard():
-    g = generate("random-k-regular", n=600, k=3, seed=3)
-    problem = quadratic_problem(g, np.zeros(g.n_vertices))
-    op = sensitivity_operator(problem, x_star=np.zeros(g.n_edges))
-    with pytest.raises(SensitivityError, match="dense operator disabled"):
-        op.matrix
-
-
 def test_newton_line_search_propagates_non_cost_errors(rng, monkeypatch):
     # the line search halves the step only when a trial point leaves a
     # cost's domain; any other failure surfaces unchanged
@@ -286,7 +278,7 @@ def test_apply_matches_dense_matrix(rng, kind):
     problem = FlowProblem(g, bundle, random_balanced(rng, g.n_vertices))
     op = sensitivity_operator(problem)
     p = random_balanced(rng, g.n_vertices)
-    want = op.matrix @ p
+    want = sensitivity_matrix(op) @ p
     assert np.abs(op.apply(p) - want).max() <= 1e-10 * np.abs(want).max()
 
 
