@@ -227,7 +227,10 @@ def laplacian_solve(graph, weights, rhs, x0=None, stats=None):
     # an exact power-of-two scaling keeps r @ r from over- and underflow
     e = np.frexp(np.abs(r).max())[1]
     r = np.ldexp(r, -e)
+    # twice: for a nearly constant rhs the first removal cancels to a
+    # residual whose round-off mean is a kernel part no CG step reduces
     r = r - r.mean()
+    r -= r.mean()
     x, scale = np.zeros_like(r), np.sqrt(r @ r)
     if x0 is not None and scale > 0.0:
         # a start far above the answer's scale overflows to a rejected NaN

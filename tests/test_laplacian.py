@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from localflow import (LaplacianError, WeightedWalk, generate,
@@ -294,6 +294,9 @@ def test_killed_green_series_refuses_clamped_truncation(rng):
        n=st.integers(2, 40), seed=st.integers(0, 10_000),
        log10_ratio=st.floats(0.0, 3.0),
        rhs_kind=st.sampled_from(["balanced", "unbalanced", "zero"]))
+# a nearly constant rhs: its mean removal cancels to a residual whose
+# round-off kernel component once stalled CG
+@example(kind="path", n=2, seed=2497, log10_ratio=0.0, rhs_kind="unbalanced")
 def test_laplacian_solve_matches_pinv(kind, n, seed, log10_ratio, rhs_kind):
     rng = np.random.default_rng(seed)
     if kind == "path":
