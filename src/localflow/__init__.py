@@ -22,8 +22,8 @@ from .solver import (PGD_MAX_ITER, LocalizedSolver, SolverError, pgd_run,
 from .locality import (BiasVarianceResult, DecayReport, DecayRow,
                        ErrorBudget, LocalityError, TuneResult, TunerFamily,
                        adjacency_slem, bias_variance, budget_for,
-                       envelope_lambda, interlacing_bound, measure_decay,
-                       point_to_set, set_to_point, tune)
+                       interlacing_bound, measure_decay, point_to_set,
+                       set_to_point, tune)
 
 __version__ = "0.1.0"
 
@@ -41,6 +41,6 @@ __all__ = [
     "warm_start_reoptimize",
     "BiasVarianceResult", "DecayReport", "DecayRow", "ErrorBudget",
     "LocalityError", "TuneResult", "TunerFamily", "adjacency_slem",
-    "bias_variance", "budget_for", "envelope_lambda", "interlacing_bound",
+    "bias_variance", "budget_for", "interlacing_bound",
     "measure_decay", "point_to_set", "set_to_point", "tune",
 ]

@@ -29,8 +29,8 @@ import numpy as np
 from . import graph as graphmod
 from . import locality
 from .objective import CostError, ObjectiveBundle
-from .sensitivity import (FlowProblem, PerturbationSpec, SensitivityError,
-                          sensitivity_operator, solve_exact)
+from .sensitivity import (SOLVE_TOL, FlowProblem, PerturbationSpec,
+                          SensitivityError, sensitivity_operator, solve_exact)
 from .solver import SolverError, warm_start_reoptimize
 from .laplacian import LaplacianError, WeightedWalk
 
@@ -180,7 +180,7 @@ def _write_csv(path, header, rows):
 def cmd_solve(config):
     g, _, problem = _load_problem(config)
     tol = config.get("tolerance")
-    tol = 1e-10 if tol is None else float(tol)
+    tol = SOLVE_TOL if tol is None else float(tol)
     if not 0.0 < tol < math.inf:
         raise CliInputError("--tolerance must be positive and finite, got %r"
                             % tol)

@@ -113,12 +113,6 @@ class DirectedGraph:
         ids = self._edge_ids or ("e%d" % k for k in range(self.n_edges))
         return {e: k for k, e in enumerate(ids)}
 
-    @cached_property
-    def neighbors(self):
-        """Each vertex's neighbors as a list of indices, ascending."""
-        adj, stops = self.adj.tolist(), self.indptr.tolist()
-        return [adj[a:b] for a, b in zip(stops, stops[1:])]
-
     @property
     def n_edges(self):
         return len(self.tails)
@@ -133,9 +127,6 @@ class DirectedGraph:
     def potential_difference(self, nu):
         """A^T nu: tail minus head potential on each edge."""
         return nu[self.tails] - nu[self.heads]
-
-    def degree(self, v_idx):
-        return int(self.indptr[v_idx + 1] - self.indptr[v_idx])
 
     def degrees(self):
         return np.bincount(np.concatenate((self.tails, self.heads)),

@@ -18,8 +18,10 @@ from .graph import _balanced
 KERNEL_RTOL = 1e-12
 # laplacian_solve stops at CG's recurrence residual |r|_2 < CG_RTOL |rhs|_2
 CG_RTOL = 1e-14
-# stop Green's-function series when lambda^t / (1 - lambda) drops below this
+# stop Green's-function series when lambda^t / (1 - lambda) drops below this,
+# refusing a series that needs more than SERIES_MAX_TERMS terms to get there
 SERIES_TAIL = 1e-12
+SERIES_MAX_TERMS = 1_000_000
 # norm_bound fails with probability at most SPECTRAL_DELTA over its random
 # start, after at most LANCZOS_STEPS steps
 SPECTRAL_DELTA = 1e-6
@@ -31,9 +33,9 @@ class LaplacianError(ValueError):
 
 
 class WeightedWalk:
-    """Symmetric edge weights with the derived degree vector, Laplacian,
-    transition matrix and stationary distribution. The dense n x n
-    matrices W, L and P are built on first access."""
+    """Symmetric edge weights with the derived degree vector and
+    Laplacian; the dense n x n W and L are built on first access. pinv()
+    stays because the benchmark tracer patches it by name."""
 
     def __init__(self, graph, weights):
         self.graph = graph
@@ -43,7 +45,6 @@ class WeightedWalk:
         if not np.all(np.isfinite(self.weights) & (self.weights > 0)):
             raise LaplacianError("edge weights must be finite and positive")
         self.d = _weighted_degrees(graph, self.weights)
-        self.pi = self.d / self.d.sum()
 
     @cached_property
     def W(self):
@@ -52,7 +53,6 @@ class WeightedWalk:
         return W
 
     L = cached_property(lambda self: np.diag(self.d) - self.W)
-    P = cached_property(lambda self: self.W / self.d[:, None])
 
     @property
     def n(self):
@@ -265,7 +265,7 @@ def laplacian_solve(graph, weights, rhs, x0=None, stats=None):
                          "relative residual %.3e" % (res / scale))
 
 
-def _truncation_point(lam, max_terms=1_000_000):
+def _truncation_point(lam):
     if lam >= 1.0:
         raise LaplacianError("walk decay bound %.6f is not below 1; use the "
                              "L+ form" % lam)
@@ -273,10 +273,10 @@ def _truncation_point(lam, max_terms=1_000_000):
         return 1
     T = max(1, int(np.ceil(np.log(SERIES_TAIL * (1.0 - lam))
                            / np.log(lam))) + 1)
-    if T > max_terms:
+    if T > SERIES_MAX_TERMS:
         raise LaplacianError(
             "series needs %d terms to reach tail %.1e but max_terms is %d"
-            % (T, SERIES_TAIL, max_terms))
+            % (T, SERIES_TAIL, SERIES_MAX_TERMS))
     return T
 
 

@@ -40,12 +40,6 @@ def adjacency_slem(graph):
                       np.full(n, math.sqrt(2.0 * graph.n_edges) / n))
 
 
-def envelope_lambda(problem):
-    """Interlacing bound on the walk's second eigenvalue in magnitude,
-    uniform over b: the rho of budget_for(problem)."""
-    return budget_for(problem).rho
-
-
 def _constants_mode(problem):
     return "exact" if problem.bundle.all_quadratic else "envelope"
 

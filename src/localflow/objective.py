@@ -221,10 +221,6 @@ class ObjectiveBundle:
         return self._evaluate(2, x)
 
     @classmethod
-    def uniform_quadratic(cls, n_edges, a=1.0, c=0.0):
-        return cls.from_arrays("quadratic", np.full(n_edges, float(a)), c)
-
-    @classmethod
     def from_spec(cls, spec, edge_ids):
         """Build from a cost-spec mapping {"default": {...}, "per_edge":
         {edge-id: {...}}} over the list edge_ids, refusing a per-edge id

@@ -18,6 +18,7 @@ from .objective import CostError
 
 # relative to max(1, |grad|_inf); feasibility and balance are graph.py's
 STATIONARITY_TOL = 1e-8
+SOLVE_TOL = 1e-10  # solve_exact's default Newton stopping tolerance
 NEWTON_MAX_ITER = 200  # before solve_exact gives up
 
 
@@ -80,7 +81,7 @@ class PerturbationSpec:
         return cls(graph, p)
 
 
-def solve_exact(problem, tol=1e-10, stats=None):
+def solve_exact(problem, tol=SOLVE_TOL, stats=None):
     """Exact optimal flow.
 
     Quadratic bundles are solved in closed form through the weighted

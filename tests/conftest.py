@@ -19,6 +19,12 @@ def path(n):
     return DirectedGraph(verts, edges)
 
 
+def neighbors(g):
+    """Each vertex's neighbors as a list of indices, ascending."""
+    adj, stops = g.adj.tolist(), g.indptr.tolist()
+    return [adj[a:b] for a, b in zip(stops, stops[1:])]
+
+
 def random_connected_graph(rng, n, extra_edges=0):
     """Random spanning tree plus extra chords; simple and connected."""
     verts = ["v%d" % i for i in range(n)]
@@ -46,7 +52,9 @@ def random_balanced(rng, n, scale=1.0):
 
 
 def quadratic_problem(g, b, a=1.0):
-    return FlowProblem(g, ObjectiveBundle.uniform_quadratic(g.n_edges, a=a), b)
+    bundle = ObjectiveBundle.from_arrays("quadratic",
+                                         np.full(g.n_edges, float(a)))
+    return FlowProblem(g, bundle, b)
 
 
 def logcosh_bundle(rng, n_edges, a_range=(0.5, 2.0), s_range=(0.2, 1.0)):

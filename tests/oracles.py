@@ -54,7 +54,10 @@ def killed_green_series(rl, max_terms=1_000_000):
     rad = float(np.abs(np.linalg.eigvalsh(sym)).max())
     if rad >= 1.0:
         raise LaplacianError("killed walk spectral radius is not below 1")
-    T = _truncation_point(rad, max_terms)
+    T = _truncation_point(rad)
+    if T > max_terms:
+        raise LaplacianError("series needs %d terms but max_terms is %d"
+                             % (T, max_terms))
     G = np.eye(len(rl.dbar))
     term = np.eye(len(rl.dbar))
     for _ in range(T):

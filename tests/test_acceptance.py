@@ -18,8 +18,8 @@ from localflow import (DirectedGraph, EdgeCost, FlowProblem, ObjectiveBundle,
                        point_to_set, pseudoinverse, radius_max,
                        sensitivity_operator, set_to_point, solve_exact, tune,
                        warm_start_reoptimize)
-from conftest import (logcosh_bundle, quadratic_problem, random_balanced,
-                      random_connected_graph, triangle)
+from conftest import (logcosh_bundle, neighbors, quadratic_problem,
+                      random_balanced, random_connected_graph, triangle)
 from oracles import (RestrictedLaplacian, boundary_sensitivity_check,
                      gaussian_identity_check, green_difference, killed_green,
                      killed_green_series, restricted_vs_full)
@@ -241,7 +241,7 @@ def test_criterion_7_bias_variance_budget(expander200):
     budget = budget_for(problem)
     assert budget.valid
     p = np.zeros(g.n_vertices)
-    p[0], p[g.neighbors[0][0]] = 1.0, -1.0
+    p[0], p[neighbors(g)[0][0]] = 1.0, -1.0
     pert = PerturbationSpec(g, p)
     p_norm = float(np.linalg.norm(p))
     x_star = solve_exact(problem)
@@ -320,7 +320,7 @@ def test_criterion_9_tuner_end_to_end(expander200):
     g = expander200
     problem = quadratic_problem(g, np.zeros(g.n_vertices))
     p = np.zeros(g.n_vertices)
-    p[0], p[g.neighbors[0][0]] = 1.0, -1.0
+    p[0], p[neighbors(g)[0][0]] = 1.0, -1.0
     pert = PerturbationSpec(g, p)
     p_norm = float(np.linalg.norm(p))
     mu = adjacency_slem(g)

@@ -12,7 +12,8 @@ from localflow import (DirectedGraph, GraphError, PerturbationSpec,
                        build_incidence, generate, geodesic_distance,
                        induced_vertex_set, measure_decay, point_to_set,
                        radius_max, set_to_point)
-from conftest import path, quadratic_problem, random_connected_graph, triangle
+from conftest import (neighbors, path, quadratic_problem,
+                      random_connected_graph, triangle)
 from oracles import RestrictedLaplacian, green_difference
 
 
@@ -126,8 +127,9 @@ def test_ball_monotone_and_reaches_whole_graph(rng):
 def test_boundary_definition(rng):
     g = random_connected_graph(rng, 20, extra_edges=8)
     sub = ball_subgraph(g, "v3", 2)
+    nbrs = neighbors(g)
     for v in sub.vertex_set:
-        outside = [w for w in g.neighbors[v] if w not in sub.vertex_set]
+        outside = [w for w in nbrs[v] if w not in sub.vertex_set]
         if v in sub.boundary:
             assert outside
         else:
@@ -166,7 +168,7 @@ def test_induced_matches_constructor_on_random_vertex_sets(seed):
     assert got.edges == want.edges
     assert np.array_equal(got.tails, want.tails)
     assert np.array_equal(got.heads, want.heads)
-    assert got.neighbors == want.neighbors
+    assert neighbors(got) == neighbors(want)
     assert got.vertex_index == want.vertex_index
     assert got.edge_index == want.edge_index
 
@@ -233,7 +235,7 @@ def test_neighbors_and_degrees_match_edge_list(seed, n):
     for _, t, h in g.edges:
         nbrs[g.vertex_index[t]].add(g.vertex_index[h])
         nbrs[g.vertex_index[h]].add(g.vertex_index[t])
-    assert g.neighbors == [sorted(s) for s in nbrs]
+    assert neighbors(g) == [sorted(s) for s in nbrs]
     assert g.degrees().tolist() == [len(s) for s in nbrs]
 
 
@@ -242,9 +244,10 @@ def _reference_distances(g, sources):
     dist = np.full(g.n_vertices, -1, dtype=np.intp)
     queue = deque(sources)
     dist[list(sources)] = 0
+    nbrs = neighbors(g)
     while queue:
         u = queue.popleft()
-        for w in g.neighbors[u]:
+        for w in nbrs[u]:
             if dist[w] < 0:
                 dist[w] = dist[u] + 1
                 queue.append(w)
@@ -257,8 +260,9 @@ def _reference_ball(g, center, r):
     verts = {int(v) for v in np.nonzero(dist <= r)[0]}
     edges = {k for k in range(g.n_edges)
              if g.tails[k] in verts and g.heads[k] in verts}
+    nbrs = neighbors(g)
     boundary = {v for v in verts
-                if any(w not in verts for w in g.neighbors[v])}
+                if any(w not in verts for w in nbrs[v])}
     return verts, edges, boundary
 
 
@@ -418,7 +422,7 @@ def test_from_arrays_refuses_as_the_id_constructor(n, pairs):
         g = DirectedGraph.from_arrays(n, tails, heads)
         want = DirectedGraph(*ids)
         assert (g.vertices, g.edges) == (want.vertices, want.edges)
-        assert g.neighbors == want.neighbors
+        assert neighbors(g) == neighbors(want)
 
 
 @pytest.mark.parametrize("tails, heads", [

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from localflow import (LaplacianError, WeightedWalk, generate,
                        green_series_apply, laplacian_solve, pseudoinverse,
                        sensitivity_operator)
+from localflow.laplacian import SERIES_MAX_TERMS, _truncation_point
 from conftest import path, quadratic_problem, random_connected_graph, triangle
 from oracles import (RestrictedLaplacian, green_difference, killed_green,
                      killed_green_series, restricted_vs_full)
@@ -17,27 +19,36 @@ def unit_walk(g):
     return WeightedWalk(g, np.ones(g.n_edges))
 
 
+def transition(walk):
+    return walk.W / walk.d[:, None]
+
+
+def stationary(walk):
+    return walk.d / walk.d.sum()
+
+
 def test_unit_weights_give_adjacency():
     g = triangle()
     walk = unit_walk(g)
     assert np.array_equal(walk.W, np.ones((3, 3)) - np.eye(3))
     assert np.array_equal(walk.d, np.full(3, 2.0))
-    assert np.allclose(walk.pi, np.full(3, 1.0 / 3))
+    assert np.allclose(stationary(walk), np.full(3, 1.0 / 3))
 
 
 def test_transition_matrix_invariant_under_weight_scaling():
     g = path(4)
     w1 = unit_walk(g)
     w2 = WeightedWalk(g, np.full(g.n_edges, 0.5))
-    assert np.allclose(w1.P, w2.P)
+    assert np.allclose(transition(w1), transition(w2))
 
 
 def test_walk_basic_identities(rng):
     g = random_connected_graph(rng, 20, extra_edges=10)
     walk = WeightedWalk(g, rng.uniform(0.3, 2.0, g.n_edges))
     assert np.abs(walk.L @ np.ones(walk.n)).max() < 1e-12
-    assert np.abs(walk.P.sum(axis=1) - 1.0).max() < 1e-12
-    assert np.abs(walk.pi @ walk.P - walk.pi).max() < 1e-12
+    P, pi = transition(walk), stationary(walk)
+    assert np.abs(P.sum(axis=1) - 1.0).max() < 1e-12
+    assert np.abs(pi @ P - pi).max() < 1e-12
 
 
 def test_rejects_nonpositive_weight():
@@ -146,7 +157,7 @@ def test_killed_inverse_monte_carlo_visits():
     # L^-1_ww = (1/d_w) E_w[number of visits to w before absorption]
     walk = unit_walk(path(3))
     rng = np.random.default_rng(99)
-    visits, _ = _simulate_walk_visits(walk.P, 0, 0, 2, rng, 100_000)
+    visits, _ = _simulate_walk_visits(transition(walk), 0, 0, 2, rng, 100_000)
     mean = visits.mean()
     stderr = visits.std(ddof=1) / np.sqrt(len(visits))
     expected = walk.d[0] * 2.0  # d_1 * Lbar^{-1}_11 = 1 * 2
@@ -159,7 +170,7 @@ def test_killed_inverse_monte_carlo_hitting_probability():
     # probability is exactly 1
     walk = unit_walk(path(3))
     rng = np.random.default_rng(7)
-    _, hit = _simulate_walk_visits(walk.P, 0, 1, 2, rng, 20_000)
+    _, hit = _simulate_walk_visits(transition(walk), 0, 1, 2, rng, 20_000)
     assert hit.all()
     rl = RestrictedLaplacian(walk, 2)
     assert rl.Lbar_inv[0, 1] == pytest.approx(rl.Lbar_inv[1, 1] * 1.0)
@@ -172,12 +183,13 @@ def test_killed_inverse_hitting_probability_identity(rng):
     walk = WeightedWalk(g, rng.uniform(0.4, 1.6, g.n_edges))
     kill = 0
     rl = RestrictedLaplacian(walk, kill)
+    P = transition(walk)
     for w_pos, w in enumerate(rl.kept):
         # hit probability h with h[w]=1, h[kill]=0, harmonic elsewhere
         n = walk.n
         free = [v for v in range(n) if v not in (w, kill)]
-        A = np.eye(len(free)) - walk.P[np.ix_(free, free)]
-        bvec = walk.P[free, w]
+        A = np.eye(len(free)) - P[np.ix_(free, free)]
+        bvec = P[free, w]
         h_free = np.linalg.solve(A, bvec)
         h = np.zeros(n)
         h[w] = 1.0
@@ -289,6 +301,12 @@ def test_killed_green_series_refuses_clamped_truncation(rng):
         killed_green_series(rl, max_terms=1)
 
 
+def test_truncation_point_refuses_past_the_series_cap():
+    with pytest.raises(LaplacianError,
+                       match="max_terms is %d" % SERIES_MAX_TERMS):
+        _truncation_point(1.0 - 1e-9)
+
+
 @settings(max_examples=60, deadline=None)
 @given(kind=st.sampled_from(["path", "tree", "expander"]),
        n=st.integers(2, 40), seed=st.integers(0, 10_000),
@@ -353,6 +371,19 @@ def test_laplacian_solve_rejects_non_finite_rhs(bad):
     rhs = np.array([1.0, bad, 0.0, -1.0])
     with pytest.raises(LaplacianError, match="finite"):
         laplacian_solve(g, np.ones(g.n_edges), rhs)
+
+
+def test_laplacian_solve_breakdown_is_a_laplacian_error():
+    # weights of 1e308 overflow the weighted degrees to inf, so the Jacobi
+    # preconditioner zeroes every direction and p^T L p = 0 at once: a
+    # breakdown by construction, refused with no floating-point warning
+    g = generate("cycle", n=5)
+    rhs = np.zeros(5)
+    rhs[0], rhs[1] = 1.0, -1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LaplacianError, match="broke down"):
+            laplacian_solve(g, np.full(g.n_edges, 1e308), rhs)
 
 
 def _start(kind, want, rng):

@@ -9,12 +9,13 @@ from localflow import (DirectedGraph, EdgeCost, ErrorBudget, GraphError,
                        LocalityError, ObjectiveBundle, PerturbationSpec,
                        SubgraphSpec, TunerFamily, WeightedWalk,
                        adjacency_slem, ball_subgraph, bias_variance,
-                       budget_for, envelope_lambda, generate,
-                       geodesic_distance, induced_vertex_set,
-                       interlacing_bound, measure_decay, point_to_set,
+                       budget_for, generate, geodesic_distance,
+                       induced_vertex_set, interlacing_bound,
+                       measure_decay, point_to_set,
                        sensitivity_operator, set_to_point, solve_exact, tune)
-from conftest import (logcosh_bundle, quadratic_problem, random_balanced,
-                      random_connected_graph, traced_peak_mb, triangle)
+from conftest import (logcosh_bundle, neighbors, quadratic_problem,
+                      random_balanced, random_connected_graph,
+                      traced_peak_mb, triangle)
 from localflow import FlowProblem, SolverError
 from localflow import laplacian, locality
 from localflow.laplacian import LANCZOS_STEPS, SPECTRAL_DELTA
@@ -189,11 +190,12 @@ def reference_decay(problem, pert, F_sets, lam):
     Z = sorted(pert.support)
     p_norm = float(np.linalg.norm(pert.p[Z])) if Z else 0.0
     rows = []
+    nbrs, deg = neighbors(g), g.degrees()
     for F in F_sets:
         idx = [g.edge_index[e] if isinstance(e, str) else int(e) for e in F]
         U = {int(v) for k in idx for v in (g.tails[k], g.heads[k])}
         dist = geodesic_distance(g, U, Z) if Z else 0
-        maxsq = math.sqrt(2.0 * max(sum(1 for w in g.neighbors[v] if w in U)
+        maxsq = math.sqrt(2.0 * max(sum(1 for w in nbrs[v] if w in U)
                                     for v in U))
         if exact:
             max_w = 0.0
@@ -202,7 +204,7 @@ def reference_decay(problem, pert, F_sets, lam):
                     max_w = max(max_w, op.walk.weights[k])
             c = maxsq / min(op.walk.d[v] for v in U) * max_w
         else:
-            c = maxsq * problem.bundle.Q / min(g.degree(v) for v in U)
+            c = maxsq * problem.bundle.Q / min(deg[v] for v in U)
         rows.append((tuple(g.edges[k][0] for k in idx), dist,
                      float(np.linalg.norm(deriv[idx])),
                      c * lam ** dist / (1.0 - lam) * p_norm, c))
@@ -472,7 +474,7 @@ def test_bias_variance_identity_and_support(expander200):
     sub = ball_subgraph(g, center, 3)
     p = np.zeros(g.n_vertices)
     p[0] = 1.0
-    p[g.neighbors[0][0]] = -1.0
+    p[neighbors(g)[0][0]] = -1.0
     pert = PerturbationSpec(g, p)
     out = bias_variance(problem, pert, sub, t=20)
     # exact vector identity
@@ -490,7 +492,7 @@ def test_bias_variance_radius_sweep(expander200):
     problem = quadratic_problem(g, np.zeros(g.n_vertices))
     p = np.zeros(g.n_vertices)
     p[0] = 1.0
-    p[g.neighbors[0][0]] = -1.0
+    p[neighbors(g)[0][0]] = -1.0
     pert = PerturbationSpec(g, p)
     p_norm = float(np.linalg.norm(p))
     budget = budget_for(problem)
@@ -533,7 +535,6 @@ def test_envelope_constants_agree_across_entry_points(expander200, s):
     tuned = tune(TunerFamily(Q, 3, mu), 1e-3)
     walk = WeightedWalk(g, np.ones(g.n_edges))
     _, bound, _ = interlacing_bound(g, walk, 1.0, Q)
-    assert envelope_lambda(problem) == budget.rho
     assert tuned.rho == budget.rho
     assert bound == budget.rho
     assert tuned.nu_var * (1.0 - tuned.rho) == pytest.approx(budget.c)

@@ -11,12 +11,12 @@ from localflow import CostError, EdgeCost, ObjectiveBundle, objective
 
 
 def test_quadratic_eval_zero():
-    bundle = ObjectiveBundle.uniform_quadratic(3)
+    bundle = ObjectiveBundle.from_arrays("quadratic", np.full(3, 1.0))
     assert bundle.eval(np.zeros(3)) == 0.0
 
 
 def test_quadratic_eval_value():
-    bundle = ObjectiveBundle.uniform_quadratic(2)
+    bundle = ObjectiveBundle.from_arrays("quadratic", np.full(2, 1.0))
     assert bundle.eval(np.array([1.0, 2.0])) == pytest.approx(2.5)
 
 
@@ -33,7 +33,7 @@ def test_gradient_and_hessian_quadratic():
 
 
 def test_gradient_zero_at_quadratic_minimizer():
-    bundle = ObjectiveBundle.uniform_quadratic(4, a=1.7)
+    bundle = ObjectiveBundle.from_arrays("quadratic", np.full(4, 1.7))
     assert np.abs(bundle.gradient(np.zeros(4))).max() == 0.0
 
 

@@ -22,7 +22,7 @@ from oracles import (boundary_sensitivity_check, gaussian_identity_check,
 
 def test_flow_problem_rejects_unbalanced():
     g = path(2)
-    bundle = ObjectiveBundle.uniform_quadratic(1)
+    bundle = ObjectiveBundle.from_arrays("quadratic", np.full(1, 1.0))
     with pytest.raises(SensitivityError, match="not balanced"):
         FlowProblem(g, bundle, np.array([1.0, 0.0]))
 
@@ -301,7 +301,7 @@ def test_quadratic_solve_is_linear_in_b(seed, log10_s):
 def test_solve_exact_at_large_demand(rng, kind):
     # feasibility and stationarity are judged relative to |b| and |grad|
     g = generate("random-k-regular", n=400, k=3, seed=7)
-    bundle = (ObjectiveBundle.uniform_quadratic(g.n_edges)
+    bundle = (ObjectiveBundle.from_arrays("quadratic", np.full(g.n_edges, 1.0))
               if kind == "quadratic" else logcosh_bundle(rng, g.n_edges))
     b = random_balanced(rng, g.n_vertices)
     b *= 1e7 / np.abs(b).max()

@@ -7,12 +7,16 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _bench_curve():
+def _load(directory, name):
     spec = importlib.util.spec_from_file_location(
-        "bench_curve", os.path.join(ROOT, "tools", "bench_curve.py"))
+        name, os.path.join(ROOT, directory, name + ".py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _bench_curve():
+    return _load("tools", "bench_curve")
 
 
 def test_bench_curve_writes_one_row_per_size(tmp_path):
@@ -81,3 +85,46 @@ def test_percentiles_are_none_without_samples():
         "x_p25": 2.0, "x_p50": 3.0, "x_p75": 4.0}
     assert percentiles("x", []) == {"x_p25": None, "x_p50": None,
                                     "x_p75": None}
+
+
+def _traceable(package, tracing):
+    """Every binding Tracer.install may replace: the attributes of the layer
+    modules and the package, the entries of their tables, and the methods
+    it lists, keyed by span name (None where a listed method is missing)."""
+    names = {}
+    for mod in [getattr(package, layer) for layer in tracing.LAYERS] \
+            + [package]:
+        for attr, value in vars(mod).items():
+            names[mod.__name__, attr] = value
+            if isinstance(value, dict) and not attr.startswith("__"):
+                for key, entry in value.items():
+                    names[mod.__name__, attr, key] = entry
+    for layer, classes in tracing.METHODS.items():
+        for cls_name, attrs in classes.items():
+            cls = getattr(getattr(package, layer), cls_name)
+            for attr in attrs:
+                names["%s.%s.%s" % (layer, cls_name, attr)] = \
+                    cls.__dict__.get(attr)
+    return names
+
+
+def test_tracer_wraps_every_listed_method_and_restores_them():
+    # the traced benchmark run patches these methods by name: a renamed or
+    # deleted one makes install raise KeyError
+    import localflow
+    import localflow.cli  # noqa: F401 -- the tracer's cli layer
+    tracing = _load("perfbench", "tracing")
+    before = _traceable(localflow, tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(localflow)
+        during = _traceable(localflow, tracing)
+        methods = [key for key in before if isinstance(key, str)]
+        assert methods and all(during[key] is not before[key]
+                               for key in methods)
+        assert localflow.solve_exact is not before["localflow",
+                                                   "solve_exact"]
+    finally:
+        tracer.uninstall()
+        after = _traceable(localflow, tracing)
+        assert [key for key in before if after[key] is not before[key]] == []
