@@ -9,7 +9,9 @@ derived from the id lists on first use, and reports embed them.
 """
 
 import json
+from contextlib import contextmanager
 from functools import cached_property, partial
+from itertools import accumulate
 
 import numpy as np
 
@@ -37,7 +39,9 @@ class DirectedGraph:
 
     The undirected adjacency is an incident-edge CSR: the slots
     indptr[u]:indptr[u + 1] hold u's neighbors `adj`, ascending, and the
-    edges `adj_edge` that join u to them.
+    edges `adj_edge` that join u to them. Its one mutable part is the
+    searches' scratch `_mark`, which every search leaves as it found it:
+    searches on one graph must not run concurrently.
     """
 
     def __init__(self, vertices, edges):
@@ -89,8 +93,11 @@ class DirectedGraph:
                              "length, in range(n)")
         t, h = self.tails, self.heads = t.astype(np.intp), h.astype(np.intp)
         self.adj, self.adj_edge = _adjacency(t, h, n, self._vertex_name)
-        self.indptr = np.concatenate(([0], np.cumsum(self.degrees())))
-        if not n or len(_search(self, [0])[2]) < n:
+        self._degree = self.degrees()
+        self.indptr = np.concatenate(([0], np.cumsum(self._degree)))
+        # `_searching`'s scratch: -1 at every vertex between searches
+        self._mark = np.full(n, -1, dtype=np.intp)
+        if not n or len(_search(self, [0])[0]) < n:
             raise GraphError("graph is not connected")
 
     @cached_property
@@ -138,7 +145,10 @@ class DirectedGraph:
         Unreachable vertices get -1 (cannot happen on a connected graph).
         """
         sources = np.unique(np.asarray(sources, dtype=np.intp))
-        return _search(self, sources)[0]
+        reached, stops = _search(self, sources)
+        dist = np.full(self.n_vertices, -1, dtype=np.intp)
+        dist[reached] = np.arange(len(stops) - 1).repeat(np.diff(stops))
+        return dist
 
     def to_json_dict(self):
         return {
@@ -279,44 +289,66 @@ def induced_vertex_set(g, F):
 class SubgraphSpec:
     """A connected subgraph: v_in/e_in are its vertex and edge indices and
     cut the edges with one end in it, each sorted. The inner boundary holds
-    the subgraph vertices with a neighbor outside it.
+    the subgraph vertices with a neighbor outside it; `ends` holds the
+    tails and heads of its edges as positions in v_in.
 
     A BFS spanning tree of the subgraph comes with it: `depth` holds each
-    vertex's depth (in v_in's order) and `tree_edge` the position in e_in
-    of its edge toward the root, -1 at the root. `tree` is the (dist,
-    parent) pair of a search over g that reached exactly these vertices,
-    such as ball_subgraph's, rooted at the ball's center. Without it a
-    search from the lowest vertex through the set builds the tree, and a
-    set it does not reach whole raises GraphError. `induced`, the subgraph
-    as a DirectedGraph with vertices and edges in index order and g's ids,
-    is built from g's index arrays on first use.
+    vertex's depth (in v_in's order), `tree_edge` the position in e_in of
+    its edge toward the root, -1 at the root, and `levels` the positions
+    in v_in of the vertices at depth 0, 1, ..., one array per level. The
+    constructor roots the tree at the lowest vertex of the set, searching
+    through the set; a set the search does not reach whole raises
+    GraphError. ball_subgraph roots it at the ball's center. Either way
+    the construction costs the subgraph and its cut, not n. `induced`, the
+    subgraph as a DirectedGraph with vertices and edges in index order and
+    g's ids, is built from g's index arrays on first use.
     """
 
-    def __init__(self, g, vertex_indices, tree=None):
+    def __init__(self, g, vertex_indices):
+        v_in = np.unique(_vertex_indices(g, vertex_indices))
+        if not len(v_in):
+            raise GraphError("empty subgraph vertex set")
+        self._span(g, v_in[:1], within=v_in)
+        if len(self.v_in) < len(v_in):
+            raise GraphError("subgraph is not connected")
+
+    def _span(self, g, sources, depth=None, within=None):
+        """Set every array from the search `_searching(g, sources, depth,
+        within)`, whose reached vertices are the subgraph's; return self."""
         self.graph = g
-        if tree is None:
-            inside = np.zeros(g.n_vertices, dtype=bool)
-            inside[_vertex_indices(g, vertex_indices)] = True
-            self.v_in = np.flatnonzero(inside)
-            if not len(self.v_in):
-                raise GraphError("empty subgraph vertex set")
-            dist, parent, reached = _search(g, self.v_in[:1], inside=inside)
-            if len(reached) < len(self.v_in):
-                raise GraphError("subgraph is not connected")
-        else:
-            dist, parent = tree
-            inside = dist >= 0
-            self.v_in = np.sort(vertex_indices)
-        slots, counts = _slots(g, self.v_in)
-        edges, across = g.adj_edge[slots], ~inside[g.adj[slots]]
-        # an inner edge shows up once from each end
-        self.e_in = np.sort(edges[~across])[::2]
+        with _searching(g, sources, depth, within) as (reached, stops,
+                                                       spans, mark):
+            parent = mark[reached]  # any edge at a source
+            by_index = reached.argsort()
+            self.v_in = v_in = reached[by_index]
+            mark[v_in] = np.arange(len(v_in))
+            # the position in v_in of each reached vertex, and of the far
+            # end of each edge at one (-1 outside)
+            at = mark[reached]
+            slots = np.concatenate([level for level, _ in spans])
+            ahead = g.adj[slots]
+            far = mark[ahead]
+        near = at.repeat(np.concatenate([counts for _, counts in spans]))
+        edges = g.adj_edge[slots]
+        across = far < 0
         self.cut = np.sort(edges[across])
-        self._inner_ends = self.v_in.repeat(counts)[across]
-        self.depth = dist[self.v_in]
-        up = parent[self.v_in]
-        self.tree_edge = self.e_in.searchsorted(up)
-        self.tree_edge[up < 0] = -1
+        # an inner edge shows up once from each end: keep its tail's
+        own = (~across & (g.heads[edges] == ahead)).nonzero()[0]
+        own = own[edges[own].argsort()]
+        self.e_in = edges[own]
+        self.ends = near[own], far[own]
+        self.levels = [at[a:b] for a, b in zip(stops[:-1], stops[1:])]
+        self.tree_edge = np.empty_like(at)
+        self.tree_edge[at] = self.e_in.searchsorted(parent)
+        self.tree_edge[self.levels[0]] = -1  # the root
+        return self
+
+    @cached_property
+    def depth(self):
+        depth = np.empty(len(self.v_in), dtype=np.intp)
+        for d, level in enumerate(self.levels):
+            depth[level] = d
+        return depth
 
     @cached_property
     def vertex_set(self):
@@ -328,14 +360,9 @@ class SubgraphSpec:
 
     @cached_property
     def boundary(self):
-        return frozenset(self._inner_ends.tolist())
-
-    @cached_property
-    def ends(self):
-        """Tails and heads of the subgraph's edges, as positions in v_in."""
         g = self.graph
-        return (self.v_in.searchsorted(g.tails[self.e_in]),
-                self.v_in.searchsorted(g.heads[self.e_in]))
+        ends = np.concatenate((g.tails[self.cut], g.heads[self.cut]))
+        return frozenset(ends[np.isin(ends, self.v_in)].tolist())
 
     @cached_property
     def induced(self):
@@ -362,8 +389,7 @@ def ball_subgraph(g, center, r):
     The radius must be a nonnegative integer."""
     center = _vertex_indices(g, [center])
     depth = _nonnegative_int(r, GraphError, "radius")
-    dist, parent, reached = _search(g, center, depth)
-    return SubgraphSpec(g, reached, tree=(dist, parent))
+    return object.__new__(SubgraphSpec)._span(g, center, depth)
 
 
 def _nonnegative_int(value, error, name):
@@ -381,41 +407,70 @@ def _nonnegative_int(value, error, name):
 def _slots(g, vertices):
     """Positions in g's CSR arrays of the edges incident to the nonempty
     `vertices`, vertex by vertex, and the count of each vertex's."""
-    starts = g.indptr[vertices]
-    counts = g.indptr[vertices + 1] - starts
+    starts, counts = g.indptr[vertices], g._degree[vertices]
     stops = counts.cumsum()
     return np.arange(stops[-1]) + (starts - stops + counts).repeat(counts), \
         counts
 
 
-def _search(g, sources, depth=None, inside=None):
+def _positions(sorted_indices, x):
+    """The position of each entry of x in the sorted index array, and
+    whether it is there (where not, the position is meaningless)."""
+    at = sorted_indices.searchsorted(x)
+    at[at == len(sorted_indices)] = 0
+    return at, sorted_indices[at] == x
+
+
+def _search(g, sources, depth=None, within=None):
+    """`_searching`'s reached vertices and level bounds."""
+    with _searching(g, sources, depth, within) as found:
+        return found[:2]
+
+
+@contextmanager
+def _searching(g, sources, depth=None, within=None):
     """Level-synchronous BFS over g's CSR from the distinct vertex indices
     `sources`, to `depth` levels (all when None), through the vertices of
-    the mask `inside` only (all when None). Returns (dist, parent,
-    reached): each vertex's distance from the sources and the edge to its
-    parent in the BFS forest, a neighbor on the level above, both -1 where
-    it is not reached (parent also at a source), and the reached vertices
-    level by level."""
-    dist, parent = np.full((2, g.n_vertices), -1, dtype=np.intp)
+    the sorted index array `within` only (all when None). Yields (reached,
+    stops, spans, mark):
+    - the reached vertices level by level, level i being
+      reached[stops[i]:stops[i + 1]];
+    - per level, the `_slots` of its vertices: the positions in the CSR of
+      every edge at a reached vertex, vertex by vertex in reached's order;
+    - g's scratch `_mark`, -1 exactly at the vertices not reached. At a
+      reached vertex other than a source it holds the edge to its parent
+      in the BFS forest, a neighbor on the level above; the caller may
+      overwrite it with any nonnegative value.
+
+    Every mark is undone when the block exits, normally or by an
+    exception, so a search costs the vertices it reaches and their edges,
+    not n."""
+    mark = g._mark
     frontier = np.asarray(sources, dtype=np.intp)
-    dist[frontier] = 0
-    levels = [frontier]
-    level = 0
-    while len(frontier) and level != depth:
-        slots = _slots(g, frontier)[0]
-        ahead = g.adj[slots]
-        new = dist[ahead] < 0
-        if inside is not None:
-            new &= inside[ahead]
-        ahead, edges = ahead[new], g.adj_edge[slots[new]]
-        # a vertex seen across several edges keeps whichever edge the
-        # write leaves, and joins the frontier once
-        parent[ahead] = edges
-        frontier = ahead[parent[ahead] == edges]
-        level += 1
-        dist[frontier] = level
-        levels.append(frontier)
-    return dist, parent, np.concatenate(levels)
+    levels, touched, spans = [frontier], [frontier], []
+    try:
+        mark[frontier] = 0  # visited (a source has no parent edge)
+        while len(frontier):
+            slots, counts = _slots(g, frontier)
+            spans.append((slots, counts))
+            if len(levels) - 1 == depth:
+                break
+            ahead = g.adj[slots]
+            new = mark[ahead] < 0
+            if within is not None:
+                new &= _positions(within, ahead)[1]
+            ahead, edges = ahead[new], g.adj_edge[slots[new]]
+            touched.append(ahead)
+            # a vertex seen across several edges keeps whichever edge the
+            # write leaves, and joins the frontier once
+            mark[ahead] = edges
+            frontier = ahead[mark[ahead] == edges]
+            if len(frontier):
+                levels.append(frontier)
+        yield (np.concatenate(levels),
+               list(accumulate(map(len, levels), initial=0)), spans, mark)
+    finally:
+        mark[np.concatenate(touched)] = -1
 
 
 def radius_max(g, center):

@@ -138,10 +138,11 @@ class ObjectiveBundle:
 
     The parameters are per-edge arrays a, c, q, s, the domain bounds
     lo/hi (+-inf without an interval) and the kind masks quartic and
-    log_cosh; bundle[idx] is the bundle of the edges idx. A bundle holds
-    no per-edge objects: the constructor reads the parameters off EdgeCost
-    objects, `from_arrays` takes them as arrays of one kind, and `costs`
-    rebuilds the objects on first use."""
+    log_cosh, with `any_quartic` set once for the domain check;
+    bundle[idx] is the bundle of the edges idx. A bundle holds no per-edge
+    objects: the constructor reads the parameters off EdgeCost objects,
+    `from_arrays` takes them as arrays of one kind, and `costs` rebuilds
+    the objects on first use."""
 
     def __init__(self, costs):
         self._set_params(_params(*np.fromiter(chain.from_iterable(
@@ -163,6 +164,7 @@ class ObjectiveBundle:
         self._params = params
         self.a, self.c, self.q, self.s, self.lo, self.hi, beta, code = params
         self.quartic, self.log_cosh = code == 1, code == 2
+        self.any_quartic = bool(self.quartic.any())
         self.alpha, self.beta = float(self.a.min()), float(beta.max())
         self.Q = self.beta / self.alpha
         self.all_quadratic = not code.any()
@@ -195,7 +197,7 @@ class ObjectiveBundle:
         its edge's validity interval."""
         if len(x) != self.n_edges:
             raise CostError("flow vector has wrong dimension")
-        if self.quartic.any():
+        if self.any_quartic:
             bad = np.flatnonzero((x < self.lo) | (x > self.hi))
             if len(bad):
                 raise CostError("flow on edge %d outside validity interval %s"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from localflow import graph as graph_module
 from localflow import (DirectedGraph, GraphError, PerturbationSpec,
                        SubgraphSpec, WeightedWalk, ball_subgraph,
                        build_incidence, generate, geodesic_distance,
@@ -337,6 +338,38 @@ def test_array_bfs_ball_and_tree(seed, shape):
     up = ends.sum(axis=0) - sub.v_in[child]
     assert np.isin(up, sub.v_in).all()
     assert np.array_equal(dist[up], sub.depth[child] - 1)
+
+
+@pytest.mark.parametrize("failing_call", [1, 2, 4])
+def test_interrupted_search_leaves_later_balls_as_a_fresh_bfs(
+        monkeypatch, failing_call):
+    """A search keeps its visited marks in a per-graph scratch and undoes
+    them on the way out: a ball whose search raises part way (here at its
+    first, second or fourth level expansion) leaves no mark behind, and
+    every later ball and distance is that of a fresh BFS."""
+    g = generate("grid-2d", rows=9, cols=11)
+    slots, calls = graph_module._slots, []
+
+    def failing_slots(*args):
+        calls.append(None)
+        if len(calls) == failing_call:
+            raise MemoryError("interrupted")
+        return slots(*args)
+
+    monkeypatch.setattr(graph_module, "_slots", failing_slots)
+    with pytest.raises(MemoryError):
+        ball_subgraph(g, 40, 5)
+    monkeypatch.undo()
+    assert (g._mark == -1).all()
+    for center, r in ((40, 5), (0, 3), (98, 12)):
+        sub = ball_subgraph(g, center, r)
+        verts, edges, boundary = _reference_ball(g, center, r)
+        assert sub.v_in.tolist() == sorted(verts)
+        assert sub.e_in.tolist() == sorted(edges)
+        assert sub.boundary == boundary
+        assert np.array_equal(sub.depth,
+                              _reference_distances(g, [center])[sub.v_in])
+    assert np.array_equal(g.bfs_distances([5]), _reference_distances(g, [5]))
 
 
 @pytest.mark.parametrize("radius", [2.5, float("nan"), -1, float("inf"),

@@ -9,7 +9,8 @@ from localflow import (CostError, EdgeCost, FlowProblem, LocalizedSolver,
                        generate, pgd_run, pgd_step, pseudoinverse,
                        solve_exact, warm_start_reoptimize)
 from conftest import (logcosh_bundle, path, quadratic_problem,
-                      random_balanced, random_connected_graph, triangle)
+                      random_balanced, random_connected_graph, traced_peak_mb,
+                      triangle)
 
 
 def feasible_point(problem, rng=None):
@@ -28,6 +29,21 @@ def quadratic_bundle(rng, n_edges):
     return ObjectiveBundle.from_arrays("quadratic",
                                        a=rng.uniform(0.5, 2.0, n_edges),
                                        c=rng.standard_normal(n_edges))
+
+
+def bundle_of(kind, rng, n_edges):
+    """Random costs of one kind with unequal curvatures; a quartic's
+    interval [-20, 20] holds the flows of the tests' unit-scale demands."""
+    if kind == "quadratic":
+        return quadratic_bundle(rng, n_edges)
+    if kind == "quartic":
+        return ObjectiveBundle.from_arrays(
+            "quartic", a=rng.uniform(0.5, 2.0, n_edges),
+            q=rng.uniform(0.01, 0.3, n_edges), radius=20.0)
+    return logcosh_bundle(rng, n_edges)
+
+
+KINDS = ["quadratic", "quartic", "log-cosh"]
 
 
 def test_pgd_isotropic_quadratic_one_step(rng):
@@ -287,15 +303,14 @@ def _reference_iterates(problem, sub, x, b_target, t):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10**6), st.booleans(), st.integers(0, 3))
-def test_localized_run_matches_full_vector_reference(seed, quadratic, radius):
+@given(st.integers(0, 10**6), st.sampled_from(KINDS), st.integers(0, 3))
+def test_localized_run_matches_full_vector_reference(seed, kind, radius):
     rng = np.random.default_rng(seed)
     g = random_connected_graph(rng, int(rng.integers(4, 30)),
                                extra_edges=int(rng.integers(0, 20)))
     # unequal curvatures: with equal ones the first step of size 1/beta
     # lands on the ball's optimum and leaves the later steps untested
-    bundle = (quadratic_bundle(rng, g.n_edges) if quadratic
-              else logcosh_bundle(rng, g.n_edges))
+    bundle = bundle_of(kind, rng, g.n_edges)
     problem = FlowProblem(g, bundle, random_balanced(rng, g.n_vertices))
     sub = ball_subgraph(g, int(rng.integers(g.n_vertices)), radius)
     if not len(sub.e_in):
@@ -370,17 +385,19 @@ def test_cycle_matrix_on_random_balls(seed, shape):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**6), st.booleans(),
-       st.sampled_from(["tree", "grid", "whole"]))
+@given(st.integers(0, 10**6), st.sampled_from(KINDS),
+       st.sampled_from(["tree", "grid", "grid-boundary", "whole"]))
 def test_localized_run_matches_reference_on_trees_grids_and_whole_graphs(
-        seed, quadratic, shape):
-    """The cycle-space projection against the dense projector on balls of
-    a tree (cycle rank 0), balls of a grid (cycle rank near |V|) and
-    whole-graph subgraphs."""
+        seed, kind, shape):
+    """The cycle-coordinate steps against the dense projector on balls of
+    a tree (cycle rank 0), balls of a grid (cycle rank near |V|), centred
+    anywhere or on the grid's boundary, where the ball is cut off on one
+    side and has bridges off its cycle support, and whole-graph
+    subgraphs."""
     rng = np.random.default_rng(seed)
-    if shape == "grid":
-        g = generate("grid-2d", rows=int(rng.integers(2, 8)),
-                     cols=int(rng.integers(2, 8)))
+    if shape.startswith("grid"):
+        rows, cols = int(rng.integers(2, 8)), int(rng.integers(2, 8))
+        g = generate("grid-2d", rows=rows, cols=cols)
     else:
         g = random_connected_graph(
             rng, int(rng.integers(3, 30)),
@@ -388,10 +405,13 @@ def test_localized_run_matches_reference_on_trees_grids_and_whole_graphs(
     if shape == "whole":
         sub = SubgraphSpec(g, range(g.n_vertices))
     else:
-        sub = ball_subgraph(g, int(rng.integers(g.n_vertices)),
-                            int(rng.integers(1, 5)))
-    bundle = (quadratic_bundle(rng, g.n_edges) if quadratic
-              else logcosh_bundle(rng, g.n_edges))
+        center = int(rng.integers(g.n_vertices))
+        if shape == "grid-boundary":
+            i, j = divmod(center, cols)
+            center = [i * cols, i * cols + cols - 1, j,
+                      (rows - 1) * cols + j][int(rng.integers(4))]
+        sub = ball_subgraph(g, center, int(rng.integers(1, 5)))
+    bundle = bundle_of(kind, rng, g.n_edges)
     problem = FlowProblem(g, bundle, random_balanced(rng, g.n_vertices))
     x = solve_exact(problem)
     b_target = problem.b.copy()
@@ -453,9 +473,10 @@ def test_localized_run_contracts_at_the_budget_rate(seed, kind):
 def test_localized_run_checks_frozen_flows_once(rng):
     """Per step the run touches only the ball: the full graph's outflow
     and the cut edges' outflow are computed once each, the full bundle is
-    only domain-checked once, and the gradient is taken on the ball's
-    flows once per step; a tree ball (r = 2 here) takes none, yet collect
-    still receives every iterate."""
+    only domain-checked, and the gradient is taken once per step on the
+    flows of the cycle support, a proper part of this ball's edges; a tree
+    ball (r = 2 here) takes none, yet collect still receives every
+    iterate."""
     g = generate("random-k-regular", n=400, k=3, seed=5)
     problem = FlowProblem(g, logcosh_bundle(rng, g.n_edges),
                           random_balanced(rng, g.n_vertices))
@@ -465,23 +486,67 @@ def test_localized_run_checks_frozen_flows_once(rng):
         local = LocalizedSolver(problem, ball_subgraph(g, 0, r))
         assert (local.sub.cycle_rank > 0) == (steps > 0)
         outflows, gradient_sizes, iterates = [], [], []
-        ball_gradient = local.bundle.gradient
 
         def counted_outflow(*args):
             outflows.append(len(args[0]))
             return full_outflow(*args)
 
-        def counted_gradient(v):
-            gradient_sizes.append(len(v))
-            return ball_gradient(v)
+        g.net_outflow = counted_outflow
+        if steps:  # a tree ball has no cycle support, and no costs on it
+            support_gradient = local.bundle.gradient
 
-        g.net_outflow, local.bundle.gradient = (counted_outflow,
-                                                counted_gradient)
+            def counted_gradient(v):
+                gradient_sizes.append(len(v))
+                return support_gradient(v)
+
+            local.bundle.gradient = counted_gradient
         problem.bundle.gradient = problem.bundle.hessian_diag = None
         local.run(x, problem.b, 30, collect=iterates.append)
         assert outflows == [g.n_edges, len(local.sub.cut)]
-        assert gradient_sizes == [len(local.e_in)] * steps
+        assert gradient_sizes == [len(local.support)] * steps
+        assert len(local.support) < len(local.e_in) or not steps
         assert len(iterates) == 30
+
+
+@pytest.mark.parametrize("r", [2, 4])
+def test_ball_and_solver_build_allocate_by_the_ball_not_n(r):
+    """A ball and its solver hold no length-n array: on k = 3 graphs the
+    traced peak of ball_subgraph followed by LocalizedSolver is the same
+    within 2x at n = 2e3 and n = 2e5. One build runs first, so what the
+    graph allocates once for its searches is not counted."""
+    peaks = []
+    for n in (2000, 200000):
+        g = generate("random-k-regular", n=n, k=3, seed=1)
+        problem = quadratic_problem(g, np.zeros(n))
+
+        def build():
+            LocalizedSolver(problem, ball_subgraph(g, 0, r))
+        build()
+        peaks.append(traced_peak_mb(build))
+    assert max(peaks) <= 2.0 * min(peaks)
+
+
+def test_tree_ball_refuses_a_routed_flow_outside_the_domain():
+    """A tree ball's one feasible flow is its routing; where that leaves a
+    quartic cost's interval, the run raises instead of returning it."""
+    g = generate("cycle", n=12)
+    bundle = ObjectiveBundle.from_arrays("quartic", a=np.ones(12),
+                                         q=np.full(12, 0.1), radius=1.0)
+    problem = FlowProblem(g, bundle, np.zeros(12))
+    x = solve_exact(problem)
+    sub = ball_subgraph(g, 0, 2)  # the path 10 - 11 - 0 - 1 - 2
+    assert sub.cycle_rank == 0
+    p = np.zeros(12)
+    p[2], p[10] = 3.0, -3.0  # 3 units across every ball edge
+    seen = []
+    with pytest.raises(CostError, match="outside validity interval"):
+        warm_start_reoptimize(problem, PerturbationSpec(g, p), sub, 5,
+                              x_star=x, collect=seen.append)
+    assert seen == []
+    p[2], p[10] = 0.5, -0.5
+    out = warm_start_reoptimize(problem, PerturbationSpec(g, p), sub, 5,
+                                x_star=x)
+    assert np.abs(out[sub.e_in]).max() == 0.5
 
 
 def test_localized_run_rejects_out_of_domain_frozen_flow():

@@ -27,7 +27,8 @@ def test_bench_curve_writes_one_row_per_size(tmp_path):
                     "--requests", "2"],
                    check=True, capture_output=True, timeout=120)
     report = json.loads(out.read_text())
-    assert [row["n"] for row in report["rows"]] == [20, 40]
+    assert [(row["family"], row["n"]) for row in report["rows"]] == [
+        ("k3", 20), ("k3", 40)]
     for row in report["rows"]:
         assert row["setup_ms"] > 0 and row["load_ms"] > 0
         assert row["global_solve_ms"] > 0
@@ -45,14 +46,47 @@ def test_bench_curve_writes_one_row_per_size(tmp_path):
         for entry in row["radius"].values():
             assert entry["request_ms_p50"] > 0 and entry["requests"] == 2
             assert entry["build_ms_p50"] > 0
-            # a step time is reported only over balls with a cycle
-            assert (entry["step_us_p50"] is None) == (
-                entry["step_requests"] == 0)
-            assert entry["step_requests"] <= 2
+            _check_ball_columns(entry)
         # a radius-4 ball of a 3-regular graph that is a tree has 1 + 3 +
         # 6 + 12 + 24 = 46 vertices, more than 20 or 40: these balls have
         # a cycle, so their step time is measured
         assert row["radius"]["4"]["step_requests"] == 2
+
+
+def _check_ball_columns(entry):
+    """A radius entry's step, support and allocation columns."""
+    # a step time is reported only over balls with a cycle
+    assert (entry["step_us_p50"] is None) == (entry["step_requests"] == 0)
+    assert entry["step_requests"] <= entry["requests"]
+    # the cycle support is part of the ball's edges, empty on a tree
+    assert 0 <= entry["cycle_support_mean"] <= entry["ball_edges_mean"]
+    assert (entry["cycle_support_mean"] == 0) == (
+        entry["cycle_rank_mean"] == 0)
+    assert entry["build_peak_kib"] > 0
+
+
+def test_bench_curve_grid_family(tmp_path):
+    """--family grid runs the same columns on the square grid of side
+    round(sqrt(n)); its periodic walk certifies no decay rate, so the
+    decay columns are null."""
+    out = tmp_path / "bench.json"
+    assert _bench_curve().main(["--out", str(out), "--family", "grid",
+                                "--sizes", "20", "40", "--radii", "1", "4",
+                                "--requests", "2"]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert [(row["family"], row["n"], row["m"]) for row in rows] == [
+        ("grid", 16, 24), ("grid", 36, 60)]
+    for row in rows:
+        assert row["setup_ms"] > 0 and row["global_solve_ms"] > 0
+        assert row["decay_ms_p50"] is None and row["decay_cli_ms"] is None
+        for entry in row["radius"].values():
+            assert entry["request_ms_p50"] > 0 and entry["build_ms_p50"] > 0
+            _check_ball_columns(entry)
+        # a grid ball of radius 1 is a star, one of radius 4 holds a
+        # 4-cycle: its steps are timed, on a support of at least 4 edges
+        assert row["radius"]["1"]["cycle_rank_mean"] == 0
+        assert row["radius"]["4"]["step_requests"] == 2
+        assert row["radius"]["4"]["cycle_support_mean"] >= 4
 
 
 def test_step_summary_skips_tree_balls():

@@ -2,9 +2,13 @@
 """Localized-reoptimization scaling curve.
 
     OPENBLAS_NUM_THREADS=1 python3 tools/bench_curve.py --out BENCH.json
+    OPENBLAS_NUM_THREADS=1 python3 tools/bench_curve.py --family grid \
+        --sizes 2000 20000 --radii 2 4 8 16 --out BENCH_grid.json
 
-For each n, on a random 3-regular graph with quadratic costs a ~ U[1, 1.02]
-and c ~ N(0, 1), the script times:
+For each n, on a graph of the family (`--family`: k3, a random 3-regular
+graph on n vertices, the default; grid, the square grid-2d of side
+round(sqrt(n))) with quadratic costs a ~ U[1, 1.02] and c ~ N(0, 1), the
+script times:
 - the setup (`setup_ms`, the median of three): `generate`, the draw of a
   and c, and `ObjectiveBundle.from_arrays`;
 - the file boundary (`load_ms`, the median of three): `DirectedGraph.load`
@@ -26,18 +30,25 @@ and c ~ N(0, 1), the script times:
   in-process `cli.main` calls) on the instance's saved files: its graph,
   its costs with one entry per edge, its demands and that perturbation.
   Its excess over `decay_ms_p50` is the file boundary: parsing the
-  arguments, reading the files and writing the reports;
+  arguments, reading the files and writing the reports. Both decay
+  columns are null where the library certifies no decay rate and refuses
+  the sweep, as on the grid, whose walk is periodic;
 - at each radius r, a request as the benchmark's reopt-local workload makes
   it: `ball_subgraph`, then `warm_start_reoptimize` with 30 steps from the
   base optimum, for a unit perturbation across a random edge (median over
   --requests requests);
 - at each radius r, the build of a request, `ball_subgraph` plus the
-  `LocalizedSolver` construction (median over the requests);
+  `LocalizedSolver` construction (median over the requests), and in an
+  untimed second build its `tracemalloc` peak (`build_peak_kib`, the
+  median over the requests), which stays flat in n when the build
+  allocates by the ball;
 - at each radius r, one localized step: (run of 31 steps - run of 1 step)
   / 30 on the same solver, so the per-run work (frozen-flow check, tree
   routing) is left out. A tree ball (cycle rank 0) does no per-step work,
   so the median is over the requests whose ball has a cycle only
-  (`step_requests` of them), and null when there are none.
+  (`step_requests` of them), and null when there are none. A step reads
+  the costs of the ball's cycle support only, whose mean size is
+  `cycle_support_mean` (0 on a tree ball).
 
 Each `*_p50` comes with `*_p25` and `*_p75`, the quartiles of the same
 samples. A change between two committed BENCH_*.json files that lies
@@ -49,12 +60,14 @@ time, stays flat in n at fixed r. The library is imported from ./src.
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -72,18 +85,27 @@ def _ms(start):
     return (time.perf_counter() - start) * 1e3
 
 
-def _instance(n, seed):
-    """The quadratic instance, its random stream, and the median time in ms
-    of three builds of its graph and cost bundle."""
+FAMILIES = {
+    "k3": lambda n, seed: lf.generate("random-k-regular", n=n, k=3,
+                                      seed=seed),
+    "grid": lambda n, seed: lf.generate("grid-2d", rows=round(math.sqrt(n)),
+                                        cols=round(math.sqrt(n))),
+}
+
+
+def _instance(family, n, seed):
+    """The quadratic instance on the family's graph for n, its random
+    stream, and the median time in ms of three builds of its graph and
+    cost bundle."""
     def build():
         rng = np.random.default_rng([seed, n])
-        g = lf.generate("random-k-regular", n=n, k=3, seed=seed)
+        g = FAMILIES[family](n, seed)
         bundle = lf.ObjectiveBundle.from_arrays(
             "quadratic", rng.uniform(1.0, 1.02, g.n_edges),
             c=rng.standard_normal(g.n_edges))
         return g, bundle, rng
     (g, bundle, rng), setup_ms = _median_of_three(build)
-    b = rng.standard_normal(n)
+    b = rng.standard_normal(g.n_vertices)
     return lf.FlowProblem(g, bundle, b - b.mean()), rng, setup_ms
 
 
@@ -167,9 +189,19 @@ def _median_of_three(call):
     return out, statistics.median(times)
 
 
+def _build_peak_kib(problem, center, r):
+    """The tracemalloc peak in KiB of a ball and its solver's build."""
+    tracemalloc.start()
+    try:
+        lf.LocalizedSolver(problem, lf.ball_subgraph(problem.graph, center, r))
+        return tracemalloc.get_traced_memory()[1] / 1024
+    finally:
+        tracemalloc.stop()
+
+
 def _radius_row(problem, x_star, rng, r, requests):
     g = problem.graph
-    request_ms, build_ms, step_us, sizes = [], [], [], []
+    request_ms, build_ms, step_us, sizes, peaks = [], [], [], [], []
     for _ in range(requests):
         k = int(rng.integers(g.n_edges))
         p = np.zeros(g.n_vertices)
@@ -183,6 +215,7 @@ def _radius_row(problem, x_star, rng, r, requests):
         local = lf.LocalizedSolver(problem,
                                    lf.ball_subgraph(g, int(g.tails[k]), r))
         build_ms.append(_ms(start))
+        peaks.append(_build_peak_kib(problem, int(g.tails[k]), r))
         b_target = problem.b + p
         start = time.perf_counter()
         local.run(x_star, b_target, 1)
@@ -190,13 +223,17 @@ def _radius_row(problem, x_star, rng, r, requests):
         start = time.perf_counter()
         local.run(x_star, b_target, STEPS + 1)
         step_us.append((_ms(start) - one) * 1e3 / STEPS)
-        sizes.append((len(sub.v_in), len(sub.e_in), sub.cycle_rank))
-    vertices, edges, cycle_rank = (statistics.mean(s) for s in zip(*sizes))
+        sizes.append((len(sub.v_in), len(sub.e_in), sub.cycle_rank,
+                      len(local.support)))
+    vertices, edges, cycle_rank, support = (statistics.mean(s)
+                                            for s in zip(*sizes))
     return {**percentiles("request_ms", request_ms),
             **percentiles("build_ms", build_ms),
             **step_summary(step_us, [size[2] for size in sizes]),
             "requests": requests, "ball_vertices_mean": vertices,
-            "ball_edges_mean": edges, "cycle_rank_mean": cycle_rank}
+            "ball_edges_mean": edges, "cycle_rank_mean": cycle_rank,
+            "cycle_support_mean": support,
+            "build_peak_kib": statistics.median(peaks)}
 
 
 def percentiles(name, samples):
@@ -217,6 +254,7 @@ def step_summary(step_us, cycle_ranks):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[1])
     parser.add_argument("--out", required=True, help="JSON file to write")
+    parser.add_argument("--family", choices=sorted(FAMILIES), default="k3")
     parser.add_argument("--sizes", type=int, nargs="+",
                         default=[200, 2000, 20000, 200000])
     parser.add_argument("--radii", type=int, nargs="+", default=[2, 4, 8])
@@ -227,23 +265,29 @@ def main(argv=None):
         parser.error("--requests must be at least 1")
     rows = []
     for n in args.sizes:
-        problem, rng, setup_ms = _instance(n, args.seed)
+        problem, rng, setup_ms = _instance(args.family, n, args.seed)
         x_star, solve_ms = _median_of_three(lambda: lf.solve_exact(problem))
         logcosh, stats = _logcosh(problem, args.seed), {}
         logcosh_ms = _median_of_three(
             lambda: lf.solve_exact(logcosh, stats=stats))[1]
         budget, constants_ms = _median_of_three(
             lambda: lf.budget_for(problem))
+        try:
+            decay = _decay_ms(problem)
+        except lf.LocalityError:  # no certified decay rate (a grid's)
+            decay = None
         with tempfile.TemporaryDirectory() as tmp:
             paths = _save(problem, tmp)
             load_ms = _load_ms(problem.graph, paths["graph"])
-            decay_cli_ms = _decay_cli_ms(paths)
-        row = {"n": n, "m": problem.graph.n_edges, "setup_ms": setup_ms,
+            decay_cli_ms = _decay_cli_ms(paths) if decay else None
+        row = {"family": args.family, "n": problem.graph.n_vertices,
+               "m": problem.graph.n_edges, "setup_ms": setup_ms,
                "load_ms": load_ms, "global_solve_ms": solve_ms,
                "global_logcosh_ms": logcosh_ms,
                "logcosh_cg_iterations": sum(stats["cg_iterations"]),
                "constants_ms": constants_ms,
-               "mu_bound": budget.mu, **_decay_ms(problem),
+               "mu_bound": budget.mu,
+               **(decay or percentiles("decay_ms", [])),
                "decay_cli_ms": decay_cli_ms,
                "radius": {str(r): _radius_row(problem, x_star, rng, r,
                                               args.requests)
