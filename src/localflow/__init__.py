@@ -8,11 +8,11 @@ radius/iteration tuner.
 """
 
 from .graph import (DirectedGraph, GraphError, SubgraphSpec, ball_subgraph,
-                    build_incidence, generate, geodesic_distance,
-                    induced_vertex_set, radius_max)
+                    generate, geodesic_distance, induced_vertex_set,
+                    radius_max)
 from .objective import CostError, EdgeCost, ObjectiveBundle
-from .laplacian import (LaplacianError, WeightedWalk, green_series_apply,
-                        laplacian_solve, pseudoinverse)
+from .laplacian import (LaplacianError, WeightedWalk, laplacian_solve,
+                        pseudoinverse)
 from .sensitivity import (FlowProblem, PerturbationSpec, SensitivityError,
                           SensitivityOperator, directional_derivative,
                           integrate_sensitivity, sensitivity_operator,
@@ -29,11 +29,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DirectedGraph", "GraphError", "SubgraphSpec", "ball_subgraph",
-    "build_incidence", "generate", "geodesic_distance",
-    "induced_vertex_set", "radius_max",
+    "generate", "geodesic_distance", "induced_vertex_set", "radius_max",
     "CostError", "EdgeCost", "ObjectiveBundle",
-    "LaplacianError", "WeightedWalk", "green_series_apply",
-    "laplacian_solve", "pseudoinverse",
+    "LaplacianError", "WeightedWalk", "laplacian_solve", "pseudoinverse",
     "FlowProblem", "PerturbationSpec", "SensitivityError",
     "SensitivityOperator", "directional_derivative",
     "integrate_sensitivity", "sensitivity_operator", "solve_exact",

@@ -19,6 +19,8 @@ import numpy as np
 # the net-outflow residual Ax - b of a feasible flow x (v = b)
 BALANCE_TOL = 1e-9
 FEAS_TOL = 1e-9
+# pairings random-k-regular draws before it gives up
+REGULAR_MAX_TRIES = 2000
 
 
 class GraphError(ValueError):
@@ -197,16 +199,6 @@ def _feasible(residual, b, error, message):
     if not worst <= FEAS_TOL * _scale(b):
         raise error(message % worst)
     return worst
-
-
-def build_incidence(g):
-    """Dense vertex-by-edge incidence matrix: +1 at the tail, -1 at the head.
-    A small-graph reference for net_outflow and potential_difference."""
-    A = np.zeros((g.n_vertices, g.n_edges))
-    cols = np.arange(g.n_edges)
-    A[g.tails, cols] = 1.0
-    A[g.heads, cols] = -1.0
-    return A
 
 
 def _first_repeat(keys):
@@ -520,15 +512,19 @@ def _grid(rows, cols):
     return g
 
 
-def _random_regular(n, k, seed, max_tries=2000):
+def _random_regular(n, k, seed):
     """Pairing-model sampler, rejecting self-loops, multi-edges and
-    disconnected outcomes."""
+    disconnected outcomes, for at most REGULAR_MAX_TRIES pairings."""
+    # connected: 0-regular only on one vertex, 1-regular only on two
+    if k < 0 or (k <= 1 and n > k + 1):
+        raise GraphError("no connected simple %d-regular graph on %d "
+                         "vertices exists" % (k, n))
     if k >= n:
         raise GraphError("k-regular needs k < n")
     if (n * k) % 2 != 0:
         raise GraphError("k-regular needs n*k even")
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(REGULAR_MAX_TRIES):
         stubs = np.repeat(np.arange(n), k)
         rng.shuffle(stubs)
         try:

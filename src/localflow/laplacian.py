@@ -1,27 +1,21 @@
-"""Weighted Laplacians, pseudoinverses and walk-series Green's functions.
+"""Weighted Laplacians: matrix-free solves and certified spectral norms.
 
 The weight of an edge is the reciprocal of the cost curvature at the
 current flow, so the Laplacian here is exactly the constraint-side matrix
 appearing in the sensitivity operator. Products with L^+ are matrix-free
 conjugate-gradient solves (laplacian_solve). Spectral norms behind the
 error bounds are certified upper bounds from a matrix-free Lanczos run
-(norm_bound); dense matrices serve spectra and the pseudoinverse.
+(norm_bound); dense matrices serve small spectra and the pseudoinverse.
 """
 
 from functools import cached_property
 
 import numpy as np
 
-from .graph import _balanced
-
 # eigenvalues below this fraction of the largest are treated as kernel
 KERNEL_RTOL = 1e-12
 # laplacian_solve stops at CG's recurrence residual |r|_2 < CG_RTOL |rhs|_2
 CG_RTOL = 1e-14
-# stop Green's-function series when lambda^t / (1 - lambda) drops below this,
-# refusing a series that needs more than SERIES_MAX_TERMS terms to get there
-SERIES_TAIL = 1e-12
-SERIES_MAX_TERMS = 1_000_000
 # norm_bound fails with probability at most SPECTRAL_DELTA over its random
 # start, after at most LANCZOS_STEPS steps
 SPECTRAL_DELTA = 1e-6
@@ -34,8 +28,8 @@ class LaplacianError(ValueError):
 
 class WeightedWalk:
     """Symmetric edge weights with the derived degree vector and
-    Laplacian; the dense n x n W and L are built on first access. pinv()
-    stays because the benchmark tracer patches it by name."""
+    Laplacian; the dense n x n W and L are built on first access. W, L
+    and pinv() stay because the benchmark tracer reaches them by name."""
 
     def __init__(self, graph, weights):
         self.graph = graph
@@ -76,15 +70,11 @@ class WeightedWalk:
         return norm_bound(self.graph, self.weights, 1.0 / s,
                           s / np.linalg.norm(s))
 
-    def is_aperiodic(self):
-        # connected: periodic iff bipartite iff no edge joins equal depths
-        g, d = self.graph, self.graph.bfs_distances([0])
-        return bool(np.any(d[g.tails] == d[g.heads]))
-
 
 class Spectrum:
     """Eigenvalues of the transition matrix, sorted descending, and the
-    second largest eigenvalue in magnitude."""
+    second largest eigenvalue in magnitude. The benchmark tracer patches
+    it by name."""
 
     def __init__(self, walk):
         # P is similar to the symmetric D^{-1/2} W D^{-1/2}
@@ -187,7 +177,8 @@ def _weight_operator(graph, weights, scale):
 
 def pseudoinverse(L):
     """Moore-Penrose pseudoinverse via eigendecomposition with a
-    scale-invariant kernel cutoff."""
+    scale-invariant kernel cutoff: the dense small-n reference, whose
+    calls the benchmark tracer counts by this name."""
     vals, vecs = np.linalg.eigh(L)
     cutoff = KERNEL_RTOL * max(vals.max(), 1.0)
     inv = np.where(vals > cutoff, 1.0 / np.where(vals > cutoff, vals, 1.0), 0.0)
@@ -263,36 +254,3 @@ def laplacian_solve(graph, weights, rhs, x0=None, stats=None):
         p = z + (rz / rz_old) * p
     raise LaplacianError("conjugate gradients broke down or stalled at "
                          "relative residual %.3e" % (res / scale))
-
-
-def _truncation_point(lam):
-    if lam >= 1.0:
-        raise LaplacianError("walk decay bound %.6f is not below 1; use the "
-                             "L+ form" % lam)
-    if lam <= 0.0:
-        return 1
-    T = max(1, int(np.ceil(np.log(SERIES_TAIL * (1.0 - lam))
-                           / np.log(lam))) + 1)
-    if T > SERIES_MAX_TERMS:
-        raise LaplacianError(
-            "series needs %d terms to reach tail %.1e but max_terms is %d"
-            % (T, SERIES_TAIL, SERIES_MAX_TERMS))
-    return T
-
-
-def green_series_apply(walk, f):
-    """sum_t P^t (f / d) for a balanced vertex vector f (graph._balanced,
-    else LaplacianError), truncated where the walk's certified decay bound
-    puts the tail below SERIES_TAIL; each term is one bincount product.
-    Used by the walk-series sensitivity formula."""
-    if not walk.is_aperiodic():
-        raise LaplacianError("series not absolutely summable; use L+ form")
-    f = _balanced(walk.graph, f, LaplacianError, "series form vector")
-    T = _truncation_point(walk.slem_bound)
-    w = _weight_operator(walk.graph, walk.weights, np.ones(walk.n))
-    vec = f / walk.d
-    total = vec.copy()
-    for _ in range(T):
-        vec = w(vec) / walk.d
-        total += vec
-    return total

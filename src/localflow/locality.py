@@ -239,7 +239,6 @@ class ErrorBudget:
     rho: float
     c: float
     gamma: float
-    constants_mode: str
     spectral: dict
 
     @property
@@ -264,8 +263,7 @@ class ErrorBudget:
             / (1.0 - self.rho)
 
     @classmethod
-    def envelope(cls, Q, k_plus, k_minus, mu, constants_mode="envelope",
-                 spectral=None):
+    def envelope(cls, Q, k_plus, k_minus, mu, spectral=None):
         """The budget of curvature ratio Q on a graph of degrees k_minus
         to k_plus whose adjacency has second eigenvalue in magnitude at
         most mu. rho bounds that eigenvalue of every walk whose weights
@@ -274,21 +272,19 @@ class ErrorBudget:
         rho = Q * k_plus / k_minus - 1.0 + Q * mu / k_minus
         c = math.sqrt(2.0 * k_plus) * Q / k_minus
         gamma = c * (1.0 + c * math.sqrt(max(k_plus - 1, 0)))
-        return cls(k_plus, k_minus, float(mu), Q, rho, c, gamma,
-                   constants_mode, spectral)
+        return cls(k_plus, k_minus, float(mu), Q, rho, c, gamma, spectral)
 
 
-def _graph_budget(graph, Q, constants_mode="envelope"):
+def _graph_budget(graph, Q):
     """The budget of curvature ratio Q on graph's degrees and mu."""
     degs, mu = graph.degrees(), adjacency_slem(graph)
     return ErrorBudget.envelope(Q, int(degs.max()), int(degs.min()), mu,
-                                constants_mode, mu.spectral)
+                                mu.spectral)
 
 
 def budget_for(problem):
     """The error budget of problem's graph and curvature ratio Q."""
-    return _graph_budget(problem.graph, problem.bundle.Q,
-                         _constants_mode(problem))
+    return _graph_budget(problem.graph, problem.bundle.Q)
 
 
 BiasVarianceResult = namedtuple("BiasVarianceResult", (
@@ -296,7 +292,7 @@ BiasVarianceResult = namedtuple("BiasVarianceResult", (
     "budget"))
 
 
-def bias_variance(problem, pert, sub, t, x_star_base=None):
+def bias_variance(problem, pert, sub, t):
     """Exact bias/variance split of the localized warm-start error.
 
     Bias compares the full perturbed optimum with the localized fixed
@@ -306,8 +302,7 @@ def bias_variance(problem, pert, sub, t, x_star_base=None):
     _check_owner(problem, sub)
     if not pert.support <= sub.vertex_set:
         raise LocalityError("perturbation support not inside the subgraph")
-    if x_star_base is None:
-        x_star_base = solve_exact(problem)
+    x_star_base = solve_exact(problem)
     x_pert = solve_exact(problem.with_b(problem.b + pert.p))
     budget = budget_for(problem)
     p_norm = float(np.linalg.norm(pert.p))

@@ -3,17 +3,14 @@
 The derivative of the optimal flow with respect to a balanced constraint
 perturbation p is sigma * A^T L^+ p, where sigma holds the inverse cost
 curvatures at the optimum and L is the induced weighted Laplacian.
-Products with L^+ are conjugate-gradient solves.
+Products with L^+ are conjugate-gradient solves, all in _project; the
+walk series and the dense incidence are test oracles (tests/oracles.py).
 """
-
-from functools import cached_property
 
 import numpy as np
 
-from .graph import (_balanced, _feasible, _scale, _vertex_indices,
-                    build_incidence)
-from .laplacian import (WeightedWalk, green_series_apply, laplacian_solve,
-                        pseudoinverse)
+from .graph import _balanced, _feasible, _scale, _vertex_indices
+from .laplacian import WeightedWalk, laplacian_solve
 from .objective import CostError
 
 # relative to max(1, |grad|_inf); feasibility and balance are graph.py's
@@ -40,14 +37,10 @@ class FlowProblem:
     def with_b(self, b):
         return FlowProblem(self.graph, self.bundle, b)
 
-    @cached_property
-    def A(self):
-        """Dense incidence matrix; a small-graph helper."""
-        return build_incidence(self.graph)
-
     def unweighted_laplacian_pinv(self):
-        """(A A^T)^+, the dense reference for project."""
-        return pseudoinverse(self.A @ self.A.T)
+        """(A A^T)^+ = (D - W)^+ at unit weights, the dense reference for
+        project; the benchmark tracer patches it by name."""
+        return WeightedWalk(self.graph, np.ones(self.graph.n_edges)).pinv()
 
     def project(self, v, b):
         """Orthogonal projection v - A^T (A A^T)^+ (Av - b) onto Au = b."""
@@ -203,12 +196,6 @@ class SensitivityOperator:
     def apply(self, p):
         """Directional derivative of the optimal flow for perturbation p."""
         return _project(self.problem.graph, self.sigma, 0.0, p)[0]
-
-    def apply_series(self, p):
-        """Same product through the truncated walk-series formula;
-        aperiodic walks only."""
-        return self.sigma * self.problem.graph.potential_difference(
-            green_series_apply(self.walk, p))
 
 
 def sensitivity_operator(problem, x_star=None):

@@ -1,20 +1,84 @@
-"""Dense identity oracles for small graphs.
+"""Dense identity oracles and the walk series, for small graphs.
 
 Nothing in the library calls these: they are the definitions the tests
-hold the matrix-free path to: killed walks and their Green's functions
-(acceptance criterion 2), the dense sensitivity matrix sigma A^T L^+ that
-SensitivityOperator.apply multiplies by, the generic constrained form
-Sigma A^T (A Sigma A^T)^+, and the Gaussian conditional-mean identities
-(criterion 10). Every matrix here is dense, so keep n in the hundreds.
+hold the matrix-free path to: the dense incidence matrix A behind
+net_outflow and potential_difference; the walk series of the Green's
+function, sum_t P^t (f / d), and through it the sensitivity product
+sigma A^T L^+ p that SensitivityOperator.apply computes by one projection
+(acceptance criterion 3); killed walks and their Green's functions
+(criterion 2); the dense sensitivity matrix sigma A^T L^+; the generic
+constrained form Sigma A^T (A Sigma A^T)^+; and the Gaussian
+conditional-mean identities (criterion 10). Every matrix here is dense,
+so keep n in the hundreds.
 """
 
 import numpy as np
 
 from localflow import LaplacianError, SensitivityError, pseudoinverse
-from localflow.graph import _vertex_indices
-from localflow.laplacian import _truncation_point, green_series_apply
+from localflow.graph import _balanced, _vertex_indices
+from localflow.laplacian import _weight_operator
 
 FD_STEP = 1e-6  # boundary_sensitivity_check's central differences
+# stop Green's-function series when lambda^t / (1 - lambda) drops below this,
+# refusing a series that needs more than SERIES_MAX_TERMS terms to get there
+SERIES_TAIL = 1e-12
+SERIES_MAX_TERMS = 1_000_000
+
+
+def incidence(g):
+    """Dense vertex-by-edge incidence matrix: +1 at the tail, -1 at the head.
+    A small-graph reference for net_outflow and potential_difference."""
+    A = np.zeros((g.n_vertices, g.n_edges))
+    cols = np.arange(g.n_edges)
+    A[g.tails, cols] = 1.0
+    A[g.heads, cols] = -1.0
+    return A
+
+
+def is_aperiodic(walk):
+    # connected: periodic iff bipartite iff no edge joins equal depths
+    g, d = walk.graph, walk.graph.bfs_distances([0])
+    return bool(np.any(d[g.tails] == d[g.heads]))
+
+
+def _truncation_point(lam):
+    if lam >= 1.0:
+        raise LaplacianError("walk decay bound %.6f is not below 1; use the "
+                             "L+ form" % lam)
+    if lam <= 0.0:
+        return 1
+    T = max(1, int(np.ceil(np.log(SERIES_TAIL * (1.0 - lam))
+                           / np.log(lam))) + 1)
+    if T > SERIES_MAX_TERMS:
+        raise LaplacianError(
+            "series needs %d terms to reach tail %.1e but max_terms is %d"
+            % (T, SERIES_TAIL, SERIES_MAX_TERMS))
+    return T
+
+
+def green_series_apply(walk, f):
+    """sum_t P^t (f / d) for a balanced vertex vector f (graph._balanced,
+    else LaplacianError), truncated where the walk's certified decay bound
+    puts the tail below SERIES_TAIL; each term is one bincount product.
+    Used by the walk-series sensitivity formula."""
+    if not is_aperiodic(walk):
+        raise LaplacianError("series not absolutely summable; use L+ form")
+    f = _balanced(walk.graph, f, LaplacianError, "series form vector")
+    T = _truncation_point(walk.slem_bound)
+    w = _weight_operator(walk.graph, walk.weights, np.ones(walk.n))
+    vec = f / walk.d
+    total = vec.copy()
+    for _ in range(T):
+        vec = w(vec) / walk.d
+        total += vec
+    return total
+
+
+def series_apply(op, p):
+    """SensitivityOperator op's product with p through the truncated
+    walk-series formula; aperiodic walks only."""
+    return op.sigma * op.problem.graph.potential_difference(
+        green_series_apply(op.walk, p))
 
 
 class RestrictedLaplacian:
@@ -99,7 +163,8 @@ def green_difference(walk, u, v, w, z, form="pinv"):
 def sensitivity_matrix(op):
     """The dense edges-by-vertices matrix sigma A^T L^+ of a
     SensitivityOperator, whose products op.apply computes."""
-    return op.sigma[:, None] * (op.problem.A.T @ op.walk.pinv())
+    return op.sigma[:, None] * (incidence(op.problem.graph).T
+                                 @ op.walk.pinv())
 
 
 def generic_sensitivity_matrix(hessian_diag, A):

@@ -9,30 +9,29 @@ from hypothesis import strategies as st
 
 from localflow import graph as graph_module
 from localflow import (DirectedGraph, GraphError, PerturbationSpec,
-                       SubgraphSpec, WeightedWalk, ball_subgraph,
-                       build_incidence, generate, geodesic_distance,
-                       induced_vertex_set, measure_decay, point_to_set,
-                       radius_max, set_to_point)
+                       SubgraphSpec, WeightedWalk, ball_subgraph, generate,
+                       geodesic_distance, induced_vertex_set, measure_decay,
+                       point_to_set, radius_max, set_to_point)
 from conftest import (neighbors, path, quadratic_problem,
                       random_connected_graph, triangle)
-from oracles import RestrictedLaplacian, green_difference
+from oracles import RestrictedLaplacian, green_difference, incidence
 
 
 def test_incidence_two_vertices():
     g = DirectedGraph(["1", "2"], [("e1", "1", "2")])
-    A = build_incidence(g)
+    A = incidence(g)
     assert A.tolist() == [[1.0], [-1.0]]
 
 
 def test_incidence_triangle_columns():
-    A = build_incidence(triangle())
+    A = incidence(triangle())
     expected = np.array([[1, 0, -1], [-1, 1, 0], [0, -1, 1]], dtype=float)
     assert np.array_equal(A, expected)
 
 
 def test_incidence_columns_sum_to_zero(rng):
     g = random_connected_graph(rng, 25, extra_edges=15)
-    A = build_incidence(g)
+    A = incidence(g)
     assert np.abs(A.sum(axis=0)).max() == 0.0
 
 
@@ -212,6 +211,15 @@ def test_generate_regular_infeasible():
         generate("random-k-regular", n=5, k=3, seed=0)
 
 
+@pytest.mark.parametrize("n, k", [(3, 1), (4, 1), (4000, 1), (2, 0),
+                                  (40, 0), (10, -1), (1, -2)])
+def test_generate_regular_refuses_degrees_with_no_connected_graph(n, k):
+    # refused before any pairing is drawn, not after REGULAR_MAX_TRIES
+    with pytest.raises(GraphError, match="no connected simple %d-regular "
+                       "graph on %d vertices exists" % (k, n)):
+        generate("random-k-regular", n=n, k=k, seed=0)
+
+
 def test_json_round_trip(rng):
     g = random_connected_graph(rng, 15, extra_edges=5)
     g2 = DirectedGraph.from_json_dict(
@@ -224,7 +232,7 @@ def test_json_round_trip(rng):
 @given(seed=st.integers(0, 10_000), n=st.integers(3, 40))
 def test_incidence_left_null_space_property(seed, n):
     g = random_connected_graph(np.random.default_rng(seed), n, extra_edges=5)
-    A = build_incidence(g)
+    A = incidence(g)
     assert np.abs(np.ones(g.n_vertices) @ A).max() == 0.0
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localflow import (DirectedGraph, EdgeCost, FlowProblem, ObjectiveBundle,
-                       PerturbationSpec, SensitivityError, build_incidence,
+                       PerturbationSpec, SensitivityError,
                        directional_derivative, generate,
                        integrate_sensitivity, pseudoinverse,
                        sensitivity_operator, solve_exact)
@@ -17,7 +17,8 @@ from localflow.sensitivity import STATIONARITY_TOL, _project
 from conftest import (logcosh_bundle, path, quadratic_problem,
                       random_balanced, random_connected_graph, triangle)
 from oracles import (boundary_sensitivity_check, gaussian_identity_check,
-                     generic_sensitivity_matrix, sensitivity_matrix)
+                     generic_sensitivity_matrix, incidence, is_aperiodic,
+                     sensitivity_matrix, series_apply)
 
 
 def test_flow_problem_rejects_unbalanced():
@@ -48,7 +49,7 @@ def test_solve_exact_triangle_least_norm():
     x = solve_exact(problem)
     assert np.allclose(x, [2.0 / 3, -1.0 / 3, -1.0 / 3], atol=1e-12)
     # cross-check against the independent least-norm formula
-    A = problem.A
+    A = incidence(problem.graph)
     oracle = A.T @ (pseudoinverse(A @ A.T) @ problem.b)
     assert np.allclose(x, oracle, atol=1e-12)
 
@@ -66,7 +67,7 @@ def test_solve_exact_quadratic_with_linear_terms(rng):
     problem = FlowProblem(g, ObjectiveBundle(costs),
                           random_balanced(rng, g.n_vertices))
     x = solve_exact(problem)
-    assert np.abs(problem.A @ x - problem.b).max() < 1e-9
+    assert np.abs(incidence(problem.graph) @ x - problem.b).max() < 1e-9
     grad = problem.bundle.gradient(x)
     assert np.abs(problem.project_gradient(grad)).max() < 1e-8
 
@@ -76,7 +77,7 @@ def test_solve_exact_logcosh_kkt(rng):
     problem = FlowProblem(g, logcosh_bundle(rng, g.n_edges),
                           random_balanced(rng, g.n_vertices, scale=2.0))
     x = solve_exact(problem)
-    assert np.abs(problem.A @ x - problem.b).max() < 1e-9
+    assert np.abs(incidence(problem.graph) @ x - problem.b).max() < 1e-9
     assert np.abs(problem.project_gradient(
         problem.bundle.gradient(x))).max() < 1e-8
 
@@ -84,7 +85,7 @@ def test_solve_exact_logcosh_kkt(rng):
 def test_operator_quadratic_is_unweighted_pinv_form():
     problem = quadratic_problem(triangle(), np.array([1.0, -1.0, 0.0]))
     op = sensitivity_operator(problem)
-    A = problem.A
+    A = incidence(problem.graph)
     expected = A.T @ pseudoinverse(A @ A.T)
     assert np.allclose(sensitivity_matrix(op), expected, atol=1e-10)
 
@@ -97,7 +98,7 @@ def test_operator_derivative_is_feasible(rng):
     for _ in range(5):
         p = random_balanced(rng, g.n_vertices)
         d = op.apply(p)
-        assert np.abs(problem.A @ d - p).max() < 1e-8
+        assert np.abs(incidence(problem.graph) @ d - p).max() < 1e-8
 
 
 def test_operator_matches_central_difference(rng):
@@ -145,11 +146,11 @@ def test_laplacian_vs_series_form(rng):
         problem = FlowProblem(g, logcosh_bundle(rng, g.n_edges),
                               random_balanced(rng, g.n_vertices))
         op = sensitivity_operator(problem)
-        if not op.walk.is_aperiodic():
+        if not is_aperiodic(op.walk):
             continue
         count += 1
         p = random_balanced(rng, g.n_vertices)
-        assert np.abs(op.apply(p) - op.apply_series(p)).max() < 1e-8
+        assert np.abs(op.apply(p) - series_apply(op, p)).max() < 1e-8
 
 
 def test_integrate_sensitivity_quadratic_exact(rng):
@@ -259,10 +260,17 @@ def test_project_gradient_matches_pinv_formula(rng):
     g = random_connected_graph(rng, 15, extra_edges=8)
     problem = quadratic_problem(g, random_balanced(rng, g.n_vertices))
     grad = rng.standard_normal(g.n_edges)
-    A = problem.A
+    A = incidence(problem.graph)
     want = grad - A.T @ (problem.unweighted_laplacian_pinv() @ (A @ grad))
     got = problem.project_gradient(grad)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # A A^T and D - W are one integer matrix: the same pseudoinverse, bit
+    # for bit, on the test's graph and on a grid
+    grid = generate("grid-2d", rows=4, cols=5)
+    for prob in (problem, quadratic_problem(grid, np.zeros(20))):
+        A = incidence(prob.graph)
+        assert np.array_equal(prob.unweighted_laplacian_pinv(),
+                              pseudoinverse(A @ A.T))
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "log-cosh"])
@@ -400,7 +408,7 @@ def test_newton_evaluates_one_gradient_per_trial_point(rng, monkeypatch):
 def test_newton_solve_meets_dense_kkt_oracle(seed, n, kind, log10_b):
     rng = np.random.default_rng(seed)
     g = random_connected_graph(rng, n, extra_edges=int(rng.integers(0, n)))
-    m, A = g.n_edges, build_incidence(g)
+    m, A = g.n_edges, incidence(g)
     gram_pinv = pseudoinverse(A @ A.T)
     b = random_balanced(rng, n)
     b *= 10.0 ** log10_b / np.abs(b).max()
@@ -485,7 +493,7 @@ def test_newton_falls_back_to_least_norm_start():
     x = solve_exact(problem, stats=stats)
     assert stats["start"] == "least-norm"
     assert 0.4 < x[0] < 0.5
-    assert np.abs(problem.A @ x - problem.b).max() <= 1e-12
+    assert np.abs(incidence(problem.graph) @ x - problem.b).max() <= 1e-12
     grad = bundle.gradient(x)
     assert np.abs(problem.project_gradient(grad)).max() <= 1e-10
 
@@ -498,7 +506,7 @@ def test_project_meets_the_dense_weighted_projection(seed, n, log10_v):
     # each warm start relies on
     rng = np.random.default_rng(seed)
     g = random_connected_graph(rng, n, extra_edges=int(rng.integers(0, n)))
-    A = build_incidence(g)
+    A = incidence(g)
     sigma = 10.0 ** rng.uniform(-1.0, 1.0, g.n_edges)
     v = rng.standard_normal(g.n_edges) * 10.0 ** log10_v
     d = random_balanced(rng, n)

@@ -5,16 +5,17 @@ from hypothesis import strategies as st
 
 from localflow import (CostError, EdgeCost, FlowProblem, LocalizedSolver,
                        ObjectiveBundle, PerturbationSpec, SolverError,
-                       SubgraphSpec, ball_subgraph, build_incidence,
-                       generate, pgd_run, pgd_step, pseudoinverse,
-                       solve_exact, warm_start_reoptimize)
+                       SubgraphSpec, ball_subgraph, generate, pgd_run,
+                       pgd_step, pseudoinverse, solve_exact,
+                       warm_start_reoptimize)
 from conftest import (logcosh_bundle, path, quadratic_problem,
                       random_balanced, random_connected_graph, traced_peak_mb,
                       triangle)
+from oracles import incidence
 
 
 def feasible_point(problem, rng=None):
-    A = problem.A
+    A = incidence(problem.graph)
     x = A.T @ (pseudoinverse(A @ A.T) @ problem.b)
     if rng is not None:
         null = np.eye(problem.graph.n_edges) \
@@ -278,7 +279,7 @@ def test_warm_start_feasibility_every_iterate(rng):
     b_target = problem.b + p
     seen = []
     warm_start_reoptimize(problem, pert, sub, t=10, collect=seen.append)
-    A_rows = problem.A[verts]
+    A_rows = incidence(problem.graph)[verts]
     for x in seen:
         assert np.abs(A_rows @ x - b_target[verts]).max() < 1e-9
 
@@ -288,10 +289,11 @@ def _reference_iterates(problem, sub, x, b_target, t):
     projector of the subgraph's incidence matrix."""
     e_in, v_in = sub.e_in, sub.v_in
     e_out = np.setdiff1d(np.arange(problem.graph.n_edges), e_in)
-    A_sub = build_incidence(sub.induced)
+    A_sub = incidence(sub.induced)
     lift = A_sub.T @ pseudoinverse(A_sub @ A_sub.T)
     Pi = np.eye(len(e_in)) - lift @ A_sub
-    b_in = b_target[v_in] - (problem.A[:, e_out] @ x[e_out])[v_in]
+    b_in = b_target[v_in] \
+        - (incidence(problem.graph)[:, e_out] @ x[e_out])[v_in]
     iterates = []
     for _ in range(t):
         grads = problem.bundle.gradient(x)[e_in]
@@ -349,7 +351,7 @@ def _check_cycle_matrix(local):
     rows, cols, vals = local.cycles
     C = np.zeros((len(sub.e_in), sub.cycle_rank))
     np.add.at(C, (rows, cols), vals)
-    assert np.array_equal(build_incidence(sub.induced) @ C,
+    assert np.array_equal(incidence(sub.induced) @ C,
                           np.zeros((len(sub.v_in), sub.cycle_rank)))
     tree = sub.tree_edge[sub.tree_edge >= 0]
     chords = np.setdiff1d(np.arange(len(sub.e_in)), tree)

@@ -1,3 +1,5 @@
+import ast
+import glob
 import importlib.util
 import json
 import os
@@ -162,3 +164,50 @@ def test_tracer_wraps_every_listed_method_and_restores_them():
         tracer.uninstall()
         after = _traceable(localflow, tracing)
         assert [key for key in before if after[key] is not before[key]] == []
+
+
+# the dense solves of numpy.linalg, besides the library's pseudoinverse
+DENSE_SOLVES = {"eigh", "eigvalsh", "inv", "pinv", "solve"}
+
+
+def _dense_solves(path):
+    """(file, scope, callee) of each dense solve one source file calls; the
+    scope is the dotted name of the enclosing classes and functions."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                callee, func = ast.unparse(child.func), child.func
+                if callee.rsplit(".", 1)[-1] == "pseudoinverse" or (
+                        isinstance(func, ast.Attribute)
+                        and func.attr in DENSE_SOLVES
+                        and ast.unparse(func.value).endswith("linalg")):
+                    found.add((os.path.basename(path), ".".join(scope),
+                               callee))
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_every_dense_solve_in_the_library_is_named():
+    # a dense path beside the matrix-free projection shows up here: the
+    # library keeps the small walk's spectrum, the Lanczos tridiagonal, the
+    # pseudoinverse (the walk's pinv, the dense reference) and a ball's
+    # cycle Gram matrix
+    found = set()
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "localflow",
+                                              "*.py"))):
+        found |= _dense_solves(path)
+    assert found == {
+        ("laplacian.py", "WeightedWalk", "pseudoinverse"),
+        ("laplacian.py", "Spectrum.__init__", "np.linalg.eigvalsh"),
+        ("laplacian.py", "norm_bound", "np.linalg.eigvalsh"),
+        ("laplacian.py", "pseudoinverse", "np.linalg.eigh"),
+        ("solver.py", "LocalizedSolver.__init__", "np.linalg.inv")}
