@@ -130,12 +130,15 @@ class DirectedGraph:
         """A x: flow leaving each vertex; x may hold the flows of `edges`
         only, the other edges carrying none."""
         n = self.n_vertices
-        return (np.bincount(self.tails[edges], x, n)
-                - np.bincount(self.heads[edges], x, n))
+        out = np.bincount(self.tails[edges], x, n)
+        out -= np.bincount(self.heads[edges], x, n)
+        return out
 
     def potential_difference(self, nu):
         """A^T nu: tail minus head potential on each edge."""
-        return nu[self.tails] - nu[self.heads]
+        diff = nu.take(self.tails, axis=0)
+        diff -= nu.take(self.heads, axis=0)
+        return diff
 
     def degrees(self):
         return np.bincount(np.concatenate((self.tails, self.heads)),
@@ -514,7 +517,9 @@ def _grid(rows, cols):
 
 def _random_regular(n, k, seed):
     """Pairing-model sampler, rejecting self-loops, multi-edges and
-    disconnected outcomes, for at most REGULAR_MAX_TRIES pairings."""
+    disconnected outcomes, for at most REGULAR_MAX_TRIES pairings. A
+    connected simple 2-regular graph is a Hamiltonian cycle, which one
+    random permutation gives in one draw."""
     # connected: 0-regular only on one vertex, 1-regular only on two
     if k < 0 or (k <= 1 and n > k + 1):
         raise GraphError("no connected simple %d-regular graph on %d "
@@ -524,6 +529,9 @@ def _random_regular(n, k, seed):
     if (n * k) % 2 != 0:
         raise GraphError("k-regular needs n*k even")
     rng = np.random.default_rng(seed)
+    if k == 2:
+        order = rng.permutation(n)
+        return DirectedGraph.from_arrays(n, order, np.roll(order, -1))
     for _ in range(REGULAR_MAX_TRIES):
         stubs = np.repeat(np.arange(n), k)
         rng.shuffle(stubs)

@@ -7,6 +7,8 @@ Products with L^+ are conjugate-gradient solves, all in _project; the
 walk series and the dense incidence are test oracles (tests/oracles.py).
 """
 
+from collections import namedtuple
+
 import numpy as np
 
 from .graph import _balanced, _feasible, _scale, _vertex_indices
@@ -17,6 +19,11 @@ from .objective import CostError
 STATIONARITY_TOL = 1e-8
 SOLVE_TOL = 1e-10  # solve_exact's default Newton stopping tolerance
 NEWTON_MAX_ITER = 200  # before solve_exact gives up
+
+
+# a Newton point's residual rho, direction dx and its potential w, the
+# scale max(1, |grad|_inf) and the gradient
+_Point = namedtuple("_Point", "rho dx w scale grad")
 
 
 class SensitivityError(RuntimeError):
@@ -82,96 +89,120 @@ def solve_exact(problem, tol=SOLVE_TOL, stats=None):
     null space until the projected gradient is at most
     tol * max(1, |grad|_inf). Newton starts at the closed form of the
     costs' quadratic part sum a x^2/2 + c x, or at the least-norm point
-    (a = 1, c = 0) where that leaves a cost's interval. Its first step is
-    halved only to stay in every domain; a later one must cut the
-    residual by a factor 1 - step/4. Each Laplacian solve starts from the
-    potential at hand and keeps the absolute CG_RTOL stopping rule.
+    (a = 1, c = 0) where that leaves a cost's interval. Each trial point
+    pays one Laplacian solve, its Newton direction, whose residual rho
+    (see _newton) the line search must cut by a factor 1 - step/4 or
+    bring to tol * max(1, |grad|_inf); a step that leaves a cost's
+    interval is halved. Each Laplacian solve starts from the potential
+    at hand and keeps the absolute CG_RTOL stopping rule.
 
     A given stats dict gets `method` ("closed-form" or "newton"),
     `newton_iterations`, `halvings` (line-search step halvings),
-    `cg_iterations` (per Laplacian solve, in order: the closed form and
-    its check; or Newton's start, two after a fallback, then per
-    iteration a direction and one per trial point that reached its
-    residual), Newton's `start` ("quadratic-part" or "least-norm") and
-    the final residuals `feasibility_inf` and `stationarity_inf`.
+    `cg_iterations` and `cg_residual` (per Laplacian solve, in order:
+    the closed form and its check; or Newton's start, the least-norm
+    start if taken, the start's direction, one direction per trial point
+    in every cost's interval and a stationarity solve each time rho met
+    the tolerance, the last one the final check's; `cg_residual` is
+    each solve's true relative residual, None where it took no
+    iteration), Newton's `start` ("quadratic-part" or
+    "least-norm") and the final residuals `feasibility_inf` and
+    `stationarity_inf`.
     """
     bundle, log = problem.bundle, []
     sigma = 1.0 / bundle.a  # the closed form of the costs' quadratic part
     x, nu = _project(problem.graph, sigma, -sigma * bundle.c, problem.b,
                      log=log)
     if bundle.all_quadratic:
-        stat, scale = _kkt_residual(problem, x, nu, log)[:2]
+        stat, scale = _stationarity(problem, bundle.gradient(x), nu, log)
         record = {"method": "closed-form", "newton_iterations": 0,
                   "halvings": 0}
     else:
         x, stat, scale, record = _newton(problem, x, nu, tol, log)
     feas = _check_solution(problem, x, stat, scale)
     if stats is not None:
-        stats.update(record, cg_iterations=log, feasibility_inf=feas,
-                     stationarity_inf=stat)
+        stats.update(record, cg_iterations=[k for k, _ in log],
+                     cg_residual=[res for _, res in log],
+                     feasibility_inf=feas, stationarity_inf=stat)
     return x
 
 
 def _project(graph, sigma, v, d, nu0=None, log=None):
     """(x, nu): the projection x = v + sigma A^T nu of v onto A x = d in
     the metric diag(1/sigma), where L_sigma nu = d - A v is solved from nu0
-    and its CG iteration count appended to log (when not None). sigma and
-    v may be scalars. Every flow solve here is one: the closed form, the
-    least-norm start, Newton's direction, the stationarity residual, the
-    projection onto Au = b and the sensitivity apply."""
+    and its CG iteration count and residual (None after no iteration)
+    appended to log (when not None). sigma and v may be scalars. Every
+    flow solve here is one: the closed form, the least-norm start,
+    Newton's direction, the stationarity residual, the projection onto
+    Au = b and the sensitivity apply."""
     m = graph.n_edges
     sigma, v = (a if np.ndim(a) else np.full(m, float(a)) for a in (sigma, v))
     stats = {}
     nu = laplacian_solve(graph, sigma, d - graph.net_outflow(v), x0=nu0,
                          stats=stats)
     if log is not None:
-        log.append(stats["cg_iterations"])
+        log.append((stats["cg_iterations"], stats.get("cg_residual")))
     return v + sigma * graph.potential_difference(nu), nu
 
 
 def _newton(problem, x, mu, tol, log):
     """Damped Newton for solve_exact from x with potential mu: x, its
-    residual and scale, record."""
+    stationarity residual and scale, record.
+
+    A point's one solve is its direction dx = sigma (A^T w - grad), sigma
+    the inverse curvatures, and its potential w gives the residual
+    rho = |grad - A^T w|_2 = |dx / sigma|_2. For any w, rho bounds the
+    unit-metric projected gradient |P grad|_inf from above, so Newton
+    stops once rho <= tol * max(1, |grad|_inf). Then one unit-metric
+    solve from w gives the residual _check_solution judges; if that is
+    above the tolerance, Newton goes on. An accepted trial point's
+    direction is the next step's."""
     g, bundle, start = problem.graph, problem.bundle, "quadratic-part"
     if np.any((x < bundle.lo) | (x > bundle.hi)):
         start = "least-norm"
         x, mu = _project(g, 1.0, 0.0, problem.b, log=log)
-    grad = bundle.gradient(x)
-    res, halvings = np.inf, 0  # so any first trial in the domain is taken
+    here, halvings = _direction(problem, x, mu, log), 0
     for it in range(1, NEWTON_MAX_ITER + 1):
-        sig = 1.0 / bundle.hessian_diag(x)
-        dx, w = _project(g, sig, -sig * grad, 0.0, mu, log)
         step = 1.0
         while step > 2.0 ** -40:
-            cand = x + step * dx
-            try:  # residual, scale, potential and gradient at cand
-                new = _kkt_residual(problem, cand, w, log)
+            cand = x + step * here.dx
+            try:
+                new = _direction(problem, cand, here.w, log)
             except CostError:  # step left a cost's validity interval
                 new = None
-            if new and (new[0] < res * (1.0 - 0.25 * step)
-                        or new[0] <= tol * new[1]):
-                x, (res, scale, mu, grad) = cand, new
+            if new and (new.rho < here.rho * (1.0 - 0.25 * step)
+                        or new.rho <= tol * new.scale):
+                x, here = cand, new
                 break
             step *= 0.5
             halvings += 1
         else:
             raise SensitivityError(
-                "Newton line search stalled at residual %.3e" % res)
-        if res <= tol * scale:
-            break
+                "Newton line search stalled at residual %.3e" % here.rho)
+        if here.rho <= tol * here.scale:
+            stat = _stationarity(problem, here.grad, here.w, log)[0]
+            if stat <= tol * here.scale:
+                break
     else:
         raise SensitivityError(
-            "solver did not converge: KKT residual %.3e" % res)
-    return x, res, scale, {"method": "newton", "newton_iterations": it,
-                           "halvings": halvings, "start": start}
+            "solver did not converge: KKT residual %.3e" % here.rho)
+    return x, stat, here.scale, {"method": "newton",
+                                 "newton_iterations": it,
+                                 "halvings": halvings, "start": start}
 
 
-def _kkt_residual(problem, x, nu0, log):
-    """|projected gradient|_inf, its scale max(1, |grad|_inf), the
-    projection's potential and the gradient; the solve starts from nu0."""
+def _direction(problem, x, w0, log):
+    """The _Point of Newton's direction at x, solved from w0."""
     grad = problem.bundle.gradient(x)
-    pg, nu = _project(problem.graph, 1.0, -grad, 0.0, nu0, log)
-    return float(np.abs(pg).max()), _scale(grad), nu, grad
+    sig = 1.0 / problem.bundle.hessian_diag(x)
+    dx, w = _project(problem.graph, sig, -sig * grad, 0.0, w0, log)
+    return _Point(float(np.linalg.norm(dx / sig)), dx, w, _scale(grad), grad)
+
+
+def _stationarity(problem, grad, nu0, log):
+    """|projected gradient|_inf of grad and its scale max(1, |grad|_inf);
+    the unit-metric solve starts from nu0."""
+    pg = _project(problem.graph, 1.0, -grad, 0.0, nu0, log)[0]
+    return float(np.abs(pg).max()), _scale(grad)
 
 
 def _check_solution(problem, x, stat, scale):

@@ -945,7 +945,18 @@ def test_unserialisable_report_leaves_no_file(tmp_path):
     out = str(tmp_path / "out")
     with pytest.raises(TypeError):
         cli._write_json({"out": out}, "report.json", {"x": object()})
-    assert not os.path.exists(out)
+    # the report streams into a temporary file in the out directory,
+    # removed when the write fails
+    assert os.listdir(out) == []
+    # and an earlier report of that name is kept as it was
+    cli._write_json({"out": out}, "report.json", {"x": 1})
+    with open(os.path.join(out, "report.json"), "rb") as fh:
+        before = fh.read()
+    with pytest.raises(TypeError):
+        cli._write_json({"out": out}, "report.json", {"x": object()})
+    assert os.listdir(out) == ["report.json"]
+    with open(os.path.join(out, "report.json"), "rb") as fh:
+        assert fh.read() == before
 
 
 def _reference_csv(header, rows):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from collections import deque
 
 import numpy as np
@@ -202,6 +203,21 @@ def test_generate_regular_deterministic():
     g2 = generate("random-k-regular", n=100, k=3, seed=7)
     assert g1.edges == g2.edges
     assert set(g1.degrees()) == {3}
+
+
+def test_generate_two_regular_is_one_random_cycle():
+    # a connected simple 2-regular graph is a Hamiltonian cycle, drawn as
+    # one permutation rather than pairings redrawn until one is a cycle
+    n = 40_000
+    start = time.perf_counter()
+    g = generate("random-k-regular", n=n, k=2, seed=1)
+    assert time.perf_counter() - start < 1.0
+    assert g.n_edges == n and set(g.degrees()) == {2}
+    ends = np.sort(np.stack((g.tails, g.heads)), axis=0)
+    assert np.all(ends[0] < ends[1])  # no self-loop
+    assert len(np.unique(ends, axis=1).T) == n  # no multi-edge
+    assert np.all(g.bfs_distances([0]) >= 0)  # connected
+    assert generate("random-k-regular", n=n, k=2, seed=2).edges != g.edges
 
 
 def test_generate_regular_infeasible():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from localflow import (LaplacianError, WeightedWalk, generate,
                        laplacian_solve, pseudoinverse, sensitivity_operator)
+from localflow.laplacian import CG_RTOL
 from conftest import path, quadratic_problem, random_connected_graph, triangle
 from oracles import (SERIES_MAX_TERMS, RestrictedLaplacian, _truncation_point,
                      green_difference, green_series_apply, is_aperiodic,
@@ -438,6 +439,64 @@ def test_laplacian_solve_from_its_answer_takes_no_iteration(rng):
     stats = {}
     laplacian_solve(g, w, rhs, x0=laplacian_solve(g, w, rhs), stats=stats)
     assert stats == {"cg_iterations": 0}
+
+
+def _solve_family(kind, n, seed):
+    if kind == "k-regular":
+        return generate("random-k-regular", n=2 * n, k=3, seed=seed)
+    if kind == "grid":
+        return generate("grid-2d", rows=n // 10 + 2, cols=n % 10 + 2)
+    return generate("cycle", n=2 * (n % 20) + 4 + (kind == "odd-cycle"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["k-regular", "grid", "even-cycle",
+                             "odd-cycle"]),
+       n=st.integers(3, 100), seed=st.integers(0, 10_000),
+       log10_w=st.floats(-3.0, 3.0), log10_rhs=st.floats(-5.0, 5.0))
+def test_a_warm_start_from_the_answer_takes_no_iteration(
+        kind, n, seed, log10_w, log10_rhs):
+    """The answer's true residual meets the absolute rule, and it is the
+    residual a warm start from the answer computes: restarting there
+    takes no iteration, on every draw."""
+    rng = np.random.default_rng(seed)
+    g = _solve_family(kind, n, seed)
+    w = 10.0 ** log10_w * rng.uniform(0.5, 2.0, g.n_edges)
+    rhs = 10.0 ** log10_rhs * rng.standard_normal(g.n_vertices)
+    cold, warm = {}, {}
+    got = laplacian_solve(g, w, rhs, stats=cold)
+    assert cold["cg_iterations"] > 0 and cold["cg_residual"] < CG_RTOL
+    again = laplacian_solve(g, w, rhs, x0=got, stats=warm)
+    assert warm == {"cg_iterations": 0} and np.array_equal(again, got)
+
+
+@pytest.mark.parametrize("kind", ["k-regular", "grid", "odd-cycle"])
+def test_laplacian_solve_reports_its_true_residual(kind):
+    rng = np.random.default_rng(7)
+    g = _solve_family(kind, 40, 7)
+    w = rng.uniform(0.5, 2.0, g.n_edges)
+    rhs = rng.standard_normal(g.n_vertices)
+    stats = {}
+    x = laplacian_solve(g, w, rhs, stats=stats)
+    rhs -= rhs.mean()
+    true = rhs - g.net_outflow(w * g.potential_difference(x))
+    assert stats["cg_residual"] == pytest.approx(
+        np.linalg.norm(true) / np.linalg.norm(rhs), rel=1e-9)
+
+
+def test_laplacian_solve_falls_back_to_jacobi_where_the_polynomial_stalls():
+    # weights over six decades on a 40-cycle stall the polynomial form
+    # short of the rule for its whole 10 n + 100 iterations; CG then runs
+    # again from the same start with D^{-1} and answers
+    rng = np.random.default_rng(0)
+    g = generate("cycle", n=40)
+    w = 10.0 ** rng.uniform(-3.0, 3.0, g.n_edges)
+    rhs = rng.standard_normal(g.n_vertices)
+    stats = {}
+    got = laplacian_solve(g, w, rhs, stats=stats)
+    assert stats["cg_iterations"] > 10 * 40 + 100
+    want = pseudoinverse(WeightedWalk(g, w).L) @ rhs
+    assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
 
 
 def test_laplacian_solve_zero_rhs_ignores_the_start(rng):

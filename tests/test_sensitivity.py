@@ -12,7 +12,7 @@ from localflow import (DirectedGraph, EdgeCost, FlowProblem, ObjectiveBundle,
                        integrate_sensitivity, pseudoinverse,
                        sensitivity_operator, solve_exact)
 from localflow.graph import FEAS_TOL
-from localflow.laplacian import LaplacianError
+from localflow.laplacian import CG_RTOL, LaplacianError
 from localflow.sensitivity import STATIONARITY_TOL, _project
 from conftest import (logcosh_bundle, path, quadratic_problem,
                       random_balanced, random_connected_graph, triangle)
@@ -353,6 +353,9 @@ def test_quadratic_stats_and_free_stationarity_check(rng):
     assert np.array_equal(x, solve_exact(problem))
     solve, check = stats.pop("cg_iterations")
     assert solve > 10 and check <= 1
+    # each solve's true residual, None where it took no iteration
+    solve_res, check_res = stats.pop("cg_residual")
+    assert solve_res < CG_RTOL and (check_res is None) == (check == 0)
     assert stats == {
         "method": "closed-form", "newton_iterations": 0, "halvings": 0,
         "feasibility_inf": float(np.abs(g.net_outflow(x) - problem.b).max()),
@@ -370,11 +373,11 @@ def test_newton_stats_and_warm_started_solves(rng):
     cg = stats["cg_iterations"]
     assert stats["method"] == "newton" and stats["newton_iterations"] >= 2
     assert stats["start"] == "quadratic-part"
-    # the start, then per Newton iteration a direction and a solve per
-    # trial point (log-cosh never leaves its domain, so every trial
-    # point reaches its residual); no final-check solve
-    assert len(cg) == (1 + 2 * stats["newton_iterations"]
-                       + stats["halvings"])
+    # the start, its direction, one direction per trial point (log-cosh
+    # never leaves its domain, so every trial point pays its solve), and
+    # the final stationarity solve
+    assert (stats["newton_iterations"], stats["halvings"]) == (3, 0)
+    assert len(cg) == len(stats["cg_residual"]) == 6
     assert sum(cg) < len(cg) * cg[0]
     assert stats["feasibility_inf"] <= 1e-9
     assert stats["stationarity_inf"] == pytest.approx(
@@ -383,8 +386,9 @@ def test_newton_stats_and_warm_started_solves(rng):
 
 
 def test_newton_evaluates_one_gradient_per_trial_point(rng, monkeypatch):
-    # the start and each trial point (accepted or halved); an accepted
-    # point's gradient serves the next direction and the final check
+    # the start and each trial point (accepted or halved): a point's
+    # gradient serves its direction, and the last accepted point's the
+    # final stationarity check
     g = generate("random-k-regular", n=40, k=3, seed=6)
     problem = FlowProblem(g, logcosh_bundle(rng, g.n_edges),
                           random_balanced(rng, g.n_vertices, scale=3.0))
@@ -397,8 +401,8 @@ def test_newton_evaluates_one_gradient_per_trial_point(rng, monkeypatch):
     monkeypatch.setattr(problem.bundle, "gradient", counted)
     stats = {}
     solve_exact(problem, stats=stats)
-    assert stats["newton_iterations"] >= 2
-    assert len(calls) == 1 + stats["newton_iterations"] + stats["halvings"]
+    assert (stats["newton_iterations"], stats["halvings"]) == (3, 0)
+    assert len(calls) == 1 + 3
 
 
 @settings(max_examples=60, deadline=None)
@@ -478,6 +482,9 @@ def test_newton_at_a_quadratic_optimum_takes_one_step(rng):
         [EdgeCost("quadratic", a=ae) for ae in a]), b))
     assert stats["start"] == "quadratic-part"
     assert stats["newton_iterations"] == 1 and stats["halvings"] == 0
+    # the closed form, the start's direction, the one trial point's and
+    # the final stationarity solve
+    assert len(stats["cg_iterations"]) == 4
     assert np.abs(x - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
@@ -519,10 +526,8 @@ def test_project_meets_the_dense_weighted_projection(seed, n, log10_v):
     want = pseudoinverse((A * sigma) @ A.T) @ (d - A @ v)
     assert np.abs(nu - nu.mean() - want).max() <= 1e-9 * max(
         1.0, np.abs(want).max())
-    # a warm start from the returned potential is already converged, bar
-    # round-off: CG stops on its recurrence residual, and the true one,
-    # re-measured at the start, can sit just above CG_RTOL (1 in ~200
-    # draws, then one or two iterations)
+    # a warm start from the returned potential is already converged: the
+    # solve returns the point whose true residual met the rule
     again = _project(g, sigma, v, d, nu0=nu, log=log)
-    assert log[1] <= 2
+    assert log[0][1] < CG_RTOL and log[1] == (0, None)
     assert np.abs(again[0] - x).max() <= 1e-12 * scale

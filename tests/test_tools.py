@@ -34,8 +34,11 @@ def test_bench_curve_writes_one_row_per_size(tmp_path):
     for row in report["rows"]:
         assert row["setup_ms"] > 0 and row["load_ms"] > 0
         assert row["global_solve_ms"] > 0
-        # log-cosh costs are solved by Newton: a start, then per iteration
-        # a direction and a trial point, each at least one CG iteration
+        # the closed form and its check, which starts at the answer
+        assert isinstance(row["global_cg_iterations"], int)
+        assert row["global_cg_iterations"] >= 1
+        # log-cosh costs are solved by Newton: a start, its direction and
+        # one direction per trial point, each at least one CG iteration
         assert row["global_logcosh_ms"] > 0
         assert isinstance(row["logcosh_cg_iterations"], int)
         assert row["logcosh_cg_iterations"] >= 3

@@ -2,20 +2,22 @@
 """Localized-reoptimization scaling curve.
 
     OPENBLAS_NUM_THREADS=1 python3 tools/bench_curve.py --out BENCH.json
-    OPENBLAS_NUM_THREADS=1 python3 tools/bench_curve.py --family grid \
-        --sizes 2000 20000 --radii 2 4 8 16 --out BENCH_grid.json
+    OPENBLAS_NUM_THREADS=1 python3 tools/bench_curve.py --family k3 grid \
+        --sizes 2000 20000 --radii 2 4 8 16 --out BENCH_k3_grid.json
 
-For each n, on a graph of the family (`--family`: k3, a random 3-regular
-graph on n vertices, the default; grid, the square grid-2d of side
-round(sqrt(n))) with quadratic costs a ~ U[1, 1.02] and c ~ N(0, 1), the
-script times:
+For each family and n, on a graph of the family (`--family`, one or
+more of: k3, a random 3-regular graph on n vertices, the default; grid,
+the square grid-2d of side round(sqrt(n))) with quadratic costs
+a ~ U[1, 1.02] and c ~ N(0, 1), the script times:
 - the setup (`setup_ms`, the median of three): `generate`, the draw of a
   and c, and `ObjectiveBundle.from_arrays`;
 - the file boundary (`load_ms`, the median of three): `DirectedGraph.load`
   of the instance's saved graph, then `ObjectiveBundle.from_spec` over its
   edge ids with a quadratic default and a log-cosh entry on every seventh
   edge, as the CLI reads its graph and costs files;
-- the global `solve_exact`, the median of three solves;
+- the global `solve_exact`, the median of three solves, and the total
+  CG iterations of one such solve from its stats record
+  (`global_cg_iterations`);
 - the global `solve_exact` on log-cosh costs with the same a and
   s ~ U[0, 1] (`global_logcosh_ms`, the median of three), and the total
   CG iterations of one such solve from its stats record
@@ -254,7 +256,8 @@ def step_summary(step_us, cycle_ranks):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[1])
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--family", choices=sorted(FAMILIES), default="k3")
+    parser.add_argument("--family", choices=sorted(FAMILIES), nargs="+",
+                        default=["k3"])
     parser.add_argument("--sizes", type=int, nargs="+",
                         default=[200, 2000, 20000, 200000])
     parser.add_argument("--radii", type=int, nargs="+", default=[2, 4, 8])
@@ -264,9 +267,11 @@ def main(argv=None):
     if args.requests < 1:
         parser.error("--requests must be at least 1")
     rows = []
-    for n in args.sizes:
-        problem, rng, setup_ms = _instance(args.family, n, args.seed)
-        x_star, solve_ms = _median_of_three(lambda: lf.solve_exact(problem))
+    for family, n in ((f, n) for f in args.family for n in args.sizes):
+        problem, rng, setup_ms = _instance(family, n, args.seed)
+        solve = {}
+        x_star, solve_ms = _median_of_three(
+            lambda: lf.solve_exact(problem, stats=solve))
         logcosh, stats = _logcosh(problem, args.seed), {}
         logcosh_ms = _median_of_three(
             lambda: lf.solve_exact(logcosh, stats=stats))[1]
@@ -280,9 +285,10 @@ def main(argv=None):
             paths = _save(problem, tmp)
             load_ms = _load_ms(problem.graph, paths["graph"])
             decay_cli_ms = _decay_cli_ms(paths) if decay else None
-        row = {"family": args.family, "n": problem.graph.n_vertices,
+        row = {"family": family, "n": problem.graph.n_vertices,
                "m": problem.graph.n_edges, "setup_ms": setup_ms,
                "load_ms": load_ms, "global_solve_ms": solve_ms,
+               "global_cg_iterations": sum(solve["cg_iterations"]),
                "global_logcosh_ms": logcosh_ms,
                "logcosh_cg_iterations": sum(stats["cg_iterations"]),
                "constants_ms": constants_ms,
