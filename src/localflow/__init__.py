@@ -8,37 +8,33 @@ radius/iteration tuner.
 """
 
 from .graph import (DirectedGraph, GraphError, SubgraphSpec, ball_subgraph,
-                    generate, geodesic_distance, induced_vertex_set,
-                    radius_max)
+                    generate, geodesic_distance)
 from .objective import CostError, EdgeCost, ObjectiveBundle
 from .laplacian import (LaplacianError, WeightedWalk, laplacian_solve,
                         pseudoinverse)
 from .sensitivity import (FlowProblem, PerturbationSpec, SensitivityError,
-                          SensitivityOperator, directional_derivative,
-                          integrate_sensitivity, sensitivity_operator,
+                          SensitivityOperator, sensitivity_operator,
                           solve_exact)
 from .solver import (PGD_MAX_ITER, LocalizedSolver, SolverError, pgd_run,
                      pgd_step, warm_start_reoptimize)
 from .locality import (BiasVarianceResult, DecayReport, DecayRow,
                        ErrorBudget, LocalityError, TuneResult, TunerFamily,
                        adjacency_slem, bias_variance, budget_for,
-                       interlacing_bound, measure_decay, point_to_set,
-                       set_to_point, tune)
+                       interlacing_bound, measure_decay, tune)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DirectedGraph", "GraphError", "SubgraphSpec", "ball_subgraph",
-    "generate", "geodesic_distance", "induced_vertex_set", "radius_max",
+    "generate", "geodesic_distance",
     "CostError", "EdgeCost", "ObjectiveBundle",
     "LaplacianError", "WeightedWalk", "laplacian_solve", "pseudoinverse",
     "FlowProblem", "PerturbationSpec", "SensitivityError",
-    "SensitivityOperator", "directional_derivative",
-    "integrate_sensitivity", "sensitivity_operator", "solve_exact",
+    "SensitivityOperator", "sensitivity_operator", "solve_exact",
     "PGD_MAX_ITER", "LocalizedSolver", "SolverError", "pgd_run", "pgd_step",
     "warm_start_reoptimize",
     "BiasVarianceResult", "DecayReport", "DecayRow", "ErrorBudget",
     "LocalityError", "TuneResult", "TunerFamily", "adjacency_slem",
     "bias_variance", "budget_for", "interlacing_bound",
-    "measure_decay", "point_to_set", "set_to_point", "tune",
+    "measure_decay", "tune",
 ]

@@ -18,7 +18,6 @@ CSV values use 17 significant digits.
 import argparse
 import contextlib
 import functools
-import itertools
 import json
 import math
 import os
@@ -132,9 +131,9 @@ def _write_json(config, name, payload, g=None):
     id-to-index mapping to the report `name` as standard JSON: each
     non-finite figure is written as null, and a top-level `non_finite` map
     gives its value ("inf", "-inf" or "nan") under its dotted key path.
-    The text streams into a temporary file beside the report, renamed
-    into place once whole: a report that cannot be serialised leaves no
-    file, and an earlier report of that name stays as it was."""
+    The text streams through graph._write_json: a report that cannot be
+    serialised leaves no file, and an earlier report of that name stays
+    as it was."""
     non_finite = {}
     payload = _nulled({**payload, "config": config}, (), non_finite)
     if g is not None:  # ids and indices: nothing to null
@@ -142,21 +141,8 @@ def _write_json(config, name, payload, g=None):
                                 "edges": g.edge_index}
     if non_finite:
         payload["non_finite"] = non_finite
-    path = _path(config, name)
-    temporary = "%s.%d.tmp" % (path, os.getpid())
-    try:
-        chunks = json.JSONEncoder(indent=2, sort_keys=True,
-                                  allow_nan=False).iterencode(payload)
-        with open(temporary, "w") as fh:
-            # a few thousand encoder chunks per write, not one each
-            while batch := "".join(itertools.islice(chunks, 4096)):
-                fh.write(batch)
-            fh.write("\n")
-        os.replace(temporary, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(temporary)
-        raise
+    graphmod._write_json(_path(config, name), payload, "\n", indent=2,
+                         sort_keys=True, allow_nan=False)
 
 
 def _nulled(value, path, non_finite):

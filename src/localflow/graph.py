@@ -9,9 +9,10 @@ derived from the id lists on first use, and reports embed them.
 """
 
 import json
-from contextlib import contextmanager
+import os
+from contextlib import contextmanager, suppress
 from functools import cached_property, partial
-from itertools import accumulate
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -168,14 +169,33 @@ class DirectedGraph:
         return cls(data["vertices"], edges)
 
     def save(self, path):
-        text = json.dumps(self.to_json_dict(), indent=2)
-        with open(path, "w") as fh:
-            fh.write(text)
+        """Write the bytes of json.dumps(self.to_json_dict(), indent=2)."""
+        _write_json(path, self.to_json_dict(), indent=2)
 
     @classmethod
     def load(cls, path):
         with open(path) as fh:
             return cls.from_json_dict(json.load(fh))
+
+
+def _write_json(path, value, end="", **options):
+    """Stream value, encoded by json.JSONEncoder(**options), and then `end`
+    into a temporary file beside path, renamed into place once whole: a
+    value that cannot be serialised leaves no file, and an earlier file
+    at path stays as it was. The text is never held whole."""
+    temporary = "%s.%d.tmp" % (path, os.getpid())
+    try:
+        chunks = json.JSONEncoder(**options).iterencode(value)
+        with open(temporary, "w") as fh:
+            # a few thousand encoder chunks per write, not one each
+            while batch := "".join(islice(chunks, 4096)):
+                fh.write(batch)
+            fh.write(end)
+        os.replace(temporary, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(temporary)
+        raise
 
 
 def _scale(v):
@@ -274,11 +294,6 @@ def _edge_sets(g, F_sets):
     n, owner = g.n_vertices, np.repeat(np.arange(len(sizes)), sizes)
     keys = np.unique(owner * n + np.stack((g.tails[idx], g.heads[idx])))
     return idx, sizes, keys % n, np.bincount(keys // n, minlength=len(sizes))
-
-
-def induced_vertex_set(g, F):
-    """Vertex indices touched by the edge set F (edge ids or indices)."""
-    return set(_edge_sets(g, [F])[2].tolist())
 
 
 class SubgraphSpec:
@@ -466,11 +481,6 @@ def _searching(g, sources, depth=None, within=None):
                list(accumulate(map(len, levels), initial=0)), spans, mark)
     finally:
         mark[np.concatenate(touched)] = -1
-
-
-def radius_max(g, center):
-    """Eccentricity of the center: smallest r with ball = whole graph."""
-    return int(g.bfs_distances(_vertex_indices(g, [center])).max())
 
 
 def generate(kind, **params):

@@ -16,10 +16,9 @@ from itertools import islice
 
 import numpy as np
 
-from .graph import _edge_indices, _edge_sets, _slots, geodesic_distance
+from .graph import _edge_sets, _slots, geodesic_distance
 from .laplacian import norm_bound
-from .sensitivity import (PerturbationSpec, _project, sensitivity_operator,
-                          solve_exact)
+from .sensitivity import sensitivity_operator, solve_exact
 from .solver import LocalizedSolver, _check_owner
 
 
@@ -156,49 +155,6 @@ def measure_decay(problem, pert, F_sets):
     stats.update(lanczos_steps=spectral["steps"], rate_s=t2 - t1,
                  rows_s=stats["rows_s"] + time.perf_counter() - t2)
     return DecayReport(rows, lam, mode, p_norm, spectral, stats)
-
-
-def _edge_perturbation(problem, e):
-    g = problem.graph
-    k = _edge_indices(g, [e])[0]
-    p = np.zeros(g.n_vertices)
-    p[[g.tails[k], g.heads[k]]] = 1.0, -1.0
-    return k, p
-
-
-def set_to_point(problem, e, F):
-    """measure_decay's row for F under the perturbation of edge e: the
-    measured norm and the cardinality-free bound sqrt(2) c lam^d/(1-lam)."""
-    pert = PerturbationSpec(problem.graph, _edge_perturbation(problem, e)[1])
-    row = measure_decay(problem, pert, [F]).rows[0]
-    return row.measured, row.bound
-
-
-def point_to_set(problem, f, F):
-    """Aggregate effect of perturbations along every edge in F on the
-    single edge f, with the symmetric bound."""
-    mode, g = _constants_mode(problem), problem.graph
-    kf, p = _edge_perturbation(problem, f)
-    op = sensitivity_operator(problem)
-    # derivative at edge f under the perturbation of edge e equals
-    # W_wz (e_u - e_v)^T L^+ (e_w - e_z), symmetric in the L^+ kernel
-    pot = _project(g, op.walk.weights, 0.0, p)[1]
-    w_f = op.walk.weights[kf]
-    # F's edges and vertices U, then f and its sorted ends
-    idx, _, verts, counts = _edge_sets(g, [F, [kf]])
-    measured = float(np.linalg.norm(
-        w_f * g.potential_difference(pot)[idx[:-1]]))
-    U, ends = verts[:counts[0]], verts[counts[0]:]
-    _, (maxsq, _), (min_U, min_f) = _set_constants(
-        problem, op.walk, verts, counts, mode)
-    if mode == "exact":
-        c_prime = w_f * maxsq / math.sqrt(min_f) / math.sqrt(min_U)
-    else:
-        c_prime = problem.bundle.Q * maxsq / math.sqrt(min_f * min_U)
-    lam = _decay_rate(problem, op.walk, mode)[0]
-    dist = geodesic_distance(g, U, ends)
-    bound = math.sqrt(2.0) * c_prime * lam ** dist / (1.0 - lam)
-    return measured, bound
 
 
 def interlacing_bound(graph, sub_walk, w_minus, w_plus):

@@ -233,36 +233,3 @@ def sensitivity_operator(problem, x_star=None):
     if x_star is None:
         x_star = solve_exact(problem)
     return SensitivityOperator(problem, x_star)
-
-
-def directional_derivative(problem, pert, eps=0.0):
-    """d x*(b + eps p) / d eps, evaluated at the re-solved point."""
-    prob = problem if eps == 0.0 else problem.with_b(problem.b + eps * pert.p)
-    op = sensitivity_operator(prob)
-    return op.apply(pert.p)
-
-
-def _gauss_legendre_nodes(n_steps):
-    nodes, weights = np.polynomial.legendre.leggauss(4)
-    h = 1.0 / n_steps
-    mids = (np.arange(n_steps) + 0.5) * h
-    return ((mids[:, None] + 0.5 * h * nodes).ravel(),
-            np.tile(0.5 * h * weights, n_steps))
-
-
-def integrate_sensitivity(problem, b_from, b_to, n_steps=8):
-    """Integral of the sensitivity operator along the segment from b_from
-    to b_to, applied to the difference. Matches x*(b_to) - x*(b_from)."""
-    b_from = np.asarray(b_from, dtype=float)
-    b_to = np.asarray(b_to, dtype=float)
-    if n_steps < 1:
-        raise SensitivityError("n_steps must be >= 1")
-    delta = b_to - b_from
-    if not np.any(delta):
-        return np.zeros(problem.graph.n_edges)
-    nodes, weights = _gauss_legendre_nodes(n_steps)
-    out = np.zeros(problem.graph.n_edges)
-    for theta, wgt in zip(nodes, weights):
-        op = sensitivity_operator(problem.with_b(b_from + theta * delta))
-        out += wgt * op.apply(delta)
-    return out

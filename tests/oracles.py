@@ -1,4 +1,4 @@
-"""Dense identity oracles and the walk series, for small graphs.
+"""Dense identity oracles, the walk series and test-only queries.
 
 Nothing in the library calls these: they are the definitions the tests
 hold the matrix-free path to: the dense incidence matrix A behind
@@ -10,13 +10,29 @@ sigma A^T L^+ p that SensitivityOperator.apply computes by one projection
 constrained form Sigma A^T (A Sigma A^T)^+; and the Gaussian
 conditional-mean identities (criterion 10). Every matrix here is dense,
 so keep n in the hundreds.
+
+The queries at the end are built on library internals and checked
+against it: a vertex's eccentricity (radius_max) and the vertices an
+edge set touches (induced_vertex_set); the directional derivative after
+an optional re-solve (directional_derivative) and its Gauss-Legendre
+integral along a segment of external flows, which must match the
+finite change x*(b_to) - x*(b_from) (integrate_sensitivity); and the
+set-to-point and point-to-set decay of one edge's perturbation with
+their bounds (set_to_point, point_to_set; criterion 5).
 """
+
+import math
 
 import numpy as np
 
-from localflow import LaplacianError, SensitivityError, pseudoinverse
-from localflow.graph import _balanced, _vertex_indices
+from localflow import (LaplacianError, PerturbationSpec, SensitivityError,
+                       geodesic_distance, measure_decay, pseudoinverse,
+                       sensitivity_operator)
+from localflow.graph import (_balanced, _edge_indices, _edge_sets,
+                             _vertex_indices)
 from localflow.laplacian import _weight_operator
+from localflow.locality import _constants_mode, _decay_rate, _set_constants
+from localflow.sensitivity import _project
 
 FD_STEP = 1e-6  # boundary_sensitivity_check's central differences
 # stop Green's-function series when lambda^t / (1 - lambda) drops below this,
@@ -225,3 +241,89 @@ def boundary_sensitivity_check(H, I_set, B_set):
                     - argmin_I(x_B - step)) / (2 * FD_STEP)
     fd_dev = float(np.abs(fd - lhs).max())
     return block_dev, fd_dev
+
+
+def induced_vertex_set(g, F):
+    """Vertex indices touched by the edge set F (edge ids or indices)."""
+    return set(_edge_sets(g, [F])[2].tolist())
+
+
+def radius_max(g, center):
+    """Eccentricity of the center: smallest r with ball = whole graph."""
+    return int(g.bfs_distances(_vertex_indices(g, [center])).max())
+
+
+def directional_derivative(problem, pert, eps=0.0):
+    """d x*(b + eps p) / d eps, evaluated at the re-solved point."""
+    prob = problem if eps == 0.0 else problem.with_b(problem.b + eps * pert.p)
+    op = sensitivity_operator(prob)
+    return op.apply(pert.p)
+
+
+def _gauss_legendre_nodes(n_steps):
+    nodes, weights = np.polynomial.legendre.leggauss(4)
+    h = 1.0 / n_steps
+    mids = (np.arange(n_steps) + 0.5) * h
+    return ((mids[:, None] + 0.5 * h * nodes).ravel(),
+            np.tile(0.5 * h * weights, n_steps))
+
+
+def integrate_sensitivity(problem, b_from, b_to, n_steps=8):
+    """Integral of the sensitivity operator along the segment from b_from
+    to b_to, applied to the difference. Matches x*(b_to) - x*(b_from)."""
+    b_from = np.asarray(b_from, dtype=float)
+    b_to = np.asarray(b_to, dtype=float)
+    if n_steps < 1:
+        raise SensitivityError("n_steps must be >= 1")
+    delta = b_to - b_from
+    if not np.any(delta):
+        return np.zeros(problem.graph.n_edges)
+    nodes, weights = _gauss_legendre_nodes(n_steps)
+    out = np.zeros(problem.graph.n_edges)
+    for theta, wgt in zip(nodes, weights):
+        op = sensitivity_operator(problem.with_b(b_from + theta * delta))
+        out += wgt * op.apply(delta)
+    return out
+
+
+def _edge_perturbation(problem, e):
+    g = problem.graph
+    k = _edge_indices(g, [e])[0]
+    p = np.zeros(g.n_vertices)
+    p[[g.tails[k], g.heads[k]]] = 1.0, -1.0
+    return k, p
+
+
+def set_to_point(problem, e, F):
+    """measure_decay's row for F under the perturbation of edge e: the
+    measured norm and the cardinality-free bound sqrt(2) c lam^d/(1-lam)."""
+    pert = PerturbationSpec(problem.graph, _edge_perturbation(problem, e)[1])
+    row = measure_decay(problem, pert, [F]).rows[0]
+    return row.measured, row.bound
+
+
+def point_to_set(problem, f, F):
+    """Aggregate effect of perturbations along every edge in F on the
+    single edge f, with the symmetric bound."""
+    mode, g = _constants_mode(problem), problem.graph
+    kf, p = _edge_perturbation(problem, f)
+    op = sensitivity_operator(problem)
+    # derivative at edge f under the perturbation of edge e equals
+    # W_wz (e_u - e_v)^T L^+ (e_w - e_z), symmetric in the L^+ kernel
+    pot = _project(g, op.walk.weights, 0.0, p)[1]
+    w_f = op.walk.weights[kf]
+    # F's edges and vertices U, then f and its sorted ends
+    idx, _, verts, counts = _edge_sets(g, [F, [kf]])
+    measured = float(np.linalg.norm(
+        w_f * g.potential_difference(pot)[idx[:-1]]))
+    U, ends = verts[:counts[0]], verts[counts[0]:]
+    _, (maxsq, _), (min_U, min_f) = _set_constants(
+        problem, op.walk, verts, counts, mode)
+    if mode == "exact":
+        c_prime = w_f * maxsq / math.sqrt(min_f) / math.sqrt(min_U)
+    else:
+        c_prime = problem.bundle.Q * maxsq / math.sqrt(min_f * min_U)
+    lam = _decay_rate(problem, op.walk, mode)[0]
+    dist = geodesic_distance(g, U, ends)
+    bound = math.sqrt(2.0) * c_prime * lam ** dist / (1.0 - lam)
+    return measured, bound

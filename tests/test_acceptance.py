@@ -13,17 +13,16 @@ import pytest
 from localflow import (DirectedGraph, EdgeCost, FlowProblem, ObjectiveBundle,
                        PerturbationSpec, TunerFamily, WeightedWalk,
                        ball_subgraph, bias_variance, budget_for, generate,
-                       geodesic_distance, induced_vertex_set,
-                       interlacing_bound, measure_decay, pgd_step,
-                       point_to_set, pseudoinverse, radius_max,
-                       sensitivity_operator, set_to_point, solve_exact, tune,
-                       warm_start_reoptimize)
+                       geodesic_distance, interlacing_bound, measure_decay,
+                       pgd_step, pseudoinverse, sensitivity_operator,
+                       solve_exact, tune, warm_start_reoptimize)
 from conftest import (logcosh_bundle, neighbors, quadratic_problem,
                       random_balanced, random_connected_graph, triangle)
 from oracles import (RestrictedLaplacian, boundary_sensitivity_check,
                      gaussian_identity_check, green_difference, incidence,
-                     is_aperiodic, killed_green, killed_green_series,
-                     restricted_vs_full, series_apply)
+                     induced_vertex_set, is_aperiodic, killed_green,
+                     killed_green_series, point_to_set, radius_max,
+                     restricted_vs_full, series_apply, set_to_point)
 
 
 def report(num, label, ok, detail=""):

@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 from localflow import graph as graph_module
 from localflow import (DirectedGraph, GraphError, PerturbationSpec,
                        SubgraphSpec, WeightedWalk, ball_subgraph, generate,
-                       geodesic_distance, induced_vertex_set, measure_decay,
-                       point_to_set, radius_max, set_to_point)
+                       geodesic_distance, measure_decay)
 from conftest import (neighbors, path, quadratic_problem,
                       random_connected_graph, triangle)
-from oracles import RestrictedLaplacian, green_difference, incidence
+from oracles import (RestrictedLaplacian, green_difference, incidence,
+                     induced_vertex_set, point_to_set, radius_max,
+                     set_to_point)
 
 
 def test_incidence_two_vertices():
@@ -242,6 +243,24 @@ def test_json_round_trip(rng):
         json.loads(json.dumps(g.to_json_dict())))
     assert g2.vertices == g.vertices
     assert g2.edges == g.edges
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate("random-k-regular", n=2000, k=3, seed=1),
+    lambda: DirectedGraph(["\u00e9", "\u2192", '"q"'],
+                          [("e\n", "\u00e9", "\u2192"),
+                           ("f", "\u2192", '"q"')])],
+    ids=["k3", "escaped-ids"])
+def test_save_writes_the_bytes_of_json_dumps(tmp_path, make):
+    # save streams the text through a temporary file, renamed into place;
+    # the file holds the bytes of one json.dumps, and nothing else is left
+    g = make()
+    path = tmp_path / "graph.json"
+    g.save(str(path))
+    assert path.read_bytes() == json.dumps(g.to_json_dict(),
+                                           indent=2).encode()
+    assert [p.name for p in tmp_path.iterdir()] == ["graph.json"]
+    assert DirectedGraph.load(str(path)).edges == g.edges
 
 
 @settings(max_examples=25, deadline=None)

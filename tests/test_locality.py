@@ -10,9 +10,8 @@ from localflow import (DirectedGraph, EdgeCost, ErrorBudget, GraphError,
                        SubgraphSpec, TunerFamily, WeightedWalk,
                        adjacency_slem, ball_subgraph, bias_variance,
                        budget_for, generate, geodesic_distance,
-                       induced_vertex_set, interlacing_bound,
-                       measure_decay, point_to_set,
-                       sensitivity_operator, set_to_point, solve_exact, tune)
+                       interlacing_bound, measure_decay,
+                       sensitivity_operator, solve_exact, tune)
 from conftest import (logcosh_bundle, neighbors, quadratic_problem,
                       random_balanced, random_connected_graph,
                       traced_peak_mb, triangle)
@@ -20,6 +19,7 @@ from localflow import FlowProblem, SolverError
 from localflow import laplacian, locality
 from localflow.laplacian import LANCZOS_STEPS, SPECTRAL_DELTA
 from localflow.locality import _set_constants
+from oracles import induced_vertex_set, point_to_set, set_to_point
 
 
 def k4():

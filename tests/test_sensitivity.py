@@ -7,17 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localflow import (DirectedGraph, EdgeCost, FlowProblem, ObjectiveBundle,
-                       PerturbationSpec, SensitivityError,
-                       directional_derivative, generate,
-                       integrate_sensitivity, pseudoinverse,
-                       sensitivity_operator, solve_exact)
+                       PerturbationSpec, SensitivityError, generate,
+                       pseudoinverse, sensitivity_operator, solve_exact)
 from localflow.graph import FEAS_TOL
 from localflow.laplacian import CG_RTOL, LaplacianError
 from localflow.sensitivity import STATIONARITY_TOL, _project
 from conftest import (logcosh_bundle, path, quadratic_problem,
                       random_balanced, random_connected_graph, triangle)
-from oracles import (boundary_sensitivity_check, gaussian_identity_check,
-                     generic_sensitivity_matrix, incidence, is_aperiodic,
+from oracles import (boundary_sensitivity_check, directional_derivative,
+                     gaussian_identity_check, generic_sensitivity_matrix,
+                     incidence, integrate_sensitivity, is_aperiodic,
                      sensitivity_matrix, series_apply)
 
 

@@ -214,3 +214,37 @@ def test_every_dense_solve_in_the_library_is_named():
         ("laplacian.py", "norm_bound", "np.linalg.eigvalsh"),
         ("laplacian.py", "pseudoinverse", "np.linalg.eigh"),
         ("solver.py", "LocalizedSolver.__init__", "np.linalg.inv")}
+
+
+# exports that only the tests call, each kept for its reason
+UNCALLED_EXPORTS = {
+    "pgd_run": "the paper's unlocalized projected-gradient routine, the "
+               "baseline the localized solver is measured against",
+    "bias_variance": "the paper's bias/variance decomposition; ROADMAP "
+                     "item 18 gives it a caller",
+}
+
+
+def _loaded_names(path):
+    """Every name one source file loads, bare or as an attribute."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_export_is_used_outside_tests():
+    # the package exports what the library, the CLI, tools/ and perfbench/
+    # run; a name only tests call belongs in tests/oracles.py
+    import localflow
+    paths = [path for path in glob.glob(os.path.join(ROOT, "src", "localflow",
+                                                     "*.py"))
+             if os.path.basename(path) != "__init__.py"]
+    for directory in ("tools", "perfbench"):
+        paths += glob.glob(os.path.join(ROOT, directory, "**", "*.py"),
+                           recursive=True)
+    loaded = set().union(*map(_loaded_names, paths))
+    unused = set(localflow.__all__) - loaded
+    assert unused == set(UNCALLED_EXPORTS)

@@ -44,9 +44,13 @@ a ~ U[1, 1.02] and c ~ N(0, 1), the script times:
   untimed second build its `tracemalloc` peak (`build_peak_kib`, the
   median over the requests), which stays flat in n when the build
   allocates by the ball;
-- at each radius r, one localized step: (run of 31 steps - run of 1 step)
-  / 30 on the same solver, so the per-run work (frozen-flow check, tree
-  routing) is left out. A tree ball (cycle rank 0) does no per-step work,
+- at each radius r, one localized step: on the same solver, STEP_PAIRS
+  pairs of back-to-back runs of 1 and of 1 + STEP_REPEATS steps, and the
+  median over the pairs of their difference / STEP_REPEATS. The
+  difference leaves out the per-run work (the O(n) frozen-flow and
+  domain checks, tree routing), and STEP_REPEATS = 1000 steps outweigh
+  that work's jitter between two runs, which at n = 2e5 exceeds what 30
+  steps cost. A tree ball (cycle rank 0) does no per-step work,
   so the median is over the requests whose ball has a cycle only
   (`step_requests` of them), and null when there are none. A step reads
   the costs of the ball's cycle support only, whose mean size is
@@ -79,7 +83,9 @@ import numpy as np  # noqa: E402
 import localflow as lf  # noqa: E402
 from localflow import cli  # noqa: E402
 
-STEPS = 30
+STEPS = 30  # per timed request, as reopt-local makes it
+STEP_REPEATS = 1000
+STEP_PAIRS = 5
 QUARTILES = (25, 50, 75)
 
 
@@ -218,13 +224,7 @@ def _radius_row(problem, x_star, rng, r, requests):
                                    lf.ball_subgraph(g, int(g.tails[k]), r))
         build_ms.append(_ms(start))
         peaks.append(_build_peak_kib(problem, int(g.tails[k]), r))
-        b_target = problem.b + p
-        start = time.perf_counter()
-        local.run(x_star, b_target, 1)
-        one = _ms(start)
-        start = time.perf_counter()
-        local.run(x_star, b_target, STEPS + 1)
-        step_us.append((_ms(start) - one) * 1e3 / STEPS)
+        step_us.append(_step_us(local, x_star, problem.b + p))
         sizes.append((len(sub.v_in), len(sub.e_in), sub.cycle_rank,
                       len(local.support)))
     vertices, edges, cycle_rank, support = (statistics.mean(s)
@@ -236,6 +236,20 @@ def _radius_row(problem, x_star, rng, r, requests):
             "ball_edges_mean": edges, "cycle_rank_mean": cycle_rank,
             "cycle_support_mean": support,
             "build_peak_kib": statistics.median(peaks)}
+
+
+def _step_us(local, x_star, b_target):
+    """One localized step of local in us: the median over STEP_PAIRS pairs
+    of (run of 1 + STEP_REPEATS steps - run of 1 step) / STEP_REPEATS."""
+    diffs = []
+    for _ in range(STEP_PAIRS):
+        times = []
+        for t in (1, 1 + STEP_REPEATS):
+            start = time.perf_counter()
+            local.run(x_star, b_target, t)
+            times.append(_ms(start))
+        diffs.append((times[1] - times[0]) * 1e3 / STEP_REPEATS)
+    return statistics.median(diffs)
 
 
 def percentiles(name, samples):
@@ -307,7 +321,9 @@ def main(argv=None):
                                "cpus": os.cpu_count(),
                                "OPENBLAS_NUM_THREADS":
                                    os.environ.get("OPENBLAS_NUM_THREADS")},
-                   "steps": STEPS, "seed": args.seed, "rows": rows},
+                   "steps": STEPS, "step_repeats": STEP_REPEATS,
+                   "step_pairs": STEP_PAIRS, "seed": args.seed,
+                   "rows": rows},
                   fh, indent=2)
         fh.write("\n")
     return 0
