@@ -4,8 +4,9 @@ The weight of an edge is the reciprocal of the cost curvature at the
 current flow, so the Laplacian here is exactly the constraint-side matrix
 appearing in the sensitivity operator. Products with L^+ are matrix-free
 conjugate-gradient solves (laplacian_solve). Spectral norms behind the
-error bounds are certified upper bounds from a matrix-free Lanczos run
-(norm_bound); dense matrices serve small spectra and the pseudoinverse.
+error bounds are certified upper bounds from a Lanczos run on three
+vectors, or a dense eigensolve up to LANCZOS_STEPS vertices (norm_bound);
+dense matrices also serve small walk spectra and the pseudoinverse.
 """
 
 import math
@@ -84,80 +85,76 @@ class Spectrum:
     def __init__(self, walk):
         # P is similar to the symmetric D^{-1/2} W D^{-1/2}
         s = np.sqrt(walk.d)
-        gamma = walk.W / np.outer(s, s)
-        vals = np.linalg.eigvalsh(gamma)
-        self.eigenvalues = vals[::-1]
+        self.eigenvalues = np.linalg.eigvalsh(walk.W / np.outer(s, s))[::-1]
         if abs(self.eigenvalues[0] - 1.0) > 1e-10:
             raise LaplacianError("leading walk eigenvalue is not 1")
-        if len(vals) > 1:
-            self.lam = float(max(abs(self.eigenvalues[1]),
-                                 abs(self.eigenvalues[-1])))
-        else:
-            self.lam = 0.0
+        # the descending tail's largest magnitude is at one of its ends
+        self.lam = float(np.abs(self.eigenvalues[1:]).max(initial=0.0))
 
 
 class NormBound(float):
     """An upper bound on a spectral norm, as a float, with the record of
-    the Lanczos run behind it: `spectral` holds the method, the steps, the
-    failure probability delta, the Ritz estimate (at most the norm) and
-    the bound."""
+    the run behind it: `spectral` holds the method ("dense" where no
+    Lanczos step ran), the steps, the failure probability delta, the Ritz
+    estimate (at most the norm, up to round-off) and the bound."""
 
     def __new__(cls, bound, ritz, steps, delta):
         self = super().__new__(cls, bound)
-        self.spectral = {"method": "lanczos", "steps": steps, "delta": delta,
-                         "ritz": ritz, "bound": float(bound)}
+        self.spectral = {"method": "lanczos" if steps else "dense",
+                         "steps": steps, "delta": delta, "ritz": ritz,
+                         "bound": float(bound)}
         return self
 
 
 def norm_bound(graph, weights, scale, deflate):
     """Upper bound on ||B||_2 for B = S W S - v v^T, where W is the
-    symmetric matrix of the edge weights, S = diag(scale) and v = deflate.
-    B is applied by bincount products and never formed.
+    symmetric matrix of the edge weights, S = diag(scale) and v = deflate,
+    as a NormBound. It adds 16 k ulps of s = max_i (S W S 1)_i + |v|^2
+    >= ||B||, the scale of the round-off in the products and eigensolves.
 
-    Lanczos runs on the positive semidefinite B^2, with full
-    reorthogonalisation (one Gram-Schmidt pass, and a second when the
-    first removes much: the DGKS criterion), from a Gaussian start drawn
-    with a fixed seed.
-    After k steps its top Ritz value theta gives ||B||^2 <= theta / (1 - e),
-    e = (ln(1.648 sqrt(n) / delta) / (2k - 1))^2, with probability at least
-    1 - delta over the start (Kuczynski & Wozniakowski, SIAM J. Matrix
-    Anal. Appl. 13(4), 1992); delta is SPECTRAL_DELTA. When the Krylov
-    space is exhausted before LANCZOS_STEPS, theta is exact and delta is 0.
-    The bound adds 16 k ulps of s = max_i (S W S 1)_i + |v|^2 >= ||B||,
-    the scale of the round-off in the products and the Ritz eigensolve.
-    Returns a NormBound.
+    Where n <= LANCZOS_STEPS it is the largest |eigenvalue| of the dense B
+    (k = n; method "dense", 0 steps, delta 0). Else bincount products
+    apply B, and Lanczos with no reorthogonalisation runs k steps on B^2,
+    k <= LANCZOS_STEPS, on three vectors from a Gaussian start of fixed
+    seed. Its top Ritz value theta gives ||B||^2 <= theta / (1 - e),
+    e = (ln(1.648 sqrt(n) / delta) / (2k - 1))^2, with probability at
+    least 1 - delta = 1 - SPECTRAL_DELTA over the start (Kuczynski &
+    Wozniakowski, SIAM J. Matrix Anal. Appl. 13(4), 1992). Lost
+    orthogonality only repeats converged Ritz values (Paige, Linear
+    Algebra Appl. 34, 1980), and the computed tridiagonal is exact
+    Lanczos's on a matrix whose eigenvalues lie in tiny intervals about
+    those of B^2 (Greenbaum, Linear Algebra Appl. 113, 1989), so the tail
+    bound prices theta as it prices exact Lanczos. A residual at round-off
+    level marks an invariant Krylov space, where theta is exact, delta 0.
     """
     n, ulp = graph.n_vertices, np.finfo(float).eps
     sws = _weight_operator(graph, weights, scale)
     s = sws(np.ones(n)).max(initial=0.0) + deflate @ deflate
+    if n <= LANCZOS_STEPS:
+        B = scale[:, None] * WeightedWalk(graph, weights).W * scale
+        norm = float(np.abs(np.linalg.eigvalsh(
+            B - np.outer(deflate, deflate))).max(initial=0.0))
+        return NormBound(norm + 16.0 * n * ulp * s, norm, 0, 0.0)
 
     def apply(x):
         return sws(x) - deflate * (deflate @ x)
 
-    basis = np.empty((min(LANCZOS_STEPS, n), n))
-    start = np.random.default_rng(0).standard_normal(n)
-    basis[0] = start / np.sqrt(start @ start)
-    alpha, beta = [], []
-    for k in range(1, len(basis) + 1):
-        q = basis[k - 1]
+    q = np.random.default_rng(0).standard_normal(n)
+    q, q_prev, alpha, beta = q / np.sqrt(q @ q), None, [], []
+    for k in range(1, LANCZOS_STEPS + 1):
+        # the three-term recurrence, q_prev out before alpha (Paige's order)
         r = apply(apply(q))
+        if beta:
+            r -= beta[-1] * q_prev
         alpha.append(q @ r)
-        # the three-term recurrence, then classical Gram-Schmidt against
-        # the whole basis, run again only when it removed more than
-        # 1 - 1/sqrt(2) of the norm (Daniel, Gragg, Kaufman and Stewart)
-        r -= alpha[-1] * q + (beta[-1] * basis[k - 2] if beta else 0.0)
-        for _ in range(2):
-            norm = np.sqrt(r @ r)
-            r -= (basis[:k] @ r) @ basis[:k]
-            res = np.sqrt(r @ r)
-            if res * np.sqrt(2.0) >= norm:
-                break
+        r -= alpha[-1] * q
+        res = np.sqrt(r @ r)
         # a residual at round-off level: the Krylov space is invariant
-        exhausted = k == n or res <= 16.0 * np.sqrt(n) * ulp * s * s
-        if exhausted or k == len(basis):
+        exhausted = res <= 16.0 * np.sqrt(n) * ulp * s * s
+        if exhausted or k == LANCZOS_STEPS:
             break
         beta.append(res)
-        basis[k] = r / res
+        q_prev, q = q, r / res
     theta = max(float(np.linalg.eigvalsh(
         np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))[-1]), 0.0)
     if exhausted:

@@ -191,10 +191,12 @@ def _newton(problem, x, mu, tol, log):
 
 
 def _direction(problem, x, w0, log):
-    """The _Point of Newton's direction at x, solved from w0."""
-    grad = problem.bundle.gradient(x)
+    """The _Point of Newton's infeasible-start direction at x, from w0:
+    A dx = b - A x (Boyd & Vandenberghe, Convex Optimization, 2004, 10.3)."""
+    g, grad = problem.graph, problem.bundle.gradient(x)
     sig = 1.0 / problem.bundle.hessian_diag(x)
-    dx, w = _project(problem.graph, sig, -sig * grad, 0.0, w0, log)
+    dx, w = _project(g, sig, -sig * grad, problem.b - g.net_outflow(x), w0,
+                     log)
     return _Point(float(np.linalg.norm(dx / sig)), dx, w, _scale(grad), grad)
 
 

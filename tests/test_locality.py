@@ -40,10 +40,13 @@ def test_adjacency_slem_complete_graph():
     assert adjacency_slem(k4()) == pytest.approx(1.0, abs=1e-10)
 
 
-def check_bounds_bracket_dense(g, seed):
+def check_bounds_bracket_dense(g, seed, spread=False):
     """adjacency_slem and the walk's slem_bound against dense eigensolves:
-    dense <= bound <= 1.01 dense, each with its Lanczos record."""
-    weights = np.random.default_rng(seed).uniform(0.5, 2.0, g.n_edges)
+    dense <= bound <= 1.01 dense, each with its record. The walk's weights
+    are U[0.5, 2], or 10^U[-3, 3] when spread."""
+    rng = np.random.default_rng(seed)
+    weights = (10.0 ** rng.uniform(-3.0, 3.0, g.n_edges) if spread
+               else rng.uniform(0.5, 2.0, g.n_edges))
     vals = np.linalg.eigvalsh(WeightedWalk(g, np.ones(g.n_edges)).W)
     walk = WeightedWalk(g, weights)
     for bound, dense in ((adjacency_slem(g), max(-vals[0], abs(vals[-2]))),
@@ -53,11 +56,16 @@ def check_bounds_bracket_dense(g, seed):
         assert record["ritz"] <= record["bound"] == bound
         assert record["delta"] in (0.0, SPECTRAL_DELTA)
         assert record["delta"] == 0.0 or g.n_vertices > LANCZOS_STEPS
+        assert record["method"] == ("dense" if g.n_vertices <= LANCZOS_STEPS
+                                    else "lanczos")
 
 
 # one-row grids (odd paths) are left out: there ||A - (d/n) 1 1^T||
-# exceeds the second eigenvalue by up to 5%, a sound but loose bound
+# exceeds the second eigenvalue by up to 5%, a sound but loose bound;
+# cycles above LANCZOS_STEPS vertices have a Krylov space of B^2 that
+# Lanczos exhausts within its steps
 GRAPHS = st.one_of(
+    st.builds(lambda n: generate("cycle", n=n), st.integers(121, 400)),
     st.builds(lambda n, k, seed: generate("random-k-regular", n=2 * n, k=k,
                                           seed=seed),
               st.integers(3, 150), st.sampled_from([3, 4]),
@@ -68,9 +76,9 @@ GRAPHS = st.one_of(
 
 
 @settings(max_examples=60, deadline=None)
-@given(g=GRAPHS, seed=st.integers(0, 2 ** 16))
-def test_certified_bounds_bracket_dense_spectra(g, seed):
-    check_bounds_bracket_dense(g, seed)
+@given(g=GRAPHS, seed=st.integers(0, 2 ** 16), spread=st.booleans())
+def test_certified_bounds_bracket_dense_spectra(g, seed, spread):
+    check_bounds_bracket_dense(g, seed, spread)
 
 
 @pytest.mark.parametrize("kind, params", [
