@@ -110,7 +110,7 @@ def _load_problem(config):
         flow = _load_json(flow_path)
         b[graphmod._vertex_indices(g, flow)] = list(map(float, flow.values()))
         problem = FlowProblem(g, bundle, b)
-    return g, bundle, problem
+    return g, problem
 
 
 def _load_perturbation(config, g):
@@ -179,7 +179,7 @@ def _write_csv(path, header, rows):
 
 
 def cmd_solve(config):
-    g, _, problem = _load_problem(config)
+    g, problem = _load_problem(config)
     tol = config.get("tolerance")
     tol = SOLVE_TOL if tol is None else float(tol)
     if not 0.0 < tol < math.inf:
@@ -198,7 +198,7 @@ def cmd_solve(config):
 
 
 def cmd_sensitivity(config):
-    g, _, problem = _load_problem(config)
+    g, problem = _load_problem(config)
     pert = _load_perturbation(config, g)
     solve, t0 = {}, time.perf_counter()
     op = sensitivity_operator(problem, solve_exact(problem, stats=solve))
@@ -217,7 +217,7 @@ def cmd_sensitivity(config):
 
 
 def cmd_decay(config):
-    g, _, problem = _load_problem(config)
+    g, problem = _load_problem(config)
     pert = _load_perturbation(config, g)
 
     # single-edge F sweep over every edge, rows in edge-index order
@@ -237,7 +237,7 @@ def cmd_decay(config):
 
 
 def cmd_reopt(config):
-    g, _, problem = _load_problem(config)
+    g, problem = _load_problem(config)
     pert = _load_perturbation(config, g)
     center, radius, iters = _require(
         config, "subgraph-center", "radius", "iters")
@@ -267,7 +267,7 @@ def cmd_reopt(config):
              "cycle_rank": sub.cycle_rank,
              "iterations": len(rows), "global_s": t1 - t0,
              "local_s": time.perf_counter() - t1 - record_s[0]}
-    if not rows:  # zero perturbation short-circuit
+    if not rows:  # a ball with no edge: no step, one row for x_star
         record(final)
     _write_csv(_path(config, "reopt.csv"),
                ["iteration", "error_l2", "feasibility_residual"], rows)
@@ -284,7 +284,7 @@ def cmd_tune(config):
     if config.get("graph"):
         if any(config.get(key) is not None for key in ("Q", "k", "mu")):
             raise CliInputError("--Q, --k and --mu do not apply with --graph")
-        problem, t0 = _load_problem(config)[2], time.perf_counter()
+        problem, t0 = _load_problem(config)[1], time.perf_counter()
         budget = locality.budget_for(problem)
         budget_s = time.perf_counter() - t0
         if budget.k_minus != budget.k_plus:  # regular families only
@@ -321,7 +321,7 @@ def cmd_tune(config):
 
 
 def cmd_interlace(config):
-    g, _, problem = _load_problem(config)
+    g, problem = _load_problem(config)
     center, radius = _require(config, "subgraph-center", "radius")
     sub = graphmod.ball_subgraph(g, center, _integer("radius", radius))
     if not len(sub.e_in):

@@ -86,39 +86,41 @@ def solve_exact(problem, tol=SOLVE_TOL, stats=None):
 
     Quadratic bundles are solved in closed form through the weighted
     Laplacian; general bundles by damped Newton steps in the constraint
-    null space until the projected gradient is at most
+    null space until Newton's residual rho (see _newton) is at most
     tol * max(1, |grad|_inf). Newton starts at the closed form of the
     costs' quadratic part sum a x^2/2 + c x, or at the least-norm point
     (a = 1, c = 0) where that leaves a cost's interval. Each trial point
-    pays one Laplacian solve, its Newton direction, whose residual rho
-    (see _newton) the line search must cut by a factor 1 - step/4 or
-    bring to tol * max(1, |grad|_inf); a step that leaves a cost's
-    interval is halved. Each Laplacian solve starts from the potential
-    at hand and keeps the absolute CG_RTOL stopping rule.
+    pays one Laplacian solve, its Newton direction, whose rho the line
+    search must cut by a factor 1 - step/4 or bring to
+    tol * max(1, |grad|_inf); a step that leaves a cost's interval is
+    halved. Either answer then pays one unit-metric solve, from its
+    potential, for the projected gradient, which must be at most
+    max(tol, STATIONARITY_TOL) * max(1, |grad|_inf). Each Laplacian solve
+    starts from the potential at hand and keeps the absolute CG_RTOL
+    stopping rule.
 
     A given stats dict gets `method` ("closed-form" or "newton"),
     `newton_iterations`, `halvings` (line-search step halvings),
     `cg_iterations` and `cg_residual` (per Laplacian solve, in order:
-    the closed form and its check; or Newton's start, the least-norm
-    start if taken, the start's direction, one direction per trial point
-    in every cost's interval and a stationarity solve each time rho met
-    the tolerance, the last one the final check's; `cg_residual` is
-    each solve's true relative residual, None where it took no
-    iteration), Newton's `start` ("quadratic-part" or
-    "least-norm") and the final residuals `feasibility_inf` and
-    `stationarity_inf`.
+    the closed form; for Newton the least-norm start if taken, the
+    start's direction and one direction per trial point in every cost's
+    interval; then the stationarity check; `cg_residual` is each solve's
+    true relative residual, None where it took no iteration), Newton's
+    `start` ("quadratic-part" or "least-norm") and the final residuals
+    `feasibility_inf` and `stationarity_inf`.
     """
-    bundle, log = problem.bundle, []
+    g, bundle, log = problem.graph, problem.bundle, []
     sigma = 1.0 / bundle.a  # the closed form of the costs' quadratic part
-    x, nu = _project(problem.graph, sigma, -sigma * bundle.c, problem.b,
-                     log=log)
+    x, nu = _project(g, sigma, -sigma * bundle.c, problem.b, log=log)
     if bundle.all_quadratic:
-        stat, scale = _stationarity(problem, bundle.gradient(x), nu, log)
+        grad = bundle.gradient(x)
         record = {"method": "closed-form", "newton_iterations": 0,
                   "halvings": 0}
     else:
-        x, stat, scale, record = _newton(problem, x, nu, tol, log)
-    feas = _check_solution(problem, x, stat, scale)
+        x, nu, grad, record = _newton(problem, x, nu, tol, log)
+    stat = float(np.abs(_project(g, 1.0, -grad, 0.0, nu, log)[0]).max())
+    feas = _check_solution(problem, x, stat,
+                           max(tol, STATIONARITY_TOL) * _scale(grad))
     if stats is not None:
         stats.update(record, cg_iterations=[k for k, _ in log],
                      cg_residual=[res for _, res in log],
@@ -146,15 +148,13 @@ def _project(graph, sigma, v, d, nu0=None, log=None):
 
 def _newton(problem, x, mu, tol, log):
     """Damped Newton for solve_exact from x with potential mu: x, its
-    stationarity residual and scale, record.
+    direction's potential w, its gradient and the record.
 
     A point's one solve is its direction dx = sigma (A^T w - grad), sigma
     the inverse curvatures, and its potential w gives the residual
     rho = |grad - A^T w|_2 = |dx / sigma|_2. For any w, rho bounds the
     unit-metric projected gradient |P grad|_inf from above, so Newton
-    stops once rho <= tol * max(1, |grad|_inf). Then one unit-metric
-    solve from w gives the residual _check_solution judges; if that is
-    above the tolerance, Newton goes on. An accepted trial point's
+    stops once rho <= tol * max(1, |grad|_inf). An accepted trial point's
     direction is the next step's."""
     g, bundle, start = problem.graph, problem.bundle, "quadratic-part"
     if np.any((x < bundle.lo) | (x > bundle.hi)):
@@ -179,15 +179,12 @@ def _newton(problem, x, mu, tol, log):
             raise SensitivityError(
                 "Newton line search stalled at residual %.3e" % here.rho)
         if here.rho <= tol * here.scale:
-            stat = _stationarity(problem, here.grad, here.w, log)[0]
-            if stat <= tol * here.scale:
-                break
-    else:
-        raise SensitivityError(
-            "solver did not converge: KKT residual %.3e" % here.rho)
-    return x, stat, here.scale, {"method": "newton",
-                                 "newton_iterations": it,
-                                 "halvings": halvings, "start": start}
+            return x, here.w, here.grad, {"method": "newton",
+                                          "newton_iterations": it,
+                                          "halvings": halvings,
+                                          "start": start}
+    raise SensitivityError(
+        "solver did not converge: KKT residual %.3e" % here.rho)
 
 
 def _direction(problem, x, w0, log):
@@ -200,19 +197,13 @@ def _direction(problem, x, w0, log):
     return _Point(float(np.linalg.norm(dx / sig)), dx, w, _scale(grad), grad)
 
 
-def _stationarity(problem, grad, nu0, log):
-    """|projected gradient|_inf of grad and its scale max(1, |grad|_inf);
-    the unit-metric solve starts from nu0."""
-    pg = _project(problem.graph, 1.0, -grad, 0.0, nu0, log)[0]
-    return float(np.abs(pg).max()), _scale(grad)
-
-
-def _check_solution(problem, x, stat, scale):
-    """Raise unless x is feasible and stationary; return |Ax - b|_inf."""
+def _check_solution(problem, x, stat, stat_tol):
+    """Raise unless x is feasible and its projected gradient's norm stat
+    is at most stat_tol; return |Ax - b|_inf."""
     b = problem.b
     feas = _feasible(problem.graph.net_outflow(x) - b, b, SensitivityError,
                      "solution infeasible: |Ax-b| = %.3e")
-    if not stat <= STATIONARITY_TOL * scale:
+    if not stat <= stat_tol:
         raise SensitivityError(
             "solution not stationary: residual %.3e" % stat)
     return feas

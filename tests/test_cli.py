@@ -232,6 +232,28 @@ def test_reopt_whole_graph_zero_perturbation(triangle_files, tmp_path):
     assert report["final_error_l2"] <= 1e-9
 
 
+def test_reopt_one_vertex_ball_writes_the_warm_start_row(triangle_files,
+                                                        tmp_path):
+    # --radius 0: a ball with no edge, so the perturbation must be zero;
+    # no step is taken, and the one row is the warm start's
+    graph, costs, flow, _ = triangle_files
+    pert = write_json(tmp_path / "p0.json", {})
+    out = str(tmp_path / "reopt")
+    assert main(["reopt", "--graph", graph, "--costs", costs, "--flow", flow,
+                 "--perturbation", pert, "--subgraph-center", "1",
+                 "--radius", "0", "--iters", "5", "--out", out]) == 0
+    with open(os.path.join(out, "reopt.csv")) as fh:
+        (row,) = csv.DictReader(fh)
+    assert (row["iteration"], float(row["error_l2"])) == ("1", 0.0)
+    assert float(row["feasibility_residual"]) <= 1e-9
+    report = read_report(out, "reopt.json")
+    assert report["final_error_l2"] == 0.0
+    assert {k: report["stats"][k] for k in ("ball_vertices", "ball_edges",
+                                            "cycle_rank", "iterations")} == {
+        "ball_vertices": 1, "ball_edges": 0, "cycle_rank": 0,
+        "iterations": 0}
+
+
 def test_reopt_converges_on_whole_graph(triangle_files, tmp_path):
     graph, costs, flow, pert = triangle_files
     out = str(tmp_path / "reopt2")
@@ -793,6 +815,28 @@ def test_reports_carry_the_spectral_record(expander_files, tmp_path):
     check_spectral(report["spectral"], report["spectral"]["bound"])
     assert report["spectral"] == read_report(
         out, "tune.json")["spectral"]  # both certify the adjacency's mu
+
+
+def test_solve_answers_within_a_loose_tolerance(expander_files, tmp_path,
+                                                capsys):
+    # Newton stops on its residual at 1e-3 and the check judges at 1e-3;
+    # the answer's projected gradient, 4.254e-06, would fail a check at
+    # the default 1e-8
+    graph, _, _, _ = expander_files
+    costs = write_json(tmp_path / "logcosh.json",
+                       {"default": {"kind": "log-cosh", "a": 1.0, "s": 0.5}})
+    flow = write_json(tmp_path / "unit.json", {"v0": 1.0, "v196": -1.0})
+    out = str(tmp_path / "out")
+    assert main(["solve", "--graph", graph, "--costs", costs, "--flow", flow,
+                 "--tolerance", "1e-3", "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+    report = read_report(out, "solution.json")
+    assert report["stats"]["method"] == "newton"
+    grad_inf = max(abs(0.5 * math.tanh(x) + x)
+                   for x in report["solution"].values())
+    assert report["residuals"]["stationarity_inf"] <= 1e-3 * max(1.0,
+                                                                 grad_inf)
+    assert report["residuals"]["feasibility_inf"] <= 1e-9
 
 
 def test_tune_family_from_flags_has_no_spectral_record(tmp_path):

@@ -11,6 +11,7 @@ from localflow import (DirectedGraph, EdgeCost, FlowProblem, ObjectiveBundle,
                        pseudoinverse, sensitivity_operator, solve_exact)
 from localflow.graph import FEAS_TOL
 from localflow.laplacian import CG_RTOL, LaplacianError
+from localflow.objective import CostError
 from localflow.sensitivity import STATIONARITY_TOL, _project
 from conftest import (logcosh_bundle, path, quadratic_problem,
                       random_balanced, random_connected_graph, triangle)
@@ -445,6 +446,78 @@ def test_newton_solve_meets_dense_kkt_oracle(seed, n, kind, log10_b):
     grad = bundle.gradient(x)
     pg = grad - A.T @ (gram_pinv @ (A @ grad))
     assert np.abs(pg).max() <= STATIONARITY_TOL * max(1.0, np.abs(grad).max())
+
+
+def assert_dense_kkt(problem, x, tol=STATIONARITY_TOL):
+    """x meets A x = b to FEAS_TOL and its dense projected gradient is at
+    most tol, each relative to max(1, |.|_inf) of b and of the gradient."""
+    A, b = incidence(problem.graph), problem.b
+    assert np.abs(A @ x - b).max() <= FEAS_TOL * max(1.0, np.abs(b).max())
+    grad = problem.bundle.gradient(x)
+    pg = grad - A.T @ (pseudoinverse(A @ A.T) @ (A @ grad))
+    assert np.abs(pg).max() <= tol * max(1.0, np.abs(grad).max())
+
+
+def test_newton_halves_a_step_that_leaves_a_quartic_interval(monkeypatch):
+    # on this draw one trial point leaves a cost's interval: its gradient
+    # raises CostError, the line search halves the step, and the solve
+    # goes on to the optimum
+    rng = np.random.default_rng(4)
+    n = int(rng.integers(4, 12))
+    g = generate("complete", n=n)
+    m = g.n_edges
+    a, q = 10.0 ** rng.uniform(-2.0, 1.0, m), 10.0 ** rng.uniform(-1.0, 2.0, m)
+    b = rng.standard_normal(n) * 10.0 ** rng.uniform(0.0, 2.0)
+    b -= b.mean()
+    bundle = ObjectiveBundle.from_arrays(
+        "quartic", a, q=q, radius=10.0 ** rng.uniform(-0.5, 1.5))
+    gradient, outside = bundle.gradient, []
+
+    def spy(x):
+        try:
+            return gradient(x)
+        except CostError:
+            outside.append(x)
+            raise
+
+    monkeypatch.setattr(bundle, "gradient", spy)
+    problem, stats = FlowProblem(g, bundle, b), {}
+    x = solve_exact(problem, stats=stats)
+    assert (n, stats["start"]) == (9, "least-norm")
+    assert len(outside) == 1 and stats["halvings"] >= 1
+    assert_dense_kkt(problem, x)
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-3, 0.5])
+def test_newton_answers_within_a_loose_tolerance(rng, tol):
+    # Newton stops once its residual rho meets tol, and rho bounds the
+    # projected gradient: the check judges at that tol, so the answer is
+    # given, not refused at the default STATIONARITY_TOL
+    g = generate("random-k-regular", n=40, k=3, seed=6)
+    problem = FlowProblem(g, logcosh_bundle(rng, g.n_edges),
+                          random_balanced(rng, g.n_vertices, scale=3.0))
+    stats = {}
+    x = solve_exact(problem, tol=tol, stats=stats)
+    assert stats["method"] == "newton"
+    assert stats["stationarity_inf"] <= tol * max(
+        1.0, np.abs(problem.bundle.gradient(x)).max())
+    assert_dense_kkt(problem, x, tol)
+
+
+# a known defect: rho re-solves the potential at each trial point, so it
+# need not fall along dx; the residual at (x + t dx, nu + t dnu) would
+@pytest.mark.xfail(strict=True, raises=SensitivityError,
+                   reason="Newton line search stalls on rho (ROADMAP 2)")
+def test_newton_solves_a_pure_log_cosh_three_cycle():
+    # one-dimensional and strictly convex, with its optimum near
+    # x = [0.1357, 1.1357, -8.8643]
+    g = generate("cycle", n=3)
+    bundle = ObjectiveBundle.from_arrays(
+        "log-cosh", np.array([0.05, 0.08, 0.08]), s=np.array([9.4, 0.3, 0.9]))
+    problem = FlowProblem(g, bundle, np.array([9.0, 1.0, -10.0]))
+    x = solve_exact(problem)
+    assert np.abs(x - [0.1357, 1.1357, -8.8643]).max() < 1e-3
+    assert_dense_kkt(problem, x)
 
 
 def test_cg_breakdown_is_a_laplacian_error():
