@@ -246,9 +246,10 @@ def cmd_reopt(config):
         raise CliInputError("--iters must be at least 1, got %d" % iters)
     sub = graphmod.ball_subgraph(g, center, radius)
 
-    t0 = time.perf_counter()
-    x_star = solve_exact(problem)
-    target = solve_exact(problem.with_b(problem.b + pert.p))
+    base_solve, target_solve, t0 = {}, {}, time.perf_counter()
+    x_star = solve_exact(problem, stats=base_solve)
+    target = solve_exact(problem.with_b(problem.b + pert.p),
+                         stats=target_solve)
     t1 = time.perf_counter()
     b_target = problem.b + pert.p
     rows = []
@@ -266,7 +267,8 @@ def cmd_reopt(config):
     stats = {"ball_vertices": len(sub.v_in), "ball_edges": len(sub.e_in),
              "cycle_rank": sub.cycle_rank,
              "iterations": len(rows), "global_s": t1 - t0,
-             "local_s": time.perf_counter() - t1 - record_s[0]}
+             "local_s": time.perf_counter() - t1 - record_s[0],
+             "base_solve": base_solve, "target_solve": target_solve}
     if not rows:  # a ball with no edge: no step, one row for x_star
         record(final)
     _write_csv(_path(config, "reopt.csv"),

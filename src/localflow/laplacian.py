@@ -215,7 +215,7 @@ def _centred(v):
     return v
 
 
-def laplacian_solve(graph, weights, rhs, x0=None, stats=None):
+def laplacian_solve(graph, weights, rhs, x0=None, stats=None, rtol=CG_RTOL):
     """L_w^+ rhs by preconditioned conjugate gradients on the mean-zero
     subspace (the mean of rhs is in the kernel and dropped).
 
@@ -235,7 +235,8 @@ def laplacian_solve(graph, weights, rhs, x0=None, stats=None):
     CG starts from x0 (zeros when None), centred; a start whose residual
     exceeds |rhs|_2 is worse than zeros and is replaced by them. The
     stopping rule is absolute whatever the start: the true residual
-    |rhs - L x|_2 < CG_RTOL |rhs|_2 for the mean-zero rhs. CG's
+    |rhs - L x|_2 < rtol |rhs|_2 for the mean-zero rhs, rtol = CG_RTOL
+    unless the caller asks for less (Newton's inexact directions). CG's
     recurrence residual says when to look. When it meets the rule, the
     true residual replaces it (residual replacement: van der Vorst & Ye,
     SIAM J. Sci. Comput. 22, 2000), and CG goes on while that is above
@@ -292,7 +293,7 @@ def laplacian_solve(graph, weights, rhs, x0=None, stats=None):
     cap, k = 10 * graph.n_vertices + 100, 0
     for precondition in (polynomial, lambda r: inv_d * r):
         steps, best, res = _cg(lap, b, x, r, precondition,
-                               CG_RTOL * scale, cap)
+                               rtol * scale, cap)
         k += steps
         if best is not None:
             break

@@ -291,6 +291,11 @@ def test_reopt_reports_ball_stats(tmp_path):
         "ball_vertices": 5, "ball_edges": 4, "cycle_rank": 0,
         "iterations": 6}
     assert stats["local_s"] >= 0.0 and stats["global_s"] > 0.0
+    # the two global solves' records beside the fields above
+    for record in (stats["base_solve"], stats["target_solve"]):
+        assert record["method"] == "newton"
+        assert len(record["cg_rtol"]) == len(record["cg_iterations"]) == \
+            record["newton_iterations"] + 2
 
 
 def test_tune_matches_closed_form(tmp_path):

@@ -568,6 +568,17 @@ def test_tune_closed_forms():
         (3.0 ** result.r) ** 3 * result.t)
 
 
+def test_an_invalid_budget_bounds_nothing():
+    # the grid's degrees 2 to 4 and mu = 4.01 give rho = 3 at Q = 1: no
+    # ball certifies a bias or a variance, and only the whole graph's
+    # zero bias stands
+    budget = ErrorBudget.envelope(1.0, 4, 2, 4.01)
+    assert budget.rho >= 1.0 and not budget.valid
+    assert budget.bias_bound(1.0, 3, False) == math.inf
+    assert budget.variance_bound(1.0, 10) == math.inf
+    assert budget.bias_bound(1.0, 3, True) == 0.0
+
+
 @settings(max_examples=200, deadline=None)
 @given(k=st.integers(3, 32), mu_frac=st.floats(0.0, 1.0, exclude_min=True),
        q_frac=st.floats(0.0, 1.0, exclude_max=True), z=st.integers(0, 3),

@@ -38,11 +38,17 @@ def test_bench_curve_writes_one_row_per_size(tmp_path):
         # the closed form and its check, which starts at the answer
         assert isinstance(row["global_cg_iterations"], int)
         assert row["global_cg_iterations"] >= 1
-        # log-cosh costs are solved by Newton: a start, its direction and
-        # one direction per trial point, each at least one CG iteration
+        # log-cosh costs are solved by Newton: a start and one direction
+        # per step, each at least one CG iteration, with the step and
+        # halving counts beside them
         assert row["global_logcosh_ms"] > 0
         assert isinstance(row["logcosh_cg_iterations"], int)
-        assert row["logcosh_cg_iterations"] >= 3
+        assert isinstance(row["logcosh_newton_iterations"], int)
+        assert isinstance(row["logcosh_halvings"], int)
+        assert row["logcosh_newton_iterations"] >= 1
+        assert row["logcosh_halvings"] >= 0
+        assert row["logcosh_cg_iterations"] >= \
+            1 + row["logcosh_newton_iterations"]
         # a 3-regular graph's mu is at most its degree
         assert row["constants_ms"] > 0 and 0 < row["mu_bound"] <= 3.0 + 1e-9
         assert 0 < row["decay_ms_p25"] <= row["decay_ms_p50"] \

@@ -19,9 +19,10 @@ a ~ U[1, 1.02] and c ~ N(0, 1), the script times:
   CG iterations of one such solve from its stats record
   (`global_cg_iterations`);
 - the global `solve_exact` on log-cosh costs with the same a and
-  s ~ U[0, 1] (`global_logcosh_ms`, the median of three), and the total
-  CG iterations of one such solve from its stats record
-  (`logcosh_cg_iterations`);
+  s ~ U[0, 1] (`global_logcosh_ms`, the median of three), and from one
+  such solve's stats record its total CG iterations
+  (`logcosh_cg_iterations`), Newton steps (`logcosh_newton_iterations`)
+  and line-search halvings (`logcosh_halvings`);
 - the error budget's spectral constants, `budget_for` (median of three), and
   records the certified bound `mu_bound` on the adjacency's second
   eigenvalue in magnitude that it computes;
@@ -305,6 +306,8 @@ def main(argv=None):
                "global_cg_iterations": sum(solve["cg_iterations"]),
                "global_logcosh_ms": logcosh_ms,
                "logcosh_cg_iterations": sum(stats["cg_iterations"]),
+               "logcosh_newton_iterations": stats["newton_iterations"],
+               "logcosh_halvings": stats["halvings"],
                "constants_ms": constants_ms,
                "mu_bound": budget.mu,
                **(decay or percentiles("decay_ms", [])),
